@@ -208,6 +208,8 @@ def _parse_deltas(raw: str) -> list[Fraction]:
 
 def _cmd_certify(args, cfg: RunConfig) -> str:
     system = _load_system(args)
+    # Q is checked before it is factored: trial division of a huge Q hangs
+    cfg.limits.require_residue_space(system.lcm_modulus, "pipeline")
     depth = len(system.factorization.pairs)
     if args.deltas is not None:
         deltas = _parse_deltas(args.deltas)

@@ -59,6 +59,16 @@ class Limits:
     interval: int = 2**24            # longest initial segment {1..2^n} scanned
     divisors: int = 1_000_000        # largest divisor/progression enumeration
 
+    def require_residue_space(self, q: int, what: str) -> None:
+        """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
+        if q > self.residue_space:
+            raise ResourceLimitError(
+                f"{what} needs a residue space of size {q}, over the limit"
+                f" {self.residue_space}",
+                required=q,
+                limit=self.residue_space,
+            )
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -270,16 +280,6 @@ class CoverageReport:
     uncovered_count: int
 
 
-def _require_space(q: int, limits: Limits, what: str) -> None:
-    if q > limits.residue_space:
-        raise ResourceLimitError(
-            f"{what} needs a residue space of size {q}, over the limit"
-            f" {limits.residue_space}",
-            required=q,
-            limit=limits.residue_space,
-        )
-
-
 def covers_oracle(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -> CoverageReport:
     """Decide coverage by checking every residue modulo Q.
 
@@ -287,7 +287,7 @@ def covers_oracle(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -> 
     uncovered residue.  The empty system does not cover, with witness 0.
     """
     q = sys.lcm_modulus
-    _require_space(q, limits, "coverage oracle")
+    limits.require_residue_space(q, "coverage oracle")
     hit = bytearray(q)
     for c in sys.classes:
         span = range(c.residue, q, c.modulus)
@@ -322,6 +322,10 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
     return sum(hit) == size
 
 
+# byte translation table of a hit counter that saturates at 2: 0 -> 1, n -> 2
+_BUMP = bytes([1] + [2] * 255)
+
+
 def is_minimal(
     sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[bool, list[int]]:
@@ -332,17 +336,16 @@ def is_minimal(
     exactly when every residue it covers is covered at least twice.
     """
     q = sys.lcm_modulus
-    _require_space(q, limits, "minimality check")
-    counts = [0] * q
+    limits.require_residue_space(q, "minimality check")
+    # per residue, how many classes hit it, saturating at 2
+    counts = bytearray(q)
     for c in sys.classes:
-        for x in range(c.residue, q, c.modulus):
-            counts[x] += 1
-    if not sys.classes or min(counts) == 0:
+        counts[c.residue :: c.modulus] = counts[c.residue :: c.modulus].translate(_BUMP)
+    if not sys.classes or 0 in counts:
         raise DomainError("minimality is only defined for covering systems")
-    redundant = []
-    for i, c in enumerate(sys.classes):
-        if all(counts[x] >= 2 for x in range(c.residue, q, c.modulus)):
-            redundant.append(i)
+    redundant = [
+        i for i, c in enumerate(sys.classes) if 1 not in counts[c.residue :: c.modulus]
+    ]
     return (not redundant, redundant)
 
 
@@ -356,6 +359,7 @@ def density_uncovered(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS)
 # text and JSON formats
 
 _LINE_RE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
+_TOO_LONG = "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
 
 
 def parse_system(text: str) -> CongruenceSystem:
@@ -377,7 +381,10 @@ def parse_system(text: str) -> CongruenceSystem:
         m = _LINE_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: expected 'R mod D', got {line!r}", line=lineno)
-        r, d = int(m.group(1)), int(m.group(2))
+        try:
+            r, d = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {_TOO_LONG}", line=lineno) from exc
         if d < 1:
             raise ParseError(f"line {lineno}: invalid modulus {d}", line=lineno)
         classes.append(make_class(r, d))
@@ -387,7 +394,7 @@ def parse_system(text: str) -> CongruenceSystem:
 def _parse_json_system(text: str) -> CongruenceSystem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an int past the digit limit
         raise ParseError(f"invalid JSON system: {exc}") from exc
     if not isinstance(data, dict) or "classes" not in data:
         raise ParseError('JSON system must be an object with a "classes" array')
@@ -405,7 +412,17 @@ def _parse_json_system(text: str) -> CongruenceSystem:
 
 
 def emit_system(sys: CongruenceSystem) -> str:
-    """Render a system in the line format, one "R mod D" per line."""
+    """Render a system in the line format, one "R mod D" per line.
+
+    Raises ResourceLimitError when a number is past Python's int/str digit
+    limit.  Residues are below their moduli, so the largest modulus is
+    converted first and an oversized system fails before any output is built.
+    """
+    if sys.classes:
+        try:
+            str(max(c.modulus for c in sys.classes))
+        except ValueError as exc:
+            raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
     return "".join(f"{c.residue} mod {c.modulus}\n" for c in sys.classes)
 
 

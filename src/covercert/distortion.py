@@ -16,11 +16,20 @@ mod Q escapes every class, so the system does not cover.
 
 All measures, fractions and moments are fractions.Fraction; no floats enter
 any decision.
+
+Inside a parent fiber the new measure takes only two values, on B_j and off
+it, and most fibers share their (mass, hit fraction) pair with many others.
+So the pipeline does its Fraction arithmetic once per distinct pair and
+leaves the per-residue work to byte and list slicing, which runs in C.
+Distinct values are shared objects, so grouping goes by object identity,
+which is cheaper than Fraction hashing.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +44,6 @@ from .core import (
     Limits,
     ResourceLimitError,
     covers_oracle,
-    largest_prime_factor,
     multiplicity,
     rational_str,
 )
@@ -51,15 +59,23 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-def _exact_sum(values) -> Fraction:
-    """Sum fractions exactly, bucketing by denominator to limit gcd churn."""
-    buckets: dict[int, int] = {}
-    for v in values:
-        buckets[v.denominator] = buckets.get(v.denominator, 0) + v.numerator
+def _add_to_buckets(buckets: dict[int, int], v: Fraction, times: int = 1) -> None:
+    buckets[v.denominator] = buckets.get(v.denominator, 0) + times * v.numerator
+
+
+def _bucket_total(buckets: dict[int, int]) -> Fraction:
     total = _ZERO
     for den, num in buckets.items():
         total += Fraction(num, den)
     return total
+
+
+def _exact_sum(values) -> Fraction:
+    """Sum fractions exactly, bucketing by denominator to limit gcd churn."""
+    buckets: dict[int, int] = {}
+    for v in values:
+        _add_to_buckets(buckets, v)
+    return _bucket_total(buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +116,22 @@ def prime_ladder(fact: Factorization) -> PrimeLadder:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Residues mod Q_level covered by the classes assigned to this level."""
+    """Residues mod Q_level covered by the classes assigned to this level.
+
+    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ.
+    """
 
     level: int
     modulus: int
-    members: frozenset[int]
+    mask: bytes
+
+    def __post_init__(self):
+        if len(self.mask) != self.modulus:
+            raise ValueError(f"mask has {len(self.mask)} bytes, modulus is {self.modulus}")
 
     @cached_property
-    def mask(self) -> bytes:
-        out = bytearray(self.modulus)
-        for z in self.members:
-            out[z] = 1
-        return bytes(out)
+    def members(self) -> frozenset[int]:
+        return frozenset(itertools.compress(range(self.modulus), self.mask))
 
 
 def _reject_modulus_one(sys: CongruenceSystem) -> None:
@@ -126,30 +146,25 @@ def level_set(
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> LevelSet:
-    """Union, inside Z/Q_jZ, of the classes whose modulus has largest prime p_j."""
+    """Union, inside Z/Q_jZ, of the classes whose modulus has largest prime p_j.
+
+    For d dividing Q, the largest prime of d is p_j exactly when d divides
+    Q_j but not Q_(j-1), so the classes are picked without factoring.
+    """
     if not 1 <= j <= ladder.depth:
         raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {j}")
     _reject_modulus_one(sys)
     qj = ladder.partials[j]
-    if qj > limits.residue_space:
-        raise ResourceLimitError(
-            f"level set at level {j} needs a residue space of size {qj}, over"
-            f" the limit {limits.residue_space}",
-            required=qj,
-            limit=limits.residue_space,
-        )
-    p = ladder.primes[j - 1]
+    limits.require_residue_space(qj, f"level set at level {j}")
+    q, qprev = ladder.partials[-1], ladder.partials[j - 1]
     hit = bytearray(qj)
     for c in sys.classes:
-        if largest_prime_factor(c.modulus) != p:
-            continue
-        if qj % c.modulus != 0:
-            raise InternalConsistencyError(
-                f"modulus {c.modulus} does not divide the level modulus {qj}"
-            )
-        span = range(c.residue, qj, c.modulus)
-        hit[c.residue :: c.modulus] = b"\x01" * len(span)
-    return LevelSet(j, qj, frozenset(itertools.compress(range(qj), hit)))
+        d = c.modulus
+        if q % d != 0:
+            raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
+        if qj % d == 0 and qprev % d != 0:
+            hit[c.residue :: d] = b"\x01" * (qj // d)
+    return LevelSet(j, qj, bytes(hit))
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +217,32 @@ def hit_fractions(
     if prev.modulus != qprev:
         raise ValueError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
     lifts = ladder.prime_power(j)
-    counts = [0] * qprev
-    for z in bset.members:
-        counts[z % qprev] += 1
-    cache: dict[int, Fraction] = {}
-    out = []
-    for c in counts:
-        f = cache.get(c)
-        if f is None:
-            f = cache[c] = Fraction(c, lifts)
-        out.append(f)
-    return tuple(out)
+    mask = bset.mask
+    counts = [mask[y::qprev].count(1) for y in range(qprev)]
+    # one shared Fraction per distinct count
+    by_count = {c: Fraction(c, lifts) for c in set(counts)}
+    return tuple(map(by_count.__getitem__, counts))
 
 
 def moments(prev: FiberMeasure, fractions: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """First and second moments of the hit fractions under the parent measure."""
     if len(fractions) != prev.modulus:
         raise ValueError("one hit fraction per parent residue is required")
-    mass_by_frac: dict[Fraction, dict[int, int]] = {}
-    for m, a in zip(prev.masses, fractions):
-        if a and m:
-            b = mass_by_frac.setdefault(a, {})
-            b[m.denominator] = b.get(m.denominator, 0) + m.numerator
+    # fibers with hit fraction 0 add nothing
+    hit = bytes(map(bool, fractions))
+    masses = list(itertools.compress(prev.masses, hit))
+    fracs = list(itertools.compress(fractions, hit))
+    mass_of = dict(zip(map(id, masses), masses))
+    fraction_of = dict(zip(map(id, fracs), fracs))
+    # parent mass carried by the fibers of each hit fraction, bucketed
+    mass_by_frac: dict[int, dict[int, int]] = {}
+    for (mid, aid), n in Counter(zip(map(id, masses), map(id, fracs))).items():
+        _add_to_buckets(mass_by_frac.setdefault(aid, {}), mass_of[mid], n)
     m1 = _ZERO
     m2 = _ZERO
-    for a, buckets in mass_by_frac.items():
-        s = _ZERO
-        for den, num in buckets.items():
-            s += Fraction(num, den)
+    for aid, buckets in mass_by_frac.items():
+        a = fraction_of[aid]
+        s = _bucket_total(buckets)
         m1 += a * s
         m2 += a * a * s
     return m1, m2
@@ -259,26 +272,40 @@ def step_measure(
     if len(fractions) != qprev:
         raise ValueError("one hit fraction per parent residue is required")
     mask = bset.mask
-    masses = [_ZERO] * qj
-    for y, m in enumerate(prev.masses):
-        a = fractions[y]
-        base = m / lifts
-        if a < delta:
-            off = base / (1 - a)
-            on = _ZERO
-        else:
-            off = base / (1 - delta)
-            on = base * (a - delta) / (a * (1 - delta)) if a else None
-        for z in range(y, qj, qprev):
-            if mask[z]:
-                if on is None:
-                    raise InternalConsistencyError(
-                        "level set member above a fiber with hit fraction 0"
-                    )
-                masses[z] = on
-            else:
-                masses[z] = off
-    return FiberMeasure(bset.level, qj, tuple(masses))
+    # per parent fiber, its (off, on) masses, computed once per distinct
+    # (mass, fraction) pair; on is None where the fiber must not meet B_j
+    cache: dict[tuple[int, int], tuple[Fraction, Fraction | None]] = {}
+    pairs = []
+    for y, (m, a) in enumerate(zip(prev.masses, fractions)):
+        key = (id(m), id(a))
+        pair = cache.get(key)
+        if pair is None:
+            pair = cache[key] = _fiber_masses(m, a, delta, lifts)
+        if pair[1] is None and 1 in mask[y::qprev]:
+            raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
+        pairs.append(pair)
+    # residue z lies over parent y = z mod qprev; mask[z] picks on (1) or off (0)
+    masses = tuple(map(operator.getitem, pairs * lifts, mask))
+    return FiberMeasure(bset.level, qj, masses)
+
+
+def _fiber_masses(
+    m: Fraction, a: Fraction, delta: Fraction, lifts: int
+) -> tuple[Fraction, Fraction | None]:
+    """The (off, on) masses of one lift of a fiber of mass m and hit fraction a.
+
+    With base = m / lifts: off = base / (1 - a) and on = 0 when a < delta,
+    else off = base / (1 - delta) and on = base (a - delta) / (a (1 - delta)),
+    undefined (None) when a = 0.  Written over integers, so that each mass
+    costs one normalization.
+    """
+    mn, md = m.numerator, m.denominator * lifts
+    an, ad = a.numerator, a.denominator
+    dn, dd = delta.numerator, delta.denominator
+    if an * dd < dn * ad:
+        return Fraction(mn * ad, md * (ad - an)), _ZERO
+    off = Fraction(mn * dd, md * (dd - dn))
+    return off, (Fraction(mn * (an * dd - dn * ad), md * an * (dd - dn)) if an else None)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +436,8 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     system yields nothing.
     """
     _reject_modulus_one(sys)
+    # Q is checked before it is factored: trial division of a huge Q hangs
+    limits.require_residue_space(sys.lcm_modulus, "pipeline")
     schedule = as_schedule(schedule)
     fact = sys.factorization
     if not fact.pairs:
@@ -419,14 +448,6 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     if len(schedule) != ladder.depth:
         raise DomainError(
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"
-        )
-    q = ladder.partials[-1]
-    if q > limits.residue_space:
-        raise ResourceLimitError(
-            f"pipeline needs a residue space of size {q}, over the limit"
-            f" {limits.residue_space}",
-            required=q,
-            limit=limits.residue_space,
         )
     prev = uniform_measure()
     for j in range(1, ladder.depth + 1):
@@ -460,12 +481,14 @@ def certify(
             schedule = DeltaSchedule(())
         else:
             _reject_modulus_one(sys)
+            limits.require_residue_space(sys.lcm_modulus, "pipeline")
             schedule = default_delta_schedule(
                 multiplicity(sys), prime_ladder(sys.factorization)
             )
-    records = list(run_levels(sys, schedule, limits=limits))
+    # only the terms are kept, so each level's measure is freed after the next
     terms = tuple(
-        CertificateTerm(r.prime, r.delta, r.m1, r.m2, r.term, r.branch) for r in records
+        CertificateTerm(r.prime, r.delta, r.m1, r.m2, r.term, r.branch)
+        for r in run_levels(sys, schedule, limits=limits)
     )
     eta = _exact_sum(t.term for t in terms)
     if eta < 1:

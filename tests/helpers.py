@@ -1,4 +1,4 @@
-"""Independent oracles and shared strategies for the test suite.
+"""Independent oracles, shared strategies and guards for the test suite.
 
 Everything here recomputes expected results from first principles with its
 own arithmetic, so a bug in the package cannot hide in its own oracle.  The
@@ -7,11 +7,15 @@ only package types used are plain (residue, modulus) pairs and delta lists.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import strategies as st
 
 # frames whose divisors supply moduli; keeps every generated Q a divisor
@@ -239,3 +243,30 @@ def pipeline_cases(draw, max_classes: int = 5):
     depth = len(brute_factor(q))
     deltas = [draw(st.sampled_from(_DELTA_POOL)) for _ in range(depth)]
     return pairs, deltas
+
+
+# Python's int/str conversion digit limit; 0 where the interpreter has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="the interpreter has no int/str digit limit"
+)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block with TimeoutError if it runs past seconds.
+
+    Turns a regression into a hang-free failure; the alarm interrupts
+    Python bytecode, such as a trial-division loop.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -10,6 +10,8 @@ import pytest
 
 from covercert.cli import main
 
+from helpers import DIGIT_LIMIT, needs_digit_limit, time_limit
+
 TWO_THREE = "0 mod 2, 0 mod 3"
 FAMILY_5 = "1 mod 2, 0 mod 3, 2 mod 4, 4 mod 6, 8 mod 12"
 
@@ -334,6 +336,17 @@ class TestCertify:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("schedule", [[], ["--deltas", "0,0"]])
+    def test_huge_modulus_hits_limit_before_factoring(self, capsys, schedule):
+        # Q = 2 (2^61 - 1) is over the residue-space limit; factoring it by
+        # trial division first would run for hours
+        with time_limit(30):
+            code, _, err = run(
+                capsys, "certify", *schedule, "--system", "0 mod 2, 1 mod 2305843009213693951"
+            )
+        assert code == 2
+        assert "over the limit" in err
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         second = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
@@ -448,6 +461,24 @@ class TestUsageAndExitCodes:
         )
         assert code == 1
         assert "limits must be positive" in err
+
+    @needs_digit_limit
+    def test_number_past_digit_limit(self, capsys):
+        with time_limit(30):
+            code, out, err = run(capsys, "witness", "--system", "0 mod 1" + "0" * DIGIT_LIMIT)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+    @needs_digit_limit
+    def test_construct_past_digit_limit(self, capsys):
+        # the largest modulus 3 * 2^(j-3) has more digits than the limit
+        j = int(DIGIT_LIMIT * 3.33) + 3
+        with time_limit(30):
+            code, out, err = run(capsys, "construct", "--j", str(j))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot print the system") and err.count("\n") == 1
 
     def test_parse_error_carries_line(self, capsys):
         code, _, err = run(capsys, "verify", "--system", "0 mod 2, zebra")

@@ -12,6 +12,7 @@ from covercert import (
     InvalidModulusError,
     Limits,
     ParseError,
+    ResidueClass,
     ResourceLimitError,
     covers_interval,
     covers_oracle,
@@ -31,12 +32,14 @@ from covercert import (
 from covercert.core import DEFAULT_LIMITS
 
 from helpers import (
+    DIGIT_LIMIT,
     brute_covers,
     brute_covers_initial_segment,
     brute_factor,
     brute_largest_prime,
     brute_lcm,
     brute_multiplicity,
+    needs_digit_limit,
     system_pairs,
 )
 
@@ -253,6 +256,10 @@ class TestIsMinimal:
     def test_parity_pair_with_extra(self):
         assert is_minimal(sys_of([(0, 2), (1, 2), (0, 3)])) == (False, [2])
 
+    def test_hit_counts_saturate(self):
+        # a residue hit three times is as redundant as one hit twice
+        assert is_minimal(sys_of([(0, 2), (0, 2), (0, 2), (1, 2)])) == (False, [0, 1, 2])
+
     def test_non_covering_rejected(self):
         with pytest.raises(DomainError):
             is_minimal(sys_of([(0, 2), (0, 3)]))
@@ -335,6 +342,21 @@ class TestParseEmit:
             parse_system('{"classes": [{"r": 1}]}')
         with pytest.raises(ParseError):
             parse_system('{"classes": [{"r": 1, "d": 0}]}')
+
+    @needs_digit_limit
+    def test_number_past_digit_limit_is_parse_error(self):
+        digits = "1" + "0" * DIGIT_LIMIT
+        with pytest.raises(ParseError) as err:
+            parse_system(f"0 mod 2\n0 mod {digits}")
+        assert err.value.line == 2
+        with pytest.raises(ParseError):
+            parse_system(f'{{"classes": [{{"r": 0, "d": {digits}}}]}}')
+
+    @needs_digit_limit
+    def test_emit_past_digit_limit_is_resource_error(self):
+        system = CongruenceSystem((ResidueClass(1, 2), ResidueClass(0, 10**DIGIT_LIMIT)))
+        with pytest.raises(ResourceLimitError):
+            emit_system(system)
 
     @given(system_pairs())
     def test_text_roundtrip(self, pairs):

@@ -30,7 +30,7 @@ from covercert import (
     uniform_measure,
 )
 
-from helpers import brute_covers, fiber_sums, pipeline_cases, reference_pipeline
+from helpers import brute_covers, fiber_sums, pipeline_cases, reference_pipeline, time_limit
 
 F = Fraction
 
@@ -90,6 +90,19 @@ class TestLevelSet:
         ladder = ladder_of(6)
         assert level_set(system, ladder, 1).members == frozenset()
         assert sorted(level_set(system, ladder, 2).members) == [0]
+
+    def test_mask_field(self):
+        bset = level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 2)
+        assert bset.mask == b"\x01\x00\x00\x01\x00\x00"
+        assert bset == LevelSet(2, 6, bset.mask)
+
+    def test_mask_length_must_match_modulus(self):
+        with pytest.raises(ValueError):
+            LevelSet(1, 2, b"\x01")
+
+    def test_modulus_outside_ladder(self):
+        with pytest.raises(InternalConsistencyError):
+            level_set(sys_of([(0, 2), (0, 5)]), ladder_of(6), 1)
 
     def test_modulus_one_rejected(self):
         with pytest.raises(DomainError):
@@ -208,7 +221,7 @@ class TestStepMeasure:
                 step_measure(uniform_measure(), (F(1, 2),), bad, bset)
 
     def test_member_over_zero_fraction_fiber(self):
-        bset = LevelSet(1, 2, frozenset({1}))
+        bset = LevelSet(1, 2, b"\x00\x01")
         with pytest.raises(InternalConsistencyError):
             step_measure(uniform_measure(), (F(0),), F(0), bset)
 
@@ -355,6 +368,15 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(sys_of([(0, 1), (0, 2)]), [0])
 
+    def test_huge_modulus_hits_limit_before_factoring(self):
+        # Q = 2 (2^61 - 1) is over the limit; trial division of it would hang
+        system = sys_of([(0, 2), (1, 2**61 - 1)])
+        with time_limit(30):
+            with pytest.raises(ResourceLimitError):
+                certify(system)
+            with pytest.raises(ResourceLimitError):
+                next(run_levels(system, [0, 0]))
+
     def test_resource_guard_names_blocking_modulus(self):
         with pytest.raises(ResourceLimitError) as err:
             certify(sys_of([(0, 8), (0, 9)]), [0, 0], limits=Limits(residue_space=10))
@@ -407,6 +429,24 @@ class TestCertify:
         if covers:
             assert cert.verdict == INCONCLUSIVE
             assert cert.eta >= 1
+
+    @given(pipeline_cases())
+    @settings(max_examples=60)
+    def test_final_mass_on_each_level_set_is_bounded_by_its_term(self, case):
+        # later levels keep every fiber's mass over Z/Q_jZ, so the final
+        # measure leaves on B_j what level j left there: at most term_j, and
+        # exactly term_j = M1 when delta_j = 0 moves nothing
+        pairs, deltas = case
+        records = list(run_levels(sys_of(pairs), deltas))
+        final = records[-1].measure
+        q = final.modulus
+        for record in records:
+            mask = record.level_set.mask
+            qj = len(mask)
+            on = sum((final.masses[z] for z in range(q) if mask[z % qj]), F(0))
+            assert on <= record.term
+            if record.delta == 0:
+                assert on == record.term
 
     @given(pipeline_cases())
     @settings(max_examples=40)
