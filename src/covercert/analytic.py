@@ -9,9 +9,10 @@ no verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 import mpmath
 
@@ -92,9 +93,12 @@ def _primes_up_to(n: int) -> list[int]:
 def smooth_reciprocal_sum(y, threshold: int, cap: int) -> Fraction:
     """Exact sum of 1/d over threshold < d <= cap with all prime factors <= y.
 
-    Smoothness is decided by trial division.  An empty range (threshold equal
-    to cap) gives 0.  The cost is roughly cap times the number of primes up
-    to y, so this is meant for desk-scale ranges.
+    The y-smooth integers up to cap are enumerated as products of primes up
+    to y, and the terms above the threshold are summed over their least
+    common denominator.  An empty range (threshold equal to cap) gives 0.
+    The cost grows with the number of y-smooth d <= cap that are terms or
+    have a multiple d * p <= cap with p >= P(d), the largest prime factor of
+    d, so this is meant for desk-scale ranges.
     """
     bound = Fraction(y)
     if bound < 2:
@@ -102,17 +106,25 @@ def smooth_reciprocal_sum(y, threshold: int, cap: int) -> Fraction:
     if threshold < 1 or cap < threshold:
         raise DomainError(f"invalid range: need 1 <= threshold <= cap, got ({threshold}, {cap})")
     primes = _primes_up_to(min(int(bound), cap))
-    total = Fraction(0)
-    for d in range(threshold + 1, cap + 1):
-        rest = d
-        for p in primes:
-            if p > rest:
-                break
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            total += Fraction(1, d)
-    return total
+    terms = []
+    stack = [(1, 0)] if primes else []
+    while stack:
+        base, k = stack.pop()
+        d = base * primes[k]
+        if d > cap:
+            continue  # and so are the larger siblings of d and all multiples of d
+        if d > threshold:
+            terms.append(d)
+        leaf = d * primes[k] > cap
+        if leaf and d <= threshold:
+            # the larger siblings are leaves too: skip those up to the threshold
+            k = bisect_right(primes, threshold // base) - 1
+        if k + 1 < len(primes):
+            stack.append((base, k + 1))
+        if not leaf:
+            stack.append((d, k))
+    den = lcm(*terms)
+    return Fraction(sum(den // d for d in terms), den)
 
 
 def jth_modulus_bound(j: int, c, dps: int = 50):

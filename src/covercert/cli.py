@@ -34,6 +34,7 @@ from .core import (
     covers_oracle,
     density_uncovered,
     emit_system,
+    emit_system_json,
     is_minimal,
     multiplicity,
     parse_system,
@@ -51,6 +52,9 @@ class _UsageError(Exception):
     pass
 
 
+_JSON_INDENT = 2
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved per-invocation configuration shared by the subcommands."""
@@ -61,22 +65,26 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        if args.limit_residue_space < 1 or args.limit_interval < 1 or args.limit_divisors < 1:
-            raise _UsageError("limits must be positive")
-        return cls(
-            command=args.command,
-            output_format=args.format,
-            limits=Limits(
+        try:
+            limits = Limits(
                 residue_space=args.limit_residue_space,
                 interval=args.limit_interval,
                 divisors=args.limit_divisors,
-            ),
-        )
+            )
+        except DomainError as exc:
+            raise _UsageError("limits must be positive") from exc
+        return cls(command=args.command, output_format=args.format, limits=limits)
 
     def emit(self, text: str, payload: dict) -> str:
         if self.output_format == "json":
-            return json.dumps(payload, indent=2)
+            return json.dumps(payload, indent=_JSON_INDENT)
         return text
+
+    def emit_system(self, system: CongruenceSystem) -> str:
+        """Render a system in the chosen format, building only that format."""
+        if self.output_format == "json":
+            return emit_system_json(system, indent=_JSON_INDENT)
+        return emit_system(system).rstrip("\n")
 
 
 def _env(name: str):
@@ -92,7 +100,8 @@ def _opt(parser, flag: str, *, required: bool = False, **kwargs):
     parser.add_argument(flag, required=required, **kwargs)
 
 
-def _add_common(parser):
+def _common_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     _opt(parser, "--format", choices=("text", "json"), default="text",
          help="output format")
     _opt(parser, "--limit-residue-space", type=int, default=10_000_000,
@@ -101,11 +110,14 @@ def _add_common(parser):
          help="longest initial segment that may be scanned")
     _opt(parser, "--limit-divisors", type=int, default=1_000_000,
          help="largest divisor enumeration")
+    return parser
 
 
-def _add_system_source(parser):
+def _system_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     _opt(parser, "--system", help="inline system, classes separated by commas")
     _opt(parser, "--input", help="path to a system file, or - for stdin")
+    return parser
 
 
 def _load_system(args) -> CongruenceSystem:
@@ -186,16 +198,11 @@ def _cmd_density(args, cfg: RunConfig) -> str:
 
 
 def _cmd_construct(args, cfg: RunConfig) -> str:
-    system = construct_minimal_family(args.j).sorted_by_modulus()
-    payload = {"classes": [{"r": c.residue, "d": c.modulus} for c in system.classes]}
-    return cfg.emit(emit_system(system).rstrip("\n"), payload)
+    return cfg.emit_system(construct_minimal_family(args.j).sorted_by_modulus())
 
 
 def _cmd_reduce(args, cfg: RunConfig) -> str:
-    system = _load_system(args)
-    expanded = shift_expand(system, args.ell, limits=cfg.limits)
-    payload = {"classes": [{"r": c.residue, "d": c.modulus} for c in expanded.classes]}
-    return cfg.emit(emit_system(expanded).rstrip("\n"), payload)
+    return cfg.emit_system(shift_expand(_load_system(args), args.ell, limits=cfg.limits))
 
 
 def _parse_deltas(raw: str) -> list[Fraction]:
@@ -297,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify, build, expand and certify systems of congruences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag is built once and its action shared by every subcommand
+    common, system_source = _common_flags(), _system_flags()
 
     def command(name, handler, help_text, *, system=False):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if system:
-            _add_system_source(p)
+        parents = [common, system_source] if system else [common]
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(handler=handler)
         return p
 

@@ -19,7 +19,6 @@ from .core import (
     ResidueClass,
     intersect,
     is_minimal,
-    make_class,
 )
 
 
@@ -41,9 +40,9 @@ def construct_minimal_family(j: int) -> CongruenceSystem:
     """
     if j < 5:
         raise DomainError(f"the minimal covering family needs j >= 5, got {j}")
-    classes = [make_class(2 ** (i - 1), 2**i) for i in range(1, j - 2)]
+    classes = [ResidueClass(2 ** (i - 1), 2**i) for i in range(1, j - 2)]
     for k in range(3):
-        piece = intersect(make_class(k, 3), make_class(0, 2 ** (j - 5 + k)))
+        piece = intersect(ResidueClass(k, 3), ResidueClass(0, 2 ** (j - 5 + k)))
         if piece is None:
             raise InternalConsistencyError("family pieces must be nonempty")
         classes.append(piece)
@@ -81,5 +80,5 @@ def shift_expand(
     width = 2 ** (ell - 1)
     out: list[ResidueClass] = []
     for c in source.classes[ell - 1 :]:
-        out.extend(make_class(c.residue - h, c.modulus) for h in range(width))
+        out.extend(ResidueClass(c.residue - h, c.modulus) for h in range(width))
     return CongruenceSystem(tuple(out))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -59,6 +59,12 @@ class Limits:
     interval: int = 2**24            # longest initial segment {1..2^n} scanned
     divisors: int = 1_000_000        # largest divisor/progression enumeration
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 1:
+                raise DomainError(f"limit {field.name} must be positive, got {value}")
+
     def require_residue_space(self, q: int, what: str) -> None:
         """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
         if q > self.residue_space:
@@ -82,7 +88,7 @@ def rational_str(q: Fraction) -> str:
 # residue classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResidueClass:
     """A single congruence a mod d, stored with 0 <= a < d.
 
@@ -92,10 +98,11 @@ class ResidueClass:
     residue: int
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidModulusError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, residue: int, modulus: int):
+        if modulus < 1:
+            raise InvalidModulusError(f"modulus must be >= 1, got {modulus}")
+        object.__setattr__(self, "residue", residue % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
@@ -105,11 +112,6 @@ class ResidueClass:
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus}"
-
-
-def make_class(a: int, d: int) -> ResidueClass:
-    """Build the residue class a mod d, reducing a into [0, d)."""
-    return ResidueClass(a, d)
 
 
 def intersect(c1: ResidueClass, c2: ResidueClass) -> ResidueClass | None:
@@ -222,7 +224,7 @@ class CongruenceSystem:
 
     @classmethod
     def from_pairs(cls, pairs) -> "CongruenceSystem":
-        return cls(tuple(make_class(r, d) for r, d in pairs))
+        return cls(tuple(ResidueClass(r, d) for r, d in pairs))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -232,10 +234,7 @@ class CongruenceSystem:
 
     @cached_property
     def lcm_modulus(self) -> int:
-        out = 1
-        for c in self.classes:
-            out = lcm(out, c.modulus)
-        return out
+        return lcm(*{c.modulus for c in self.classes})
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -280,6 +279,22 @@ class CoverageReport:
     uncovered_count: int
 
 
+def _hit_mask(size: int, progressions) -> bytearray:
+    """Byte mask of length size with 1 at start, start + d, ... for each (start, d).
+
+    Progressions of one length share one fill: one per modulus, not per class.
+    """
+    hit = bytearray(size)
+    fills = {}
+    for start, d in progressions:
+        n = len(range(start, size, d))
+        fill = fills.get(n)
+        if fill is None:
+            fill = fills[n] = b"\x01" * n
+        hit[start::d] = fill
+    return hit
+
+
 def covers_oracle(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -> CoverageReport:
     """Decide coverage by checking every residue modulo Q.
 
@@ -288,11 +303,8 @@ def covers_oracle(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -> 
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "coverage oracle")
-    hit = bytearray(q)
-    for c in sys.classes:
-        span = range(c.residue, q, c.modulus)
-        hit[c.residue :: c.modulus] = b"\x01" * len(span)
-    uncovered = q - sum(hit)
+    hit = _hit_mask(q, ((c.residue, c.modulus) for c in sys.classes))
+    uncovered = hit.count(0)
     if uncovered == 0:
         return CoverageReport(True, None, 0)
     return CoverageReport(False, hit.index(0), uncovered)
@@ -312,14 +324,9 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
             required=size,
             limit=limits.interval,
         )
-    hit = bytearray(size)  # index i stands for the integer i + 1
-    for c in sys.classes:
-        first = c.residue if c.residue >= 1 else c.modulus
-        start = first - 1
-        if start < size:
-            span = range(start, size, c.modulus)
-            hit[start :: c.modulus] = b"\x01" * len(span)
-    return sum(hit) == size
+    # index i stands for the integer i + 1, so r mod d starts at (r - 1) mod d
+    hit = _hit_mask(size, (((c.residue - 1) % c.modulus, c.modulus) for c in sys.classes))
+    return 0 not in hit
 
 
 # byte translation table of a hit counter that saturates at 2: 0 -> 1, n -> 2
@@ -373,21 +380,23 @@ def parse_system(text: str) -> CongruenceSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_system(text)
+    match = _LINE_RE.match
     classes = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _LINE_RE.match(line)
-        if not m:
+        m = match(line)
+        if m is None:
+            if not line or line[0] == "#":
+                continue
             raise ParseError(f"line {lineno}: expected 'R mod D', got {line!r}", line=lineno)
+        r, d = m.groups()
         try:
-            r, d = int(m.group(1)), int(m.group(2))
+            r, d = int(r), int(d)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {_TOO_LONG}", line=lineno) from exc
         if d < 1:
             raise ParseError(f"line {lineno}: invalid modulus {d}", line=lineno)
-        classes.append(make_class(r, d))
+        classes.append(ResidueClass(r, d))
     return CongruenceSystem(tuple(classes))
 
 
@@ -407,25 +416,31 @@ def _parse_json_system(text: str) -> CongruenceSystem:
             raise ParseError(f"class {i}: residue and modulus must be integers")
         if d < 1:
             raise ParseError(f"class {i}: invalid modulus {d}")
-        classes.append(make_class(r, d))
+        classes.append(ResidueClass(r, d))
     return CongruenceSystem(tuple(classes))
 
 
-def emit_system(sys: CongruenceSystem) -> str:
-    """Render a system in the line format, one "R mod D" per line.
+def _require_printable(sys: CongruenceSystem) -> None:
+    """Raise ResourceLimitError when a number is past Python's int/str digit limit.
 
-    Raises ResourceLimitError when a number is past Python's int/str digit
-    limit.  Residues are below their moduli, so the largest modulus is
-    converted first and an oversized system fails before any output is built.
+    Residues are below their moduli, so converting the largest modulus first
+    makes an oversized system fail before any output is built.
     """
     if sys.classes:
         try:
             str(max(c.modulus for c in sys.classes))
         except ValueError as exc:
             raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
+
+
+def emit_system(sys: CongruenceSystem) -> str:
+    """Render a system in the line format, one "R mod D" per line."""
+    _require_printable(sys)
     return "".join(f"{c.residue} mod {c.modulus}\n" for c in sys.classes)
 
 
-def emit_system_json(sys: CongruenceSystem) -> str:
-    """Render a system in the JSON format."""
-    return json.dumps({"classes": [{"r": c.residue, "d": c.modulus} for c in sys.classes]})
+def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:
+    """Render a system in the JSON format, indented as json.dumps does."""
+    _require_printable(sys)
+    classes = [{"r": c.residue, "d": c.modulus} for c in sys.classes]
+    return json.dumps({"classes": classes}, indent=indent)

@@ -43,6 +43,7 @@ from .core import (
     InternalConsistencyError,
     Limits,
     ResourceLimitError,
+    _hit_mask,
     covers_oracle,
     multiplicity,
     rational_str,
@@ -157,14 +158,14 @@ def level_set(
     qj = ladder.partials[j]
     limits.require_residue_space(qj, f"level set at level {j}")
     q, qprev = ladder.partials[-1], ladder.partials[j - 1]
-    hit = bytearray(qj)
+    progressions = []
     for c in sys.classes:
         d = c.modulus
         if q % d != 0:
             raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
         if qj % d == 0 and qprev % d != 0:
-            hit[c.residue :: d] = b"\x01" * (qj // d)
-    return LevelSet(j, qj, bytes(hit))
+            progressions.append((c.residue, d))
+    return LevelSet(j, qj, bytes(_hit_mask(qj, progressions)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,52 @@ def sieve_smooth_reciprocal(y: int, threshold: int, cap: int) -> Fraction:
     )
 
 
+# the characters str.splitlines breaks at; "\r\n" counts as one break
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _is_integer_token(token: str) -> bool:
+    digits = token[1:] if token.startswith("-") else token
+    return digits.isdecimal()
+
+
+def reference_parse_lines(text: str) -> list[tuple[int, int]] | int:
+    """(residue mod d, d) pairs of a line-format system, or the 1-based
+    number of its first malformed line.
+
+    Lines are cut character by character and split into whitespace tokens; a
+    class line is exactly the tokens R, "mod", D with D >= 1.
+    """
+    lines, current, i = [], [], 0
+    while i < len(text):
+        if text[i] in _LINE_BREAKS:
+            lines.append("".join(current))
+            current = []
+            if text.startswith("\r\n", i):
+                i += 1
+        else:
+            current.append(text[i])
+        i += 1
+    if current:
+        lines.append("".join(current))
+    pairs = []
+    for lineno, line in enumerate(lines, 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if (
+            len(tokens) != 3
+            or tokens[1] != "mod"
+            or not _is_integer_token(tokens[0])
+            or not _is_integer_token(tokens[2])
+            or int(tokens[2]) < 1
+        ):
+            return lineno
+        r, d = int(tokens[0]), int(tokens[2])
+        pairs.append((r % d, d))
+    return pairs
+
+
 def decimal_jth_modulus_bound(j: int, c, digits: int = 45) -> Decimal:
     """exp(c j^2 / log(j+1)) via the decimal module, independent of mpmath."""
     with localcontext() as ctx:
@@ -223,6 +269,40 @@ def system_pairs(draw, max_classes: int = 6, min_classes: int = 0, min_modulus: 
     frame = draw(st.sampled_from(FRAMES))
     n = draw(st.integers(min_value=min_classes, max_value=max_classes))
     return [draw(class_pairs(frame, min_modulus)) for _ in range(n)]
+
+
+_PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0"])
+_BAD_LINES = (
+    "x mod 3", "1 mod", "1 mod 2 3", "1 MOD 2", "1mod 2", "--1 mod 2", "1 mod +2",
+    "mod", "1 mod 0", "2 mod -3", "1 # mod 2",
+)
+
+
+@st.composite
+def system_line(draw):
+    """One line of line-format system text: a class, blank, comment or malformed."""
+    kind = draw(st.sampled_from(("class", "class", "class", "blank", "comment", "bad")))
+    if kind == "class":
+        r = draw(st.integers(min_value=-50, max_value=50))
+        d = draw(st.integers(min_value=1, max_value=40))
+        space = st.sampled_from([" ", "\t", "  ", "\xa0 "])
+        body = f"{r}{draw(space)}mod{draw(space)}{d}"
+    elif kind == "blank":
+        body = ""
+    elif kind == "comment":
+        body = "#" + draw(st.text(alphabet="ab mod12#\t", max_size=8))
+    else:
+        body = draw(st.sampled_from(_BAD_LINES))
+    return draw(_PADDING) + body + draw(_PADDING)
+
+
+@st.composite
+def system_text(draw, max_lines: int = 8):
+    """Line-format system text joined by any of the line breaks str.splitlines knows."""
+    lines = draw(st.lists(system_line(), max_size=max_lines))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("".join(_LINE_BREAKS))
 
 
 _DELTA_POOL = (

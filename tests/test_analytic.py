@@ -25,6 +25,7 @@ from covercert import (
 
 from helpers import (
     agree_to_digits,
+    brute_factor,
     decimal_jth_modulus_bound,
     decimal_multiplicity_modulus_bound,
     pipeline_cases,
@@ -32,6 +33,9 @@ from helpers import (
 )
 
 F = Fraction
+
+# primes and prime powers up to 240, where a smooth sum's terms change
+PRIME_POWERS = [q for q in range(2, 241) if len(brute_factor(q)) == 1]
 
 
 def sys_of(pairs) -> CongruenceSystem:
@@ -128,13 +132,16 @@ class TestSmoothReciprocalSum:
             smooth_reciprocal_sum(2, 9, 8)
 
     @given(
-        y=st.integers(min_value=2, max_value=40),
-        threshold=st.integers(min_value=1, max_value=120),
+        # the second range puts y at or above every cap drawn
+        y=st.integers(min_value=2, max_value=40) | st.integers(min_value=240, max_value=300),
+        threshold=st.integers(min_value=1, max_value=120) | st.sampled_from(PRIME_POWERS),
         span=st.integers(min_value=0, max_value=120),
+        cap_power=st.none() | st.sampled_from(PRIME_POWERS),
     )
-    @settings(max_examples=80)
-    def test_matches_sieve_oracle(self, y, threshold, span):
-        cap = threshold + span
+    @settings(max_examples=120)
+    def test_matches_sieve_oracle(self, y, threshold, span, cap_power):
+        # a drawn prime power replaces threshold + span as the cap when it is in range
+        cap = cap_power if cap_power is not None and cap_power >= threshold else threshold + span
         assert smooth_reciprocal_sum(y, threshold, cap) == sieve_smooth_reciprocal(
             y, threshold, cap
         )

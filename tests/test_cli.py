@@ -218,6 +218,13 @@ class TestConstructReduce:
             ]
         }
 
+    def test_construct_json_layout(self, capsys):
+        code, out, _ = run(capsys, "construct", "--j", "5", "--format", "json")
+        pairs = [(1, 2), (0, 3), (2, 4), (4, 6), (8, 12)]
+        payload = {"classes": [{"r": r, "d": d} for r, d in pairs]}
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_construct_domain_error(self, capsys):
         code, _, err = run(capsys, "construct", "--j", "4")
         assert code == 3
@@ -476,6 +483,15 @@ class TestUsageAndExitCodes:
         j = int(DIGIT_LIMIT * 3.33) + 3
         with time_limit(30):
             code, out, err = run(capsys, "construct", "--j", str(j))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot print the system") and err.count("\n") == 1
+
+    @needs_digit_limit
+    def test_construct_json_past_digit_limit(self, capsys):
+        j = int(DIGIT_LIMIT * 3.33) + 3
+        with time_limit(30):
+            code, out, err = run(capsys, "construct", "--j", str(j), "--format", "json")
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot print the system") and err.count("\n") == 1

@@ -24,7 +24,6 @@ from covercert import (
     intersect,
     is_minimal,
     largest_prime_factor,
-    make_class,
     multiplicity,
     parse_system,
     rational_str,
@@ -40,7 +39,9 @@ from helpers import (
     brute_lcm,
     brute_multiplicity,
     needs_digit_limit,
+    reference_parse_lines,
     system_pairs,
+    system_text,
 )
 
 C5 = [(1, 2), (2, 4), (0, 3), (4, 6), (8, 12)]
@@ -52,24 +53,24 @@ def sys_of(pairs) -> CongruenceSystem:
 
 class TestResidueClass:
     def test_reduction(self):
-        assert make_class(7, 3) == make_class(1, 3)
-        assert make_class(7, 3).residue == 1
+        assert ResidueClass(7, 3) == ResidueClass(1, 3)
+        assert ResidueClass(7, 3).residue == 1
 
     def test_negative_residue(self):
-        c = make_class(-1, 4)
+        c = ResidueClass(-1, 4)
         assert (c.residue, c.modulus) == (3, 4)
 
     def test_modulus_one_absorbs(self):
-        assert make_class(5, 1).residue == 0
+        assert ResidueClass(5, 1).residue == 0
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_invalid_modulus(self, bad):
         with pytest.raises(InvalidModulusError):
-            make_class(1, bad)
+            ResidueClass(1, bad)
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
     def test_contains_after_reduction(self, a, d):
-        c = make_class(a, d)
+        c = ResidueClass(a, d)
         assert 0 <= c.residue < d
         assert c.contains(a)
         assert c.contains(a + 7 * d)
@@ -110,13 +111,13 @@ class TestFactorize:
 
 class TestIntersect:
     def test_crt_merge(self):
-        assert intersect(make_class(1, 2), make_class(2, 3)) == make_class(5, 6)
+        assert intersect(ResidueClass(1, 2), ResidueClass(2, 3)) == ResidueClass(5, 6)
 
     def test_incompatible_parity(self):
-        assert intersect(make_class(1, 2), make_class(0, 4)) is None
+        assert intersect(ResidueClass(1, 2), ResidueClass(0, 4)) is None
 
     def test_modulus_one_identity(self):
-        assert intersect(make_class(0, 1), make_class(3, 7)) == make_class(3, 7)
+        assert intersect(ResidueClass(0, 1), ResidueClass(3, 7)) == ResidueClass(3, 7)
 
     def test_exhaustive_small_moduli(self):
         for d1 in range(1, 13):
@@ -128,7 +129,7 @@ class TestIntersect:
                             x for x in range(period)
                             if x % d1 == r1 and x % d2 == r2
                         }
-                        got = intersect(make_class(r1, d1), make_class(r2, d2))
+                        got = intersect(ResidueClass(r1, d1), ResidueClass(r2, d2))
                         if got is None:
                             assert both == set()
                         else:
@@ -137,8 +138,8 @@ class TestIntersect:
 
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 59), st.integers(0, 59))
     def test_membership_agreement(self, d1, d2, r1, r2):
-        c1 = make_class(r1, d1)
-        c2 = make_class(r2, d2)
+        c1 = ResidueClass(r1, d1)
+        c2 = ResidueClass(r2, d2)
         got = intersect(c1, c2)
         period = brute_lcm([d1, d2])
         members = {x for x in range(period) if c1.contains(x) and c2.contains(x)}
@@ -358,6 +359,18 @@ class TestParseEmit:
         with pytest.raises(ResourceLimitError):
             emit_system(system)
 
+    @given(system_text())
+    @settings(max_examples=200)
+    def test_matches_reference_line_parser(self, text):
+        expected = reference_parse_lines(text)
+        if isinstance(expected, int):
+            with pytest.raises(ParseError) as err:
+                parse_system(text)
+            assert err.value.line == expected
+        else:
+            got = parse_system(text)
+            assert [(c.residue, c.modulus) for c in got.classes] == expected
+
     @given(system_pairs())
     def test_text_roundtrip(self, pairs):
         system = sys_of(pairs)
@@ -374,6 +387,13 @@ class TestLimitsAndMisc:
         assert DEFAULT_LIMITS == Limits(
             residue_space=10**7, interval=2**24, divisors=10**6
         )
+
+    @pytest.mark.parametrize("field", ["residue_space", "interval", "divisors"])
+    def test_nonpositive_limit_rejected(self, field):
+        for bad in (0, -1):
+            with pytest.raises(DomainError):
+                Limits(**{field: bad})
+        assert getattr(Limits(**{field: 1}), field) == 1
 
     def test_rational_str(self):
         assert rational_str(Fraction(5, 6)) == "5/6"
