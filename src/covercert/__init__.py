@@ -7,11 +7,9 @@ certificates by the distorted-measure method.
 """
 
 from .analytic import (
-    BoundParams,
     first_moment_bound,
     jth_modulus_bound,
     multiplicity_modulus_bound,
-    second_moment_shape,
     smooth_reciprocal_sum,
 )
 from .constructions import construct_minimal_family, minimal_family_moduli, shift_expand
@@ -37,7 +35,6 @@ from .core import (
     factorize,
     intersect,
     is_minimal,
-    largest_prime_factor,
     multiplicity,
     parse_system,
     rational_str,
@@ -65,68 +62,8 @@ from .distortion import (
     prime_ladder,
     run_levels,
     step_measure,
+    system_default_schedule,
     uniform_measure,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundParams",
-    "first_moment_bound",
-    "jth_modulus_bound",
-    "multiplicity_modulus_bound",
-    "second_moment_shape",
-    "smooth_reciprocal_sum",
-    "construct_minimal_family",
-    "minimal_family_moduli",
-    "shift_expand",
-    "DEFAULT_LIMITS",
-    "CongruenceSystem",
-    "CoverageReport",
-    "CovercertError",
-    "DomainError",
-    "Factorization",
-    "InternalConsistencyError",
-    "InvalidModulusError",
-    "Limits",
-    "ParseError",
-    "ResidueClass",
-    "ResourceLimitError",
-    "covers_interval",
-    "covers_oracle",
-    "deduplicated",
-    "density_uncovered",
-    "emit_system",
-    "emit_system_json",
-    "factorize",
-    "intersect",
-    "is_minimal",
-    "largest_prime_factor",
-    "multiplicity",
-    "parse_system",
-    "rational_str",
-    "FIRST_MOMENT",
-    "INCONCLUSIVE",
-    "NOT_COVERING",
-    "SECOND_MOMENT",
-    "ApBoundViolation",
-    "Certificate",
-    "CertificateTerm",
-    "DeltaSchedule",
-    "FiberMeasure",
-    "LevelRecord",
-    "LevelSet",
-    "PrimeLadder",
-    "ap_mass_bound_check",
-    "as_schedule",
-    "certify",
-    "default_delta_schedule",
-    "hit_fractions",
-    "level_set",
-    "moments",
-    "prime_ladder",
-    "run_levels",
-    "step_measure",
-    "uniform_measure",
-    "__version__",
-]

@@ -10,9 +10,8 @@ no verdict.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import lcm
 
 import mpmath
 
@@ -21,7 +20,6 @@ from .core import (
     CongruenceSystem,
     DomainError,
     Limits,
-    ResourceLimitError,
     multiplicity,
 )
 from .distortion import PrimeLadder
@@ -55,19 +53,10 @@ def first_moment_bound(
     if min_modulus < 1:
         raise DomainError(f"smallest modulus must be at least 1, got {min_modulus}")
     mult = multiplicity(sys)
-    pairs = [(ladder.primes[i], ladder.exponents[i]) for i in range(j - 1)]
-    count = 1
-    for _, e in pairs:
-        count *= e + 1
-    if count > limits.divisors:
-        raise ResourceLimitError(
-            f"first-moment bound needs {count} divisors, over the limit {limits.divisors}",
-            required=count,
-            limit=limits.divisors,
-        )
-    divisors = [1]
-    for p, e in pairs:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    fact = ladder.factorization(j - 1)
+    count = fact.num_divisors
+    limits.require("divisors", count, f"first-moment bound needs {count} divisors")
+    divisors = fact.divisors()
     p = ladder.primes[j - 1]
     nu = ladder.exponents[j - 1]
     total = Fraction(0)
@@ -155,48 +144,3 @@ def multiplicity_modulus_bound(mult: int, c, dps: int = 50):
             raise DomainError(f"constant must be positive, got {c}")
         num = cc * mpmath.log(mult + 1) ** 2
         return mpmath.exp(num / mpmath.log(mpmath.log(mult + 2)))
-
-
-def second_moment_shape(mult: int, p: int) -> float:
-    """Diagnostic shape s^2 log^6(p) / p^2 for the large-prime second moment.
-
-    A float heuristic for schedule experiments; it feeds no verdict.
-    """
-    if mult < 1:
-        raise DomainError(f"multiplicity must be at least 1, got {mult}")
-    if p < 2:
-        raise DomainError(f"prime must be at least 2, got {p}")
-    return mult * mult * log(p) ** 6 / (p * p)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants shared by the growth bounds and the default schedule.
-
-    exponent_constant scales the exponents of both growth bounds;
-    threshold_constant scales the cubic smoothness threshold that decides
-    where the default schedule switches from delta 0 to delta 1/2.
-    """
-
-    exponent_constant: Fraction = Fraction(1)
-    threshold_constant: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent_constant", Fraction(self.exponent_constant))
-        object.__setattr__(self, "threshold_constant", Fraction(self.threshold_constant))
-        if self.exponent_constant <= 0 or self.threshold_constant <= 0:
-            raise DomainError("bound constants must be positive")
-
-    def smooth_threshold(self, mult: int) -> Fraction:
-        """The cubic threshold below which primes are left undistorted."""
-        if mult < 1:
-            raise DomainError(f"multiplicity must be at least 1, got {mult}")
-        return self.threshold_constant * mult**3
-
-    def smoothness_exponent(self, x: int, mult: int, dps: int = 50):
-        """log x / log y with y the smooth threshold, as an mpmath float."""
-        y = self.smooth_threshold(mult)
-        if y < 2 or x < 2:
-            raise DomainError("smoothness exponent needs x >= 2 and threshold >= 2")
-        with mpmath.workdps(dps):
-            return mpmath.log(x) / mpmath.log(_to_mpf(y))

@@ -25,6 +25,7 @@ from .analytic import (
 )
 from .constructions import construct_minimal_family, shift_expand
 from .core import (
+    DEFAULT_LIMITS,
     CongruenceSystem,
     DomainError,
     Limits,
@@ -40,12 +41,7 @@ from .core import (
     parse_system,
     rational_str,
 )
-from .distortion import (
-    DeltaSchedule,
-    certify,
-    default_delta_schedule,
-    prime_ladder,
-)
+from .distortion import DeltaSchedule, certify, system_default_schedule
 
 
 class _UsageError(Exception):
@@ -59,7 +55,6 @@ _JSON_INDENT = 2
 class RunConfig:
     """Resolved per-invocation configuration shared by the subcommands."""
 
-    command: str
     output_format: str
     limits: Limits
 
@@ -73,7 +68,7 @@ class RunConfig:
             )
         except DomainError as exc:
             raise _UsageError("limits must be positive") from exc
-        return cls(command=args.command, output_format=args.format, limits=limits)
+        return cls(output_format=args.format, limits=limits)
 
     def emit(self, text: str, payload: dict) -> str:
         if self.output_format == "json":
@@ -104,11 +99,11 @@ def _common_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     _opt(parser, "--format", choices=("text", "json"), default="text",
          help="output format")
-    _opt(parser, "--limit-residue-space", type=int, default=10_000_000,
+    _opt(parser, "--limit-residue-space", type=int, default=DEFAULT_LIMITS.residue_space,
          help="largest residue space Z/QZ that may be scanned")
-    _opt(parser, "--limit-interval", type=int, default=2**24,
+    _opt(parser, "--limit-interval", type=int, default=DEFAULT_LIMITS.interval,
          help="longest initial segment that may be scanned")
-    _opt(parser, "--limit-divisors", type=int, default=1_000_000,
+    _opt(parser, "--limit-divisors", type=int, default=DEFAULT_LIMITS.divisors,
          help="largest divisor enumeration")
     return parser
 
@@ -217,16 +212,14 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
     system = _load_system(args)
     # Q is checked before it is factored: trial division of a huge Q hangs
     cfg.limits.require_residue_space(system.lcm_modulus, "pipeline")
-    depth = len(system.factorization.pairs)
     if args.deltas is not None:
+        depth = len(system.factorization.pairs)
         deltas = _parse_deltas(args.deltas)
         if len(deltas) != depth:
             raise _UsageError(
                 f"--deltas has {len(deltas)} entries, the system needs {depth}"
             )
         schedule = DeltaSchedule(tuple(deltas))
-    elif len(system.classes) == 0:
-        schedule = DeltaSchedule(())
     else:
         raw_constant = args.schedule_C
         if raw_constant is None:
@@ -239,9 +232,7 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
             constant = Fraction(raw_constant)
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad schedule constant {raw_constant!r}: {exc}") from exc
-        schedule = default_delta_schedule(
-            multiplicity(system), prime_ladder(system.factorization), constant
-        )
+        schedule = system_default_schedule(system, constant, limits=cfg.limits)
     cert = certify(system, schedule, limits=cfg.limits)
     witness = "none" if cert.witness is None else str(cert.witness)
     lines = [

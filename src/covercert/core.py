@@ -65,15 +65,21 @@ class Limits:
             if value < 1:
                 raise DomainError(f"limit {field.name} must be positive, got {value}")
 
+    def require(self, name: str, required: int, what: str) -> None:
+        """Raise ResourceLimitError when required is over the limit called name.
+
+        what says what needs the enumeration and how large it is, as in
+        "interval check needs 64 integers".
+        """
+        limit = getattr(self, name)
+        if required > limit:
+            raise ResourceLimitError(
+                f"{what}, over the limit {limit}", required=required, limit=limit
+            )
+
     def require_residue_space(self, q: int, what: str) -> None:
         """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
-        if q > self.residue_space:
-            raise ResourceLimitError(
-                f"{what} needs a residue space of size {q}, over the limit"
-                f" {self.residue_space}",
-                required=q,
-                limit=self.residue_space,
-            )
+        self.require("residue_space", q, f"{what} needs a residue space of size {q}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -143,22 +149,6 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...]
 
     @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    @property
-    def largest_prime(self) -> int:
-        # convention: the largest prime factor of 1 is 1
-        return self.pairs[-1][0] if self.pairs else 1
-
-    @property
-    def num_primes(self) -> int:
-        return len(self.pairs)
-
-    @property
     def num_divisors(self) -> int:
         out = 1
         for _, e in self.pairs:
@@ -166,6 +156,7 @@ class Factorization:
         return out
 
     def divisors(self) -> list[int]:
+        """Every divisor, in increasing order."""
         divs = [1]
         for p, e in self.pairs:
             divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -189,20 +180,6 @@ def factorize(m: int) -> Factorization:
     if m > 1:
         pairs.append((m, 1))
     return Factorization(tuple(pairs))
-
-
-def largest_prime_factor(m: int) -> int:
-    """Largest prime factor of m >= 1, with largest_prime_factor(1) == 1."""
-    if m < 1:
-        raise DomainError(f"largest prime factor undefined for {m}")
-    best = 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            best = d
-            m //= d
-        d += 1 if d == 2 else 2
-    return m if m > 1 else best
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +295,7 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
     """
     n = len(sys.classes)
     size = 2**n
-    if size > limits.interval:
-        raise ResourceLimitError(
-            f"interval check needs {size} integers, over the limit {limits.interval}",
-            required=size,
-            limit=limits.interval,
-        )
+    limits.require("interval", size, f"interval check needs {size} integers")
     # index i stands for the integer i + 1, so r mod d starts at (r - 1) mod d
     hit = _hit_mask(size, (((c.residue - 1) % c.modulus, c.modulus) for c in sys.classes))
     return 0 not in hit

@@ -42,7 +42,6 @@ from .core import (
     Factorization,
     InternalConsistencyError,
     Limits,
-    ResourceLimitError,
     _hit_mask,
     covers_oracle,
     multiplicity,
@@ -102,6 +101,10 @@ class PrimeLadder:
     def prime_power(self, j: int) -> int:
         return self.partials[j] // self.partials[j - 1]
 
+    def factorization(self, j: int) -> Factorization:
+        """The factorization of Q_j: the first j (prime, exponent) pairs."""
+        return Factorization(tuple(zip(self.primes[:j], self.exponents[:j])))
+
 
 def prime_ladder(fact: Factorization) -> PrimeLadder:
     """Build the ladder of partial prime-power products from a factorization."""
@@ -128,7 +131,7 @@ class LevelSet:
 
     def __post_init__(self):
         if len(self.mask) != self.modulus:
-            raise ValueError(f"mask has {len(self.mask)} bytes, modulus is {self.modulus}")
+            raise DomainError(f"mask has {len(self.mask)} bytes, modulus is {self.modulus}")
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -213,10 +216,10 @@ def hit_fractions(
     on the parent fiber.
     """
     if bset.level != j:
-        raise ValueError(f"level set is at level {bset.level}, expected {j}")
+        raise DomainError(f"level set is at level {bset.level}, expected {j}")
     qprev = ladder.partials[j - 1]
     if prev.modulus != qprev:
-        raise ValueError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
+        raise DomainError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
     lifts = ladder.prime_power(j)
     mask = bset.mask
     counts = [mask[y::qprev].count(1) for y in range(qprev)]
@@ -228,7 +231,7 @@ def hit_fractions(
 def moments(prev: FiberMeasure, fractions: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """First and second moments of the hit fractions under the parent measure."""
     if len(fractions) != prev.modulus:
-        raise ValueError("one hit fraction per parent residue is required")
+        raise DomainError("one hit fraction per parent residue is required")
     # fibers with hit fraction 0 add nothing
     hit = bytes(map(bool, fractions))
     masses = list(itertools.compress(prev.masses, hit))
@@ -268,10 +271,10 @@ def step_measure(
     qprev = prev.modulus
     qj = bset.modulus
     if qj % qprev != 0:
-        raise ValueError("level set modulus must be a multiple of the parent modulus")
+        raise DomainError("level set modulus must be a multiple of the parent modulus")
     lifts = qj // qprev
     if len(fractions) != qprev:
-        raise ValueError("one hit fraction per parent residue is required")
+        raise DomainError("one hit fraction per parent residue is required")
     mask = bset.mask
     # per parent fiber, its (off, on) masses, computed once per distinct
     # (mass, fraction) pair; on is None where the fiber must not meet B_j
@@ -358,6 +361,24 @@ def default_delta_schedule(
         raise DomainError(f"threshold constant must be positive, got {smooth_constant}")
     threshold = smooth_constant * mult**3
     return DeltaSchedule(tuple(_ZERO if p <= threshold else _HALF for p in ladder.primes))
+
+
+def system_default_schedule(
+    sys: CongruenceSystem, smooth_constant=Fraction(1), *, limits: Limits = DEFAULT_LIMITS
+) -> DeltaSchedule:
+    """default_delta_schedule for the system's multiplicity and the primes of its Q.
+
+    The empty system takes the empty schedule.  A modulus 1 and a Q over the
+    residue-space limit are rejected before Q is factored.
+    """
+    if not sys.classes:
+        return DeltaSchedule(())
+    _reject_modulus_one(sys)
+    # Q is checked before it is factored: trial division of a huge Q hangs
+    limits.require_residue_space(sys.lcm_modulus, "pipeline")
+    return default_delta_schedule(
+        multiplicity(sys), prime_ladder(sys.factorization), smooth_constant
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +499,7 @@ def certify(
     multiplicity is used.
     """
     if schedule is None:
-        if len(sys.classes) == 0:
-            schedule = DeltaSchedule(())
-        else:
-            _reject_modulus_one(sys)
-            limits.require_residue_space(sys.lcm_modulus, "pipeline")
-            schedule = default_delta_schedule(
-                multiplicity(sys), prime_ladder(sys.factorization)
-            )
+        schedule = system_default_schedule(sys, limits=limits)
     # only the terms are kept, so each level's measure is freed after the next
     terms = tuple(
         CertificateTerm(r.prime, r.delta, r.m1, r.m2, r.term, r.branch)
@@ -534,26 +548,19 @@ def ap_mass_bound_check(
     if not 0 <= level <= ladder.depth:
         raise DomainError(f"measure level {level} is outside the ladder")
     if measure.modulus != ladder.partials[level]:
-        raise ValueError(
+        raise DomainError(
             f"measure modulus {measure.modulus} is not Q_{level} = {ladder.partials[level]}"
         )
     if len(schedule) < level:
         raise DomainError("schedule is shorter than the measure level")
-    pairs = [(ladder.primes[i], ladder.exponents[i]) for i in range(level)]
-    pair_count = 1
-    for p, e in pairs:
-        pair_count *= (p ** (e + 1) - 1) // (p - 1)
-    if pair_count > limits.divisors:
-        raise ResourceLimitError(
-            f"progression check needs {pair_count} (residue, divisor) pairs,"
-            f" over the limit {limits.divisors}",
-            required=pair_count,
-            limit=limits.divisors,
-        )
-    divisors = [1]
-    for p, e in pairs:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    inflation = {p: 1 / (1 - schedule[i]) for i, (p, _) in enumerate(pairs)}
+    # Q_level is the modulus of a measure held in memory, so its divisors are
+    # few; their sum is the number of (residue, divisor) pairs to scan
+    divisors = ladder.factorization(level).divisors()
+    pair_count = sum(divisors)
+    limits.require(
+        "divisors", pair_count, f"progression check needs {pair_count} (residue, divisor) pairs"
+    )
+    inflation = {p: 1 / (1 - schedule[i]) for i, p in enumerate(ladder.primes[:level])}
     # integer masses over one common denominator keep the comparisons exact
     # while the per-progression sums run at native speed
     common = 1
@@ -561,7 +568,7 @@ def ap_mass_bound_check(
         common = lcm(common, m.denominator)
     scaled = [m.numerator * (common // m.denominator) for m in measure.masses]
     violations = []
-    for g in sorted(divisors):
+    for g in divisors:
         bound = Fraction(1, g)
         for p, factor in inflation.items():
             if g % p == 0:

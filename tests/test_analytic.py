@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert import (
-    BoundParams,
     CongruenceSystem,
     DomainError,
     Limits,
@@ -19,7 +18,6 @@ from covercert import (
     multiplicity_modulus_bound,
     prime_ladder,
     run_levels,
-    second_moment_shape,
     smooth_reciprocal_sum,
 )
 
@@ -86,9 +84,15 @@ class TestFirstMomentBound:
             first_moment_bound(system, ladder, 1, 0)
 
     def test_resource_guard(self):
-        system = sys_of([(0, 2), (0, 3)])
-        with pytest.raises(ResourceLimitError):
-            first_moment_bound(system, ladder_of(6), 2, 2, limits=Limits(divisors=1))
+        # (Q, level, limit, divisors of Q_(level-1) needed)
+        for q, j, limit, required in [(6, 2, 1, 2), (210, 4, 7, 8)]:
+            system = sys_of([(0, p) for p, _ in brute_factor(q)])
+            with pytest.raises(ResourceLimitError) as err:
+                first_moment_bound(system, ladder_of(q), j, 2, limits=Limits(divisors=limit))
+            assert str(err.value) == (
+                f"first-moment bound needs {required} divisors, over the limit {limit}"
+            )
+            assert (err.value.required, err.value.limit) == (required, limit)
 
     @given(pipeline_cases())
     @settings(max_examples=60)
@@ -204,53 +208,3 @@ class TestGrowthBounds:
             multiplicity_modulus_bound(0, 1)
         with pytest.raises(DomainError):
             multiplicity_modulus_bound(2, 0)
-
-
-class TestSecondMomentShape:
-    def test_value(self):
-        import math
-
-        assert second_moment_shape(1, 2) == pytest.approx(math.log(2) ** 6 / 4)
-        assert second_moment_shape(3, 5) == pytest.approx(
-            9 * math.log(5) ** 6 / 25
-        )
-
-    def test_decays_for_large_primes(self):
-        assert second_moment_shape(2, 10**6) < second_moment_shape(2, 10**3)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            second_moment_shape(0, 5)
-        with pytest.raises(DomainError):
-            second_moment_shape(1, 1)
-
-
-class TestBoundParams:
-    def test_defaults(self):
-        params = BoundParams()
-        assert params.exponent_constant == F(1)
-        assert params.threshold_constant == F(1)
-        assert params.smooth_threshold(2) == F(8)
-
-    def test_coercion(self):
-        params = BoundParams("1/2", 3)
-        assert params.exponent_constant == F(1, 2)
-        assert params.smooth_threshold(2) == F(24)
-
-    def test_smoothness_exponent(self):
-        params = BoundParams()
-        assert mpmath.almosteq(params.smoothness_exponent(8, 2), 1)
-        assert params.smoothness_exponent(64, 2) > 1.9
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            BoundParams(0, 1)
-        with pytest.raises(DomainError):
-            BoundParams(1, -2)
-        params = BoundParams()
-        with pytest.raises(DomainError):
-            params.smooth_threshold(0)
-        with pytest.raises(DomainError):
-            params.smoothness_exponent(8, 1)
-        with pytest.raises(DomainError):
-            params.smoothness_exponent(1, 2)

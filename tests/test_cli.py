@@ -8,11 +8,13 @@ import sys
 import jsonschema
 import pytest
 
-from covercert.cli import main
+from covercert import Limits
+from covercert.cli import RunConfig, build_parser, main
 
 from helpers import DIGIT_LIMIT, needs_digit_limit, time_limit
 
 TWO_THREE = "0 mod 2, 0 mod 3"
+NOTICE = "notice: no --deltas given; using the default schedule with C = 1\n"
 FAMILY_5 = "1 mod 2, 0 mod 3, 2 mod 4, 4 mod 6, 8 mod 12"
 
 CERT_SCHEMA = {
@@ -354,6 +356,22 @@ class TestCertify:
         assert code == 2
         assert "over the limit" in err
 
+    def test_modulus_one_is_domain_error(self, capsys):
+        message = "error: distortion requires every modulus to be at least 2\n"
+        code, out, err = run(capsys, "certify", "--system", "0 mod 1")
+        assert (code, out, err) == (3, "", NOTICE + message)
+        # a modulus 1 is rejected before the threshold constant is checked
+        code, out, err = run(capsys, "certify", "--schedule-C", "0", "--system", "0 mod 1, 0 mod 2")
+        assert (code, out, err) == (3, "", message)
+
+    def test_empty_system_takes_default_schedule(self, capsys):
+        code, out, err = run(capsys, "certify", "--system", "")
+        assert (code, err) == (0, NOTICE)
+        assert out == "eta: 0/1\nverdict: NotCovering\nwitness: 0\n"
+        code, out, err = run(capsys, "certify", "--schedule-C", "zebra", "--system", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad schedule constant 'zebra'")
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         second = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
@@ -461,6 +479,12 @@ class TestUsageAndExitCodes:
     def test_subcommand_help_is_success(self, capsys):
         assert main(["certify", "--help"]) == 0
         capsys.readouterr()
+
+    def test_limit_defaults_are_the_library_defaults(self, monkeypatch):
+        for name in ("RESIDUE_SPACE", "INTERVAL", "DIVISORS"):
+            monkeypatch.delenv(f"COVERCERT_LIMIT_{name}", raising=False)
+        args = build_parser().parse_args(["witness", "--system", "0 mod 2"])
+        assert RunConfig.from_args(args).limits == Limits()
 
     def test_nonpositive_limit(self, capsys):
         code, _, err = run(

@@ -23,7 +23,6 @@ from covercert import (
     factorize,
     intersect,
     is_minimal,
-    largest_prime_factor,
     multiplicity,
     parse_system,
     rational_str,
@@ -35,7 +34,6 @@ from helpers import (
     brute_covers,
     brute_covers_initial_segment,
     brute_factor,
-    brute_largest_prime,
     brute_lcm,
     brute_multiplicity,
     needs_digit_limit,
@@ -45,6 +43,29 @@ from helpers import (
 )
 
 C5 = [(1, 2), (2, 4), (0, 3), (4, 6), (8, 12)]
+
+# per guard in this module: a call over its limit, and the error's message,
+# required and limit
+GUARD_CASES = [
+    (
+        lambda: covers_oracle(
+            CongruenceSystem.from_pairs([(0, 7), (0, 11)]), limits=Limits(residue_space=50)
+        ),
+        "coverage oracle needs a residue space of size 77, over the limit 50", 77, 50,
+    ),
+    (
+        lambda: is_minimal(
+            CongruenceSystem.from_pairs([(0, 7), (0, 11)]), limits=Limits(residue_space=50)
+        ),
+        "minimality check needs a residue space of size 77, over the limit 50", 77, 50,
+    ),
+    (
+        lambda: covers_interval(
+            CongruenceSystem.from_pairs([(0, 2)] * 21), limits=Limits(interval=2**20)
+        ),
+        "interval check needs 2097152 integers, over the limit 1048576", 2**21, 2**20,
+    ),
+]
 
 
 def sys_of(pairs) -> CongruenceSystem:
@@ -83,7 +104,7 @@ class TestFactorize:
     def test_one_is_empty(self):
         f = factorize(1)
         assert f.pairs == ()
-        assert f.largest_prime == 1
+        assert f.num_divisors == 1
 
     def test_prime(self):
         assert factorize(97).pairs == ((97, 1),)
@@ -97,11 +118,7 @@ class TestFactorize:
     def test_matches_independent_factorizer(self, n):
         f = factorize(n)
         assert list(f.pairs) == brute_factor(n)
-        assert f.value == n
-
-    @given(st.integers(1, 10**5))
-    def test_largest_prime_factor(self, n):
-        assert largest_prime_factor(n) == brute_largest_prime(n)
+        assert f.divisors()[-1] == n
 
     def test_divisors(self):
         assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
@@ -169,9 +186,12 @@ class TestCoversOracle:
         assert report.uncovered_count == 1
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError) as err:
-            covers_oracle(sys_of([(0, 7), (0, 11)]), limits=Limits(residue_space=50))
-        assert err.value.required == 77
+        for call, message, required, limit in GUARD_CASES:
+            with pytest.raises(ResourceLimitError) as err:
+                call()
+            assert (str(err.value), err.value.required, err.value.limit) == (
+                message, required, limit
+            )
 
     @given(system_pairs())
     def test_matches_brute_force(self, pairs):

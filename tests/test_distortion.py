@@ -97,7 +97,7 @@ class TestLevelSet:
         assert bset == LevelSet(2, 6, bset.mask)
 
     def test_mask_length_must_match_modulus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             LevelSet(1, 2, b"\x01")
 
     def test_modulus_outside_ladder(self):
@@ -175,8 +175,42 @@ class TestHitFractions:
     def test_level_mismatch_rejected(self):
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             hit_fractions(uniform_measure(), level_set(system, ladder, 2), ladder, 2)
+
+
+class TestShapeMismatch:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # hit_fractions: measure modulus is not Q_(j-1)
+            lambda: hit_fractions(
+                FiberMeasure(1, 2, (F(1, 2), F(1, 2))),
+                level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 1),
+                ladder_of(6),
+                1,
+            ),
+            # moments: one hit fraction per parent residue
+            lambda: moments(uniform_measure(), (F(0), F(0))),
+            # step_measure: level set modulus is not a multiple of the parent's
+            lambda: step_measure(
+                FiberMeasure(1, 2, (F(1, 2), F(1, 2))), (F(0), F(0)), F(0), LevelSet(2, 3, bytes(3))
+            ),
+            # step_measure: one hit fraction per parent residue
+            lambda: step_measure(
+                uniform_measure(), (F(0), F(0)), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
+            ),
+            # ap_mass_bound_check: measure modulus is not Q_level
+            lambda: ap_mass_bound_check(
+                FiberMeasure(1, 3, (F(1, 3),) * 3), as_schedule([0, 0]), ladder_of(6)
+            ),
+        ],
+        ids=["hit-fractions-modulus", "moments-length", "step-modulus", "step-length",
+             "ap-modulus"],
+    )
+    def test_shape_mismatch_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestStepMeasure:
@@ -378,9 +412,32 @@ class TestCertify:
                 next(run_levels(system, [0, 0]))
 
     def test_resource_guard_names_blocking_modulus(self):
-        with pytest.raises(ResourceLimitError) as err:
-            certify(sys_of([(0, 8), (0, 9)]), [0, 0], limits=Limits(residue_space=10))
-        assert err.value.required == 72
+        small = Limits(residue_space=10)
+        pipeline = "pipeline needs a residue space of size 72, over the limit 10"
+        cases = [
+            (lambda: certify(sys_of([(0, 8), (0, 9)]), [0, 0], limits=small), pipeline, 72, 10),
+            (lambda: certify(sys_of([(0, 8), (0, 9)]), limits=small), pipeline, 72, 10),
+            (
+                lambda: level_set(
+                    sys_of([(0, 2), (0, 3)]), ladder_of(6), 2, limits=Limits(residue_space=5)
+                ),
+                "level set at level 2 needs a residue space of size 6, over the limit 5", 6, 5,
+            ),
+            (
+                # sigma(6) = 12 (residue, divisor) pairs
+                lambda: ap_mass_bound_check(
+                    FiberMeasure(2, 6, (F(1, 6),) * 6), [0, 0], ladder_of(6),
+                    limits=Limits(divisors=11),
+                ),
+                "progression check needs 12 (residue, divisor) pairs, over the limit 11", 12, 11,
+            ),
+        ]
+        for call, message, required, limit in cases:
+            with pytest.raises(ResourceLimitError) as err:
+                call()
+            assert (str(err.value), err.value.required, err.value.limit) == (
+                message, required, limit
+            )
 
     def test_json_shape(self):
         cert = certify(sys_of([(0, 2), (0, 3)]), [0, 0])
