@@ -121,11 +121,20 @@ def _load_system(args) -> CongruenceSystem:
     if args.system is not None:
         return parse_system(args.system.replace(",", "\n"))
     if args.input is not None:
-        if args.input == "-":
-            return parse_system(sys.stdin.read())
-        with open(args.input, encoding="utf-8") as fh:
-            return parse_system(fh.read())
+        return parse_system(_read_input(args.input))
     raise _UsageError("a system is required: use --system or --input")
+
+
+def _read_input(path: str) -> str:
+    """The text of a system file, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise ParseError(f"{source} is not {exc.encoding} text: {exc.reason}") from exc
 
 
 def _bool(value: bool) -> str:

@@ -22,7 +22,14 @@ it, and most fibers share their (mass, hit fraction) pair with many others.
 So the pipeline does its Fraction arithmetic once per distinct pair and
 leaves the per-residue work to byte and list slicing, which runs in C.
 Distinct values are shared objects, so grouping goes by object identity,
-which is cheaper than Fraction hashing.
+which is cheaper than Fraction hashing.  Hit counts are summed in byte
+lanes: the rows of the level-set mask, read as little-endian integers, add
+up to an integer whose byte y is the hit count of fiber y, as long as a
+fiber has at most 255 lifts; wider fibers are counted one slice each.
+
+The certificate reads only the per-level moment terms, never the measure
+the last level leaves, so a level's outgoing measure is built only when it
+is read: by the next level, or by a caller of LevelRecord.measure.
 """
 
 from __future__ import annotations
@@ -222,7 +229,18 @@ def hit_fractions(
         raise DomainError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
     lifts = ladder.prime_power(j)
     mask = bset.mask
-    counts = [mask[y::qprev].count(1) for y in range(qprev)]
+    if lifts <= 255:
+        # row k holds the lifts y + k qprev; byte lane y of the rows' sum is
+        # the hit count of fiber y, and a lane of at most 255 cannot carry
+        rows = memoryview(mask)
+        total = sum(
+            int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little") for k in range(lifts)
+        )
+        counts = total.to_bytes(qprev, "little")
+        if sum(counts) != mask.count(1):
+            raise InternalConsistencyError("a byte lane of the hit counts overflowed")
+    else:
+        counts = [mask[y::qprev].count(1) for y in range(qprev)]
     # one shared Fraction per distinct count
     by_count = {c: Fraction(c, lifts) for c in set(counts)}
     return tuple(map(by_count.__getitem__, counts))
@@ -276,21 +294,36 @@ def step_measure(
     if len(fractions) != qprev:
         raise DomainError("one hit fraction per parent residue is required")
     mask = bset.mask
+    _check_zero_fibers(fractions, mask, delta)
     # per parent fiber, its (off, on) masses, computed once per distinct
-    # (mass, fraction) pair; on is None where the fiber must not meet B_j
+    # (mass, fraction) pair; on is None where the fiber does not meet B_j
     cache: dict[tuple[int, int], tuple[Fraction, Fraction | None]] = {}
     pairs = []
-    for y, (m, a) in enumerate(zip(prev.masses, fractions)):
+    for m, a in zip(prev.masses, fractions):
         key = (id(m), id(a))
         pair = cache.get(key)
         if pair is None:
             pair = cache[key] = _fiber_masses(m, a, delta, lifts)
-        if pair[1] is None and 1 in mask[y::qprev]:
-            raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
         pairs.append(pair)
     # residue z lies over parent y = z mod qprev; mask[z] picks on (1) or off (0)
     masses = tuple(map(operator.getitem, pairs * lifts, mask))
     return FiberMeasure(bset.level, qj, masses)
+
+
+def _check_zero_fibers(fractions: tuple[Fraction, ...], mask: bytes, delta: Fraction) -> None:
+    """Raise if, at delta = 0, a level-set member lies above a fiber with hit fraction 0.
+
+    The update thins B_j by (a - delta) / (a (1 - delta)), which has no value
+    at a = delta = 0; for delta > 0 such a fiber is emptied instead.  The
+    fibers with fraction 0, tiled over the lifts, must not meet the mask.
+    """
+    if delta:
+        return
+    empty = bytes(map(operator.not_, fractions))
+    if 1 in empty and int.from_bytes(mask, "little") & int.from_bytes(
+        empty * (len(mask) // len(empty)), "little"
+    ):
+        raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
 
 
 def _fiber_masses(
@@ -427,7 +460,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """Everything the pipeline computed at one level."""
+    """Everything the pipeline computed at one level.
+
+    parent is the measure the level started from.  The measure the level
+    leaves is built by step_measure on first access to measure, then kept.
+    """
 
     level: int
     prime: int
@@ -438,7 +475,11 @@ class LevelRecord:
     m2: Fraction
     term: Fraction
     branch: str
-    measure: FiberMeasure
+    parent: FiberMeasure
+
+    @cached_property
+    def measure(self) -> FiberMeasure:
+        return step_measure(self.parent, self.fractions, self.delta, self.level_set)
 
 
 def _level_term(m1: Fraction, m2: Fraction, delta: Fraction) -> tuple[Fraction, str]:
@@ -455,7 +496,9 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     """Run the pipeline level by level, yielding a LevelRecord per prime.
 
     The schedule must supply one delta per distinct prime of Q.  An empty
-    system yields nothing.
+    system yields nothing.  Each level starts from the measure of the
+    record before it, so every level's measure but the last is built; the
+    last is built only if its record's measure is read.
     """
     _reject_modulus_one(sys)
     # Q is checked before it is factored: trial division of a huge Q hangs
@@ -471,17 +514,20 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         raise DomainError(
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"
         )
-    prev = uniform_measure()
+    record = None
     for j in range(1, ladder.depth + 1):
+        # read here, not after the yield: the loop's last resumption would
+        # otherwise build the final measure that certify never reads
+        prev = uniform_measure() if record is None else record.measure
         bset = level_set(sys, ladder, j, limits=limits)
         fractions = hit_fractions(prev, bset, ladder, j)
         m1, m2 = moments(prev, fractions)
         delta = schedule[j - 1]
         term, branch = _level_term(m1, m2, delta)
-        prev = step_measure(prev, fractions, delta, bset)
-        yield LevelRecord(
+        record = LevelRecord(
             j, ladder.primes[j - 1], delta, bset, fractions, m1, m2, term, branch, prev
         )
+        yield record
 
 
 def certify(
@@ -497,14 +543,22 @@ def certify(
 
     When no schedule is given, the default schedule derived from the system's
     multiplicity is used.
+
+    Only the terms are kept, so the final measure is never built and each
+    level's record, with its measures, is dropped after the next level.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)
-    # only the terms are kept, so each level's measure is freed after the next
-    terms = tuple(
-        CertificateTerm(r.prime, r.delta, r.m1, r.m2, r.term, r.branch)
-        for r in run_levels(sys, schedule, limits=limits)
-    )
+    terms = []
+    last = None
+    for last in run_levels(sys, schedule, limits=limits):
+        terms.append(
+            CertificateTerm(last.prime, last.delta, last.m1, last.m2, last.term, last.branch)
+        )
+    if last is not None:
+        # step_measure checks every other level as it builds its measure
+        _check_zero_fibers(last.fractions, last.level_set.mask, last.delta)
+    terms = tuple(terms)
     eta = _exact_sum(t.term for t in terms)
     if eta < 1:
         witness = covers_oracle(sys, limits=limits).witness

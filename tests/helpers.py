@@ -149,6 +149,15 @@ def reference_pipeline(pairs, deltas):
     return records, eta
 
 
+def reference_hit_counts(mask: bytes, modulus: int) -> list[int]:
+    """Per residue y mod modulus, the number of set mask bytes at z = y mod modulus."""
+    counts = [0] * modulus
+    for z, bit in enumerate(mask):
+        if bit:
+            counts[z % modulus] += 1
+    return counts
+
+
 def fiber_sums(pointwise, modulus: int) -> tuple[Fraction, ...]:
     """Collapse pointwise masses over Z/QZ to fiber masses over Z/modulusZ."""
     q = len(pointwise)

@@ -125,6 +125,28 @@ class TestSystemSources:
         assert code == 0
         assert out == "covers: false\nwitness: 1\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    def test_input_not_utf8_is_parse_error(
+        self, capsys, monkeypatch, tmp_path, command, source, fmt
+    ):
+        # a strict decoder, as for a file; a real stdin may decode with
+        # surrogateescape and then fail in the parser instead
+        data = b"\xff0 mod 2\n1 mod 2\n"
+        if source == "file":
+            path = tmp_path / "system.txt"
+            path.write_bytes(data)
+            where = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            where = "-"
+        code, out, err = run(capsys, command, "--input", where, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "utf-8" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.txt"))
         assert code == 1

@@ -1,5 +1,6 @@
 """The distorted-measure pipeline: ladders, level sets, measures, certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from covercert import (
     InternalConsistencyError,
     LevelSet,
     Limits,
+    PrimeLadder,
     ResourceLimitError,
     ap_mass_bound_check,
     as_schedule,
     certify,
     default_delta_schedule,
+    distortion,
     factorize,
     hit_fractions,
     level_set,
@@ -30,7 +33,14 @@ from covercert import (
     uniform_measure,
 )
 
-from helpers import brute_covers, fiber_sums, pipeline_cases, reference_pipeline, time_limit
+from helpers import (
+    brute_covers,
+    fiber_sums,
+    pipeline_cases,
+    reference_hit_counts,
+    reference_pipeline,
+    time_limit,
+)
 
 F = Fraction
 
@@ -178,6 +188,40 @@ class TestHitFractions:
         with pytest.raises(DomainError):
             hit_fractions(uniform_measure(), level_set(system, ladder, 2), ladder, 2)
 
+    @pytest.mark.parametrize(
+        "ladder, j",
+        [
+            # 243 and 251 lifts are summed in byte lanes
+            (ladder_of(2 * 3**5), 2),
+            (ladder_of(6 * 251), 3),
+            # 256 and 257 lifts would overflow a lane and are counted by slices
+            (ladder_of(2**8), 1),
+            (ladder_of(6 * 257), 3),
+            # hit_fractions reads only the partial products, so 2^8 may sit above 3
+            (PrimeLadder((3, 2), (1, 8), (1, 3, 3 * 2**8)), 2),
+        ],
+        ids=["lanes-243", "lanes-251", "slices-256", "slices-257", "slices-256-over-3"],
+    )
+    def test_counts_at_lane_boundary(self, ladder, j):
+        qprev, qj = ladder.partials[j - 1], ladder.partials[j]
+        lifts = qj // qprev
+        prev = FiberMeasure(j - 1, qprev, (F(1, qprev),) * qprev)
+        rng = random.Random(qj)
+        # fiber y is empty, full or partial by (y + shift) mod 3, so a single
+        # fiber takes each kind once over the three shifts
+        seen = set()
+        for shift in range(3):
+            kinds = [(y + shift) % 3 for y in range(qprev)]
+            mask = bytearray(qj)
+            for z in range(qj):
+                kind = kinds[z % qprev]
+                mask[z] = kind == 1 or (kind == 2 and rng.random() < 0.5)
+            counts = reference_hit_counts(mask, qprev)
+            seen.update(0 if c == 0 else 1 if c == lifts else 2 for c in counts)
+            got = hit_fractions(prev, LevelSet(j, qj, bytes(mask)), ladder, j)
+            assert got == tuple(F(c, lifts) for c in counts)
+        assert seen == {0, 1, 2}
+
 
 class TestShapeMismatch:
     @pytest.mark.parametrize(
@@ -287,6 +331,59 @@ class TestStepMeasure:
                         if mask[z]:
                             assert record.measure.masses[z] == 0
             prev = record.measure
+
+
+class TestFinalMeasureOnDemand:
+    CASES = [
+        ([(0, 2), (0, 3)], [0, 0]),
+        ([(0, 4), (1, 6), (2, 5), (3, 10)], [F(1, 2), 0, F(1, 4)]),
+        ([(1, 8), (0, 7)], [0, F(1, 2)]),
+    ]
+
+    @staticmethod
+    def _count_steps(monkeypatch) -> list:
+        calls = []
+        real = distortion.step_measure
+
+        def counted(*args):
+            calls.append(args[0].level)
+            return real(*args)
+
+        monkeypatch.setattr(distortion, "step_measure", counted)
+        return calls
+
+    @pytest.mark.parametrize("pairs, deltas", CASES)
+    def test_certify_skips_the_last_step(self, monkeypatch, pairs, deltas):
+        calls = self._count_steps(monkeypatch)
+        certify(sys_of(pairs), deltas)
+        assert calls == list(range(len(deltas) - 1))
+
+    @pytest.mark.parametrize("pairs, deltas", CASES)
+    def test_every_measure_is_built_once_when_read(self, monkeypatch, pairs, deltas):
+        calls = self._count_steps(monkeypatch)
+        records = list(run_levels(sys_of(pairs), deltas))
+        assert len(calls) == len(deltas) - 1
+        final = records[-1].measure
+        assert records[-1].measure is final
+        assert final.modulus == sys_of(pairs).lcm_modulus
+        assert calls == list(range(len(deltas)))
+
+    def test_certify_checks_the_last_level(self, monkeypatch):
+        # zero the fraction of a fiber that holds a member, at the last level
+        real = distortion.hit_fractions
+
+        def zeroed(prev, bset, ladder, j):
+            fractions = real(prev, bset, ladder, j)
+            if j < ladder.depth:
+                return fractions
+            y = next(y for y, a in enumerate(fractions) if a)
+            return fractions[:y] + (F(0),) + fractions[y + 1 :]
+
+        monkeypatch.setattr(distortion, "hit_fractions", zeroed)
+        with pytest.raises(InternalConsistencyError):
+            certify(sys_of([(0, 2), (0, 3)]), [0, 0])
+        # with delta > 0 the fiber is emptied, which is well defined
+        certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
 
 class TestMoments:
