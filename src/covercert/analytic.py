@@ -2,18 +2,17 @@
 
 The exact pieces (a finite first-moment estimate over divisors, and
 reciprocal sums over smooth integers) return fractions.  The asymptotic
-growth shapes are evaluated with mpmath at a caller-chosen decimal
-precision; they are the only place floats of any kind appear, and they feed
-no verdict.
+growth shapes are evaluated with the standard decimal module at a
+caller-chosen number of significant digits; they are the only inexact
+numbers in the package, and they feed no verdict.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, getcontext, localcontext
 from fractions import Fraction
-from math import lcm
-
-import mpmath
+from math import lcm, log10
 
 from .core import (
     DEFAULT_LIMITS,
@@ -23,14 +22,6 @@ from .core import (
     multiplicity,
 )
 from .distortion import PrimeLadder
-
-
-def _to_mpf(value):
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    if isinstance(value, str):
-        return mpmath.mpf(value)
-    return mpmath.mpf(value)
 
 
 def first_moment_bound(
@@ -116,31 +107,54 @@ def smooth_reciprocal_sum(y, threshold: int, cap: int) -> Fraction:
     return Fraction(sum(den // d for d in terms), den)
 
 
-def jth_modulus_bound(j: int, c, dps: int = 50):
+def _decimal(value: Fraction) -> Decimal:
+    """value correctly rounded to the context precision.
+
+    Only a quotient a few digits longer goes to Decimal: all of 1e400000 takes seconds.
+    """
+    n, d = value.numerator, value.denominator
+    k = getcontext().prec + 3 - int((n.bit_length() - d.bit_length()) * log10(2))
+    q, r = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
+    # a sticky last digit for a nonzero remainder keeps the rounding exact
+    return Decimal(10 * q + (r > 0)).scaleb(-k - 1)
+
+
+def _exp_bound(c, dps: int, exponent) -> Decimal:
+    """exp(exponent(c)) to dps significant digits, for an exact constant c > 0.
+
+    exp turns an absolute error of x into a relative error of exp(x), so x is
+    first evaluated roughly, then with as many more digits as it has integer
+    digits, up to 19: past that, exp(x) exceeds 10^(10^18), a DomainError.
+    """
+    value = Fraction(c)
+    if value <= 0:
+        raise DomainError(f"constant must be positive, got {c}")
+    try:
+        with localcontext(Context(prec=9, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+            magnitude = exponent(_decimal(value)).adjusted()
+            ctx.prec = dps + 2 + min(max(magnitude, 0), 19)
+            x = exponent(_decimal(value))
+            ctx.prec = dps
+            return x.exp()
+    except Overflow as exc:
+        raise DomainError(f"bound exceeds 10^{MAX_EMAX}, the decimal range") from exc
+
+
+def jth_modulus_bound(j: int, c, dps: int = 50) -> Decimal:
     """exp(c * j^2 / log(j + 1)): growth rate of the j-th smallest modulus.
 
-    Evaluated with mpmath at dps decimal digits; returns an mpmath float.
+    Evaluated with decimal at dps significant digits, for an exact constant c > 0.
     """
     if j < 1:
         raise DomainError(f"index must be at least 1, got {j}")
-    with mpmath.workdps(dps):
-        cc = _to_mpf(c)
-        if cc <= 0:
-            raise DomainError(f"constant must be positive, got {c}")
-        return mpmath.exp(cc * j * j / mpmath.log(j + 1))
+    return _exp_bound(c, dps, lambda cc: cc * j * j / Decimal(j + 1).ln())
 
 
-def multiplicity_modulus_bound(mult: int, c, dps: int = 50):
-    """exp(c * log^2(s + 1) / log log(s + 2)) for multiplicity s.
-
-    Growth rate of the largest modulus forced by multiplicity at most s.
-    Evaluated with mpmath at dps decimal digits; returns an mpmath float.
+def multiplicity_modulus_bound(mult: int, c, dps: int = 50) -> Decimal:
+    """exp(c * log^2(s + 1) / log log(s + 2)): growth rate of the largest
+    modulus forced by multiplicity at most s, evaluated like jth_modulus_bound.
     """
     if mult < 1:
         raise DomainError(f"multiplicity must be at least 1, got {mult}")
-    with mpmath.workdps(dps):
-        cc = _to_mpf(c)
-        if cc <= 0:
-            raise DomainError(f"constant must be positive, got {c}")
-        num = cc * mpmath.log(mult + 1) ** 2
-        return mpmath.exp(num / mpmath.log(mpmath.log(mult + 2)))
+    s1, s2 = Decimal(mult + 1), Decimal(mult + 2)
+    return _exp_bound(c, dps, lambda cc: cc * s1.ln() ** 2 / s2.ln().ln())

@@ -14,9 +14,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .analytic import (
     jth_modulus_bound,
@@ -217,6 +216,13 @@ def _parse_deltas(raw: str) -> list[Fraction]:
         raise _UsageError(f"bad delta list {raw!r}: {exc}") from exc
 
 
+def _parse_fraction(raw: str, what: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"bad {what} {raw!r}: {exc}") from exc
+
+
 def _cmd_certify(args, cfg: RunConfig) -> str:
     system = _load_system(args)
     # Q is checked before it is factored: trial division of a huge Q hangs
@@ -237,10 +243,7 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
                 "notice: no --deltas given; using the default schedule with C = 1",
                 file=sys.stderr,
             )
-        try:
-            constant = Fraction(raw_constant)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"bad schedule constant {raw_constant!r}: {exc}") from exc
+        constant = _parse_fraction(raw_constant, "schedule constant")
         schedule = system_default_schedule(system, constant, limits=cfg.limits)
     cert = certify(system, schedule, limits=cfg.limits)
     witness = "none" if cert.witness is None else str(cert.witness)
@@ -258,28 +261,39 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
     return cfg.emit("\n".join(lines), cert.to_json_dict())
 
 
+def _significant(value: Decimal, digits: int) -> str:
+    """A bound above 1, rounded half up to digits significant digits.
+
+    Fixed notation while the exponent of the leading digit is below digits,
+    else d.ddd...e+N; trailing zeros go, but one digit stays after the point.
+    """
+    with localcontext() as ctx:
+        ctx.rounding = ROUND_HALF_UP
+        mantissa, exponent = format(value, f".{digits - 1}e").split("e")
+    lead, figures = int(exponent), mantissa.replace(".", "")
+    point = lead + 1 if lead < digits else 1
+    fraction = figures[point:].rstrip("0") or "0"
+    return f"{figures[:point]}.{fraction}" + ("" if lead < digits else f"e+{lead}")
+
+
 def _cmd_bounds(args, cfg: RunConfig) -> str:
     if args.j is None and args.s is None:
         raise _UsageError("give --j, --s, or both")
     digits = args.precision
     if digits < 1:
         raise _UsageError(f"--precision must be positive, got {digits}")
+    constant = _parse_fraction(args.c, "constant")
     working = digits + 10
-    lines = [f"c: {args.c}", f"precision: {digits}"]
     payload: dict = {"c": args.c, "precision": digits}
     if args.j is not None:
-        value = mpmath.nstr(jth_modulus_bound(args.j, args.c, dps=working), digits)
-        lines.append(f"j: {args.j}")
-        lines.append(f"jth_modulus_bound: {value}")
         payload["j"] = args.j
-        payload["jth_modulus_bound"] = value
+        value = jth_modulus_bound(args.j, constant, dps=working)
+        payload["jth_modulus_bound"] = _significant(value, digits)
     if args.s is not None:
-        value = mpmath.nstr(multiplicity_modulus_bound(args.s, args.c, dps=working), digits)
-        lines.append(f"s: {args.s}")
-        lines.append(f"multiplicity_modulus_bound: {value}")
         payload["s"] = args.s
-        payload["multiplicity_modulus_bound"] = value
-    return cfg.emit("\n".join(lines), payload)
+        value = multiplicity_modulus_bound(args.s, constant, dps=working)
+        payload["multiplicity_modulus_bound"] = _significant(value, digits)
+    return cfg.emit("\n".join(f"{key}: {entry}" for key, entry in payload.items()), payload)
 
 
 def _cmd_smoothsum(args, cfg: RunConfig) -> str:
@@ -357,13 +371,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         output = args.handler(args, cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -77,14 +77,6 @@ def _bucket_total(buckets: dict[int, int]) -> Fraction:
     return total
 
 
-def _exact_sum(values) -> Fraction:
-    """Sum fractions exactly, bucketing by denominator to limit gcd churn."""
-    buckets: dict[int, int] = {}
-    for v in values:
-        _add_to_buckets(buckets, v)
-    return _bucket_total(buckets)
-
-
 # ---------------------------------------------------------------------------
 # prime ladder and level sets
 
@@ -192,20 +184,6 @@ class FiberMeasure:
 
     def mass(self, y: int) -> Fraction:
         return self.masses[y % self.modulus]
-
-    def total(self) -> Fraction:
-        return _exact_sum(self.masses)
-
-    def pushforward(self, parent_modulus: int) -> tuple[Fraction, ...]:
-        """Masses of the fibers over Z/parent_modulusZ, summing over lifts."""
-        if self.modulus % parent_modulus != 0:
-            raise DomainError(
-                f"{parent_modulus} does not divide the measure modulus {self.modulus}"
-            )
-        out = []
-        for y in range(parent_modulus):
-            out.append(_exact_sum(self.masses[y :: parent_modulus]))
-        return tuple(out)
 
 
 def uniform_measure() -> FiberMeasure:
@@ -559,7 +537,7 @@ def certify(
         # step_measure checks every other level as it builds its measure
         _check_zero_fibers(last.fractions, last.level_set.mask, last.delta)
     terms = tuple(terms)
-    eta = _exact_sum(t.term for t in terms)
+    eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
         witness = covers_oracle(sys, limits=limits).witness
         if witness is None:

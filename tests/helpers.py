@@ -11,10 +11,10 @@ import contextlib
 import signal
 import sys
 from collections import Counter
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import strategies as st
 
@@ -226,30 +226,27 @@ def reference_parse_lines(text: str) -> list[tuple[int, int]] | int:
     return pairs
 
 
-def decimal_jth_modulus_bound(j: int, c, digits: int = 45) -> Decimal:
-    """exp(c j^2 / log(j+1)) via the decimal module, independent of mpmath."""
-    with localcontext() as ctx:
-        ctx.prec = digits + 15
-        cd = _decimal_constant(c)
-        return (cd * j * j / Decimal(j + 1).ln()).exp()
+def mpmath_jth_modulus_bound(j: int, c, dps: int):
+    """exp(c j^2 / log(j+1)) in binary floating point with mpmath at dps digits.
+
+    mpmath is used only here, never by the package, so this evaluation
+    shares no arithmetic with the decimal one under test.
+    """
+    with mpmath.workdps(dps):
+        return mpmath.exp(_mpmath_constant(c) * j * j / mpmath.log(j + 1))
 
 
-def decimal_multiplicity_modulus_bound(s: int, c, digits: int = 45) -> Decimal:
-    """exp(c log^2(s+1) / log log(s+2)) via the decimal module."""
-    with localcontext() as ctx:
-        ctx.prec = digits + 15
-        cd = _decimal_constant(c)
-        num = cd * Decimal(s + 1).ln() ** 2
-        return (num / Decimal(s + 2).ln().ln()).exp()
+def mpmath_multiplicity_modulus_bound(s: int, c, dps: int):
+    """exp(c log^2(s+1) / log log(s+2)) with mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        num = _mpmath_constant(c) * mpmath.log(s + 1) ** 2
+        return mpmath.exp(num / mpmath.log(mpmath.log(s + 2)))
 
 
-def _decimal_constant(c) -> Decimal:
+def _mpmath_constant(c):
     if isinstance(c, Fraction):
-        return Decimal(c.numerator) / Decimal(c.denominator)
-    if isinstance(c, str) and "/" in c:
-        num, den = c.split("/")
-        return Decimal(num.strip()) / Decimal(den.strip())
-    return Decimal(str(c))
+        return mpmath.mpf(c.numerator) / c.denominator
+    return mpmath.mpf(c)
 
 
 def agree_to_digits(a, b, digits: int) -> bool:

@@ -37,9 +37,10 @@ from covercert import (
 
 from helpers import (
     agree_to_digits,
-    decimal_jth_modulus_bound,
-    decimal_multiplicity_modulus_bound,
     divisors_of,
+    fiber_sums,
+    mpmath_jth_modulus_bound,
+    mpmath_multiplicity_modulus_bound,
 )
 
 F = Fraction
@@ -210,11 +211,12 @@ def _check_measure_invariants(outcome, pairs, records, schedule):
     prev_modulus, prev_masses = 1, (F(1),)
     for record in records:
         where = f"{pairs} level {record.level}"
-        if record.measure.total() != 1:
+        pushed = fiber_sums(record.measure.masses, prev_modulus)
+        if sum(pushed) != 1:
             outcome.measure_failures.append(f"{where}: total != 1")
         if any(m < 0 for m in record.measure.masses):
             outcome.measure_failures.append(f"{where}: negative mass")
-        if record.measure.pushforward(prev_modulus) != prev_masses:
+        if pushed != prev_masses:
             outcome.measure_failures.append(f"{where}: pushforward mismatch")
         mask = record.level_set.mask
         qj = record.measure.modulus
@@ -377,7 +379,8 @@ def test_criterion_7_interval_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: exact smooth sums and 30-digit growth bounds
+# criterion 8: exact smooth sums and 30-digit growth bounds, checked against
+# an mpmath evaluation that shares no arithmetic with the package's decimal one
 
 GROWTH_CASES_J = ((1, 1), (2, 1), (5, "1/2"), (9, 2), (12, "3/4"))
 GROWTH_CASES_S = ((1, 1), (2, 1), (3, "1/2"), (8, "7/3"), (20, 1))
@@ -387,11 +390,11 @@ def test_criterion_8_exactness_regression():
     ok = smooth_reciprocal_sum(2, 1, 8) == F(7, 8)
     ok = ok and smooth_reciprocal_sum(3, 1, 6) == F(5, 4)
     for j, c in GROWTH_CASES_J:
-        got = mpmath.nstr(jth_modulus_bound(j, c, dps=45), 40)
-        ok = ok and agree_to_digits(got, decimal_jth_modulus_bound(j, c), 30)
+        want = mpmath.nstr(mpmath_jth_modulus_bound(j, c, dps=60), 50)
+        ok = ok and agree_to_digits(jth_modulus_bound(j, c, dps=45), want, 30)
     for s, c in GROWTH_CASES_S:
-        got = mpmath.nstr(multiplicity_modulus_bound(s, c, dps=45), 40)
-        ok = ok and agree_to_digits(got, decimal_multiplicity_modulus_bound(s, c), 30)
+        want = mpmath.nstr(mpmath_multiplicity_modulus_bound(s, c, dps=60), 50)
+        ok = ok and agree_to_digits(multiplicity_modulus_bound(s, c, dps=45), want, 30)
     _report(
         8,
         "smooth reciprocal sums are exact and growth bounds match an independent"

@@ -24,8 +24,8 @@ from covercert import (
 from helpers import (
     agree_to_digits,
     brute_factor,
-    decimal_jth_modulus_bound,
-    decimal_multiplicity_modulus_bound,
+    mpmath_jth_modulus_bound,
+    mpmath_multiplicity_modulus_bound,
     pipeline_cases,
     sieve_smooth_reciprocal,
 )
@@ -159,14 +159,15 @@ class TestSmoothReciprocalSum:
 
 
 class TestGrowthBounds:
+    # the oracle is an mpmath evaluation: binary arithmetic the package never uses
     @pytest.mark.parametrize(
         "j,c",
         [(1, 1), (2, 1), (5, 1), (12, 1), (2, "1/2"), (7, F(3, 4)), (30, 2)],
     )
     def test_jth_bound_matches_decimal_oracle(self, j, c):
         got = jth_modulus_bound(j, c, dps=45)
-        want = decimal_jth_modulus_bound(j, c)
-        assert agree_to_digits(mpmath.nstr(got, 40), want, 30)
+        want = mpmath_jth_modulus_bound(j, c, dps=60)
+        assert agree_to_digits(got, mpmath.nstr(want, 50), 30)
 
     @pytest.mark.parametrize(
         "s,c",
@@ -174,8 +175,8 @@ class TestGrowthBounds:
     )
     def test_multiplicity_bound_matches_decimal_oracle(self, s, c):
         got = multiplicity_modulus_bound(s, c, dps=45)
-        want = decimal_multiplicity_modulus_bound(s, c)
-        assert agree_to_digits(mpmath.nstr(got, 40), want, 30)
+        want = mpmath_multiplicity_modulus_bound(s, c, dps=60)
+        assert agree_to_digits(got, mpmath.nstr(want, 50), 30)
 
     def test_jth_bound_monotone_in_index(self):
         values = [jth_modulus_bound(j, 1) for j in range(1, 9)]
@@ -190,12 +191,14 @@ class TestGrowthBounds:
 
     def test_tiny_constant_is_near_one(self):
         got = jth_modulus_bound(1, "1/1000000", dps=30)
-        assert 1 < got < mpmath.mpf("1.000002")
+        assert 1 < got < F("1.000002")
 
     def test_precision_is_honored(self):
-        lo = mpmath.nstr(jth_modulus_bound(2, 1, dps=20), 18)
-        hi = mpmath.nstr(jth_modulus_bound(2, 1, dps=60), 18)
-        assert agree_to_digits(lo, hi, 17)
+        for dps in (1, 5, 20, 60):
+            got = jth_modulus_bound(2, 1, dps=dps)
+            assert len(got.as_tuple().digits) == dps
+            want = mpmath_jth_modulus_bound(2, 1, dps=dps + 20)
+            assert agree_to_digits(got, mpmath.nstr(want, dps + 10), dps - 1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -4,14 +4,22 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import jsonschema
+import mpmath
 import pytest
 
 from covercert import Limits
-from covercert.cli import RunConfig, build_parser, main
+from covercert.cli import RunConfig, _significant, build_parser, main
 
-from helpers import DIGIT_LIMIT, needs_digit_limit, time_limit
+from helpers import (
+    DIGIT_LIMIT,
+    mpmath_jth_modulus_bound,
+    mpmath_multiplicity_modulus_bound,
+    needs_digit_limit,
+    time_limit,
+)
 
 TWO_THREE = "0 mod 2, 0 mod 3"
 NOTICE = "notice: no --deltas given; using the default schedule with C = 1\n"
@@ -440,9 +448,62 @@ class TestBounds:
         assert code == 1
 
     def test_nonpositive_constant(self, capsys):
-        code, _, err = run(capsys, "bounds", "--j", "2", "--c", "0")
-        assert code == 3
-        assert "error:" in err
+        for constant in ("0", "-1"):
+            code, _, err = run(capsys, "bounds", "--j", "2", "--c", constant)
+            assert code == 3
+            assert err == f"error: constant must be positive, got {constant}\n"
+
+    @pytest.mark.parametrize("constant", ["abc", "nan", "inf", "1/0"])
+    def test_constant_not_a_rational(self, capsys, constant):
+        code, out, err = run(capsys, "bounds", "--j", "5", "--c", constant)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad constant {constant!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the constant has 400001 digits; only a few of them are converted
+            ["--s", "3", "--c", "1e400000"],
+            # exp(10^24 / log(10^12 + 1)) is past 10^(10^18)
+            ["--j", "1000000000000", "--c", "1"],
+        ],
+    )
+    def test_bound_past_decimal_range(self, capsys, args):
+        with time_limit(30):
+            code, out, err = run(capsys, "bounds", *args)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bound exceeds 10^") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [("2.5", 1), ("1.25", 2), ("38.5", 2), ("99.96", 3), ("999.6", 3), ("1.0001", 3),
+         ("123456", 6), ("1234567", 6), ("7.0", 1)],
+    )
+    def test_rounding_and_notation_match_nstr(self, value, digits):
+        # exact ties are rounded half up, and a carry can switch the notation
+        assert _significant(Decimal(value), digits) == mpmath.nstr(mpmath.mpf(value), digits)
+
+    def test_matches_mpmath_reference_on_grid(self, capsys):
+        # an mpmath evaluation at precision + 10 digits, printed by mpmath.nstr:
+        # the fixed and exponent notation switch included, byte for byte
+        sizes = (1, 2, 3, 5, 10, 100, 10**3, 10**4, 10**6)
+        for c in ("1/10", "1", "7/3", "10"):
+            for digits in (1, 2, 5, 15, 30, 60, 200):
+                for k, j in enumerate((1, 2, 3, 5, 8, 13, 21, 34, 59, 100, 200)):
+                    s = sizes[k % len(sizes)]
+                    jth = mpmath_jth_modulus_bound(j, c, dps=digits + 10)
+                    mult = mpmath_multiplicity_modulus_bound(s, c, dps=digits + 10)
+                    payload = {
+                        "c": c, "precision": digits,
+                        "j": j, "jth_modulus_bound": mpmath.nstr(jth, digits),
+                        "s": s, "multiplicity_modulus_bound": mpmath.nstr(mult, digits),
+                    }
+                    text = "".join(f"{key}: {value}\n" for key, value in payload.items())
+                    argv = ["bounds", "--j", str(j), "--s", str(s), "--c", c,
+                            "--precision", str(digits)]
+                    assert run(capsys, *argv) == (0, text, "")
+                    want = json.dumps(payload, indent=2) + "\n"
+                    assert run(capsys, *argv, "--format", "json") == (0, want, "")
 
     def test_bad_precision(self, capsys):
         code, _, err = run(capsys, "bounds", "--j", "2", "--c", "1", "--precision", "0")
@@ -546,6 +607,15 @@ class TestUsageAndExitCodes:
         code, _, err = run(capsys, "verify", "--system", "0 mod 2, zebra")
         assert code == 1
         assert "line 2" in err
+
+
+def test_import_needs_only_the_standard_library():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, covercert.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_entry_point():
