@@ -4,7 +4,8 @@ Every value-taking flag can also be supplied through an environment variable
 named COVERCERT_<FLAG> (dashes become underscores, upper case).  Exit codes:
 0 for success, including an inconclusive certificate; 1 for usage or parse
 problems; 2 for an enumeration over a configured limit; 3 for inputs outside
-an operation's domain.
+an operation's domain; 4 for a failed internal consistency check, which is a
+bug in covercert, reported as one "error: internal:" line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -27,6 +29,7 @@ from .core import (
     DEFAULT_LIMITS,
     CongruenceSystem,
     DomainError,
+    InternalConsistencyError,
     Limits,
     ParseError,
     ResourceLimitError,
@@ -39,6 +42,7 @@ from .core import (
     multiplicity,
     parse_system,
     rational_str,
+    _TOO_LONG,
 )
 from .distortion import DeltaSchedule, certify, system_default_schedule
 
@@ -208,17 +212,38 @@ def _cmd_reduce(args, cfg: RunConfig) -> str:
     return cfg.emit_system(shift_expand(_load_system(args), args.ell, limits=cfg.limits))
 
 
+# compiled on first use, by re's cache, so that importing the CLI stays cheap
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a decimal exponent bounded before it is applied.
+
+    Fraction builds 10**exponent exactly.  The digits written plus the
+    exponent bound the digits of the numerator and the denominator, and when
+    that passes Python's int/str digit limit, the limit parse_system applies
+    to moduli, the text is rejected before anything is built.
+    """
+    match = re.search(_EXPONENT, text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if match and limit:
+        digits = sum(map(str.isdigit, text[: match.start()]))
+        if digits + abs(int(match.group(1))) > limit:
+            raise ValueError(_TOO_LONG)
+    return Fraction(text)
+
+
 def _parse_deltas(raw: str) -> list[Fraction]:
     parts = [piece.strip() for piece in raw.split(",")] if raw.strip() else []
     try:
-        return [Fraction(piece) for piece in parts]
+        return [_fraction(piece) for piece in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad delta list {raw!r}: {exc}") from exc
 
 
 def _parse_fraction(raw: str, what: str) -> Fraction:
     try:
-        return Fraction(raw)
+        return _fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad {what} {raw!r}: {exc}") from exc
 
@@ -380,5 +405,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
     print(output)
     return 0

@@ -17,15 +17,25 @@ mod Q escapes every class, so the system does not cover.
 All measures, fractions and moments are fractions.Fraction; no floats enter
 any decision.
 
+A measure takes few distinct values, so a FiberMeasure stores each distinct
+exact mass once, in a table, and one small integer per residue, its type:
+the index of its mass in the table, in an array('H') of 2 bytes per residue
+while there are at most 65536 types, else an array('I').  Hit counts stay
+integers; the hit fraction of a fiber is its count over the p_j^(nu_j)
+lifts, and no per-fiber Fraction is made.  Counts are summed in byte lanes:
+the rows of the level-set mask, read as little-endian integers, add up to an
+integer whose byte y is the hit count of fiber y, as long as a fiber has at
+most 255 lifts; wider fibers are counted one slice each.
+
 Inside a parent fiber the new measure takes only two values, on B_j and off
-it, and most fibers share their (mass, hit fraction) pair with many others.
-So the pipeline does its Fraction arithmetic once per distinct pair and
-leaves the per-residue work to byte and list slicing, which runs in C.
-Distinct values are shared objects, so grouping goes by object identity,
-which is cheaper than Fraction hashing.  Hit counts are summed in byte
-lanes: the rows of the level-set mask, read as little-endian integers, add
-up to an integer whose byte y is the hit count of fiber y, as long as a
-fiber has at most 255 lifts; wider fibers are counted one slice each.
+it, which depend only on the fiber's (type, count) group.  So the moments
+and the update do their exact arithmetic once per distinct group, over
+integer numerators, and leave the per-fiber and per-residue work to C:
+counting the groups, mapping groups to new types, and choosing each
+residue's on or off type by its mask bit with bitwise operations on big
+integers.  Cheap runtime checks guard the arithmetic: each new measure has
+total mass exactly 1 and no negative mass, and the mass it leaves on B_j is
+at most the level's certified term, and equal to it when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -35,12 +45,14 @@ is read: by the next level, or by a caller of LevelRecord.measure.
 from __future__ import annotations
 
 import itertools
-import operator
+import sys
+from array import array
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .core import (
     DEFAULT_LIMITS,
@@ -65,16 +77,28 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
+# bytes.translate tables: count to hit flag, flag to its negation, flag to a
+# byte of all ones
+_NONZERO = bytes([0] + [1] * 255)
+_NOT = bytes([1, 0] + [0] * 254)
+_ALL_ONES = bytes([0, 255] + [0] * 254)
 
-def _add_to_buckets(buckets: dict[int, int], v: Fraction, times: int = 1) -> None:
-    buckets[v.denominator] = buckets.get(v.denominator, 0) + times * v.numerator
+# the most mass types an array('H') of ids can index
+_MAX_NARROW_TYPES = 1 << 16
 
 
-def _bucket_total(buckets: dict[int, int]) -> Fraction:
-    total = _ZERO
-    for den, num in buckets.items():
-        total += Fraction(num, den)
-    return total
+def _total(weighted: Collection[tuple[tuple[int, int], int]], scale: int = 1) -> Fraction:
+    """The sum of weight * num / den over ((num, den), weight) pairs, divided by scale.
+
+    Summed over the common denominator, so that only the total is normalized.
+    """
+    common = lcm(*(den for (_, den), _ in weighted))
+    return Fraction(sum(w * num * (common // den) for (num, den), w in weighted), common * scale)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +198,42 @@ def level_set(
 # fiber measures
 
 
+def _id_array(types: int) -> array:
+    """An empty id array wide enough to index a table of this many masses."""
+    return array("H" if types <= _MAX_NARROW_TYPES else "I")
+
+
 @dataclass(frozen=True)
 class FiberMeasure:
-    """A measure on Z/QZ stored by its mass on each fiber of Z/Q_levelZ."""
+    """A measure on Z/QZ stored by its mass on each fiber of Z/Q_levelZ.
+
+    Each distinct mass is stored once, in table; ids[y] is the index in
+    table of the mass of fiber y.  level_mass is the mass the measure leaves
+    on the level set it was stepped across, None for a measure that
+    step_measure did not build.
+    """
 
     level: int
     modulus: int
-    masses: tuple[Fraction, ...]
+    table: tuple[Fraction, ...]
+    ids: array
+    level_mass: Fraction | None = None
 
     def mass(self, y: int) -> Fraction:
-        return self.masses[y % self.modulus]
+        return self.table[self.ids[y % self.modulus]]
 
 
 def uniform_measure() -> FiberMeasure:
     """The starting measure: total mass 1, constant on Z."""
-    return FiberMeasure(0, 1, (_ONE,))
+    return FiberMeasure(0, 1, (_ONE,), array("H", (0,)))
 
 
-def hit_fractions(
-    prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: int
-) -> tuple[Fraction, ...]:
-    """Per parent residue y, the fraction of its lifts that land in the level set.
+def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: int):
+    """Per parent residue y, the number of its lifts that land in the level set.
 
-    The result is indexed by y in Z/Q_(j-1)Z and each entry is
-    (number of lifts of y in B_j) / p_j^(nu_j), a fraction that depends only
-    on the parent fiber.
+    The result is indexed by y in Z/Q_(j-1)Z; the hit fraction of fiber y is
+    its count over the p_j^(nu_j) lifts, and depends only on the fiber.  It
+    is bytes while a fiber has at most 255 lifts, else a list of ints.
     """
     if bset.level != j:
         raise DomainError(f"level set is at level {bset.level}, expected {j}")
@@ -207,59 +242,75 @@ def hit_fractions(
         raise DomainError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
     lifts = ladder.prime_power(j)
     mask = bset.mask
-    if lifts <= 255:
-        # row k holds the lifts y + k qprev; byte lane y of the rows' sum is
-        # the hit count of fiber y, and a lane of at most 255 cannot carry
-        rows = memoryview(mask)
-        total = sum(
-            int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little") for k in range(lifts)
-        )
-        counts = total.to_bytes(qprev, "little")
-        if sum(counts) != mask.count(1):
-            raise InternalConsistencyError("a byte lane of the hit counts overflowed")
-    else:
-        counts = [mask[y::qprev].count(1) for y in range(qprev)]
-    # one shared Fraction per distinct count
-    by_count = {c: Fraction(c, lifts) for c in set(counts)}
-    return tuple(map(by_count.__getitem__, counts))
+    if lifts > 255:
+        return [mask[y::qprev].count(1) for y in range(qprev)]
+    # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
+    # hit count of fiber y, and a lane of at most 255 cannot carry
+    rows = memoryview(mask)
+    total = sum(int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little") for k in range(lifts))
+    counts = total.to_bytes(qprev, "little")
+    if sum(counts) != mask.count(1):
+        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
+    return counts
 
 
-def moments(prev: FiberMeasure, fractions: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
-    """First and second moments of the hit fractions under the parent measure."""
-    if len(fractions) != prev.modulus:
-        raise DomainError("one hit fraction per parent residue is required")
-    # fibers with hit fraction 0 add nothing
-    hit = bytes(map(bool, fractions))
-    masses = list(itertools.compress(prev.masses, hit))
-    fracs = list(itertools.compress(fractions, hit))
-    mass_of = dict(zip(map(id, masses), masses))
-    fraction_of = dict(zip(map(id, fracs), fracs))
-    # parent mass carried by the fibers of each hit fraction, bucketed
-    mass_by_frac: dict[int, dict[int, int]] = {}
-    for (mid, aid), n in Counter(zip(map(id, masses), map(id, fracs))).items():
-        _add_to_buckets(mass_by_frac.setdefault(aid, {}), mass_of[mid], n)
-    m1 = _ZERO
-    m2 = _ZERO
-    for aid, buckets in mass_by_frac.items():
-        a = fraction_of[aid]
-        s = _bucket_total(buckets)
-        m1 += a * s
-        m2 += a * a * s
-    return m1, m2
+def _hit_flags(counts) -> bytes:
+    """One byte per fiber: 1 where its hit count is nonzero, else 0."""
+    if isinstance(counts, bytes):
+        return counts.translate(_NONZERO)
+    return bytes(map(bool, counts))
 
 
-def step_measure(
-    prev: FiberMeasure,
-    fractions: tuple[Fraction, ...],
-    delta: Fraction,
-    bset: LevelSet,
-) -> FiberMeasure:
+def _fiber_codes(ids: array, counts) -> tuple[array | list[int], int]:
+    """Per fiber y, its group code ids[y] * base + counts[y], and base.
+
+    Byte counts under 16-bit ids are packed into 32-bit lanes by byte slicing,
+    with base 256; other shapes take one multiply-add per fiber.
+    """
+    if isinstance(counts, bytes) and ids.itemsize == 2:
+        lanes = bytearray(4 * len(counts))
+        lanes[0 if sys.byteorder == "little" else 3 :: 4] = counts
+        raw = ids.tobytes()
+        lanes[1::4] = raw[0::2]
+        lanes[2::4] = raw[1::2]
+        return array("I", lanes), 256
+    base = max(counts, default=0) + 1
+    return list(map(int.__add__, map(base.__mul__, ids), counts)), base
+
+
+def moments(prev: FiberMeasure, counts, lifts: int) -> tuple[Fraction, Fraction]:
+    """First and second moments of the hit fractions count / lifts under the parent measure."""
+    if len(counts) != prev.modulus:
+        raise DomainError("one hit count per parent residue is required")
+    # fibers with no hit add nothing; the rest are grouped by (type, count)
+    codes, base = _fiber_codes(prev.ids, counts)
+    groups = Counter(itertools.compress(codes, _hit_flags(counts)))
+    # per parent type, the sums of n c and n c^2 over its groups
+    first = {}
+    second = {}
+    for code, n in groups.items():
+        t, c = divmod(code, base)
+        first[t] = first.get(t, 0) + n * c
+        second[t] = second.get(t, 0) + n * c * c
+    pairs = [(m.numerator, m.denominator) for m in prev.table]
+    return (
+        _total([(pairs[t], w) for t, w in first.items()], lifts),
+        _total([(pairs[t], w) for t, w in second.items()], lifts * lifts),
+    )
+
+
+def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) -> FiberMeasure:
     """Advance the measure one level, pushing mass off the level set.
 
     Each parent fiber keeps its total mass.  Fibers with hit fraction below
     delta are emptied on the level set and renormalized off it; the rest are
     thinned on the level set by (a - delta) / (a (1 - delta)) and rescaled
     off it by 1 / (1 - delta).
+
+    The new masses are computed once per distinct (parent type, hit count)
+    group and stored once per distinct value; every residue of Z/Q_jZ then
+    takes the type of its group's on or off mass by its mask bit, in bitwise
+    operations on whole rows of lifts.
     """
     delta = Fraction(delta)
     if not _ZERO <= delta <= _HALF:
@@ -269,35 +320,77 @@ def step_measure(
     if qj % qprev != 0:
         raise DomainError("level set modulus must be a multiple of the parent modulus")
     lifts = qj // qprev
-    if len(fractions) != qprev:
-        raise DomainError("one hit fraction per parent residue is required")
+    if len(counts) != qprev:
+        raise DomainError("one hit count per parent residue is required")
     mask = bset.mask
-    _check_zero_fibers(fractions, mask, delta)
-    # per parent fiber, its (off, on) masses, computed once per distinct
-    # (mass, fraction) pair; on is None where the fiber does not meet B_j
-    cache: dict[tuple[int, int], tuple[Fraction, Fraction | None]] = {}
-    pairs = []
-    for m, a in zip(prev.masses, fractions):
-        key = (id(m), id(a))
-        pair = cache.get(key)
-        if pair is None:
-            pair = cache[key] = _fiber_masses(m, a, delta, lifts)
-        pairs.append(pair)
-    # residue z lies over parent y = z mod qprev; mask[z] picks on (1) or off (0)
-    masses = tuple(map(operator.getitem, pairs * lifts, mask))
-    return FiberMeasure(bset.level, qj, masses)
+    _check_zero_fibers(counts, mask, delta)
+    # per (parent type, count) group, its (off, on) masses as reduced
+    # (num, den) pairs; per distinct mass, the residues that take it in all
+    # of Z/Q_jZ and in the level set
+    pair_of = {}
+    weight = Counter()
+    on_weight = Counter()
+    codes, base = _fiber_codes(prev.ids, counts)
+    for code, n in Counter(codes).items():
+        c = code % base
+        pair_of[code] = off, on = _fiber_masses(prev.table[code // base], c, lifts, delta)
+        weight[off] += n * (lifts - c)
+        weight[on] += n * c
+        on_weight[on] += n * c
+    if _total(weight.items()) != 1 or min(num for num, _ in weight) < 0:
+        raise InternalConsistencyError(f"level {bset.level} measure is not a probability measure")
+    # the types are the distinct masses, in order of first use
+    type_of = {mass: i for i, mass in enumerate(weight)}
+    off_of = {code: type_of[off] for code, (off, _) in pair_of.items()}
+    on_of = {code: type_of[on] for code, (_, on) in pair_of.items()}
+    off_row, on_row = _id_array(len(weight)), _id_array(len(weight))
+    off_row.extend(map(off_of.__getitem__, codes))
+    on_row.extend(map(on_of.__getitem__, codes))
+    table = tuple(Fraction(num, den) for num, den in weight)
+    ids = _select_rows(off_row, on_row, mask)
+    return FiberMeasure(bset.level, qj, table, ids, _total(on_weight.items()))
 
 
-def _check_zero_fibers(fractions: tuple[Fraction, ...], mask: bytes, delta: Fraction) -> None:
-    """Raise if, at delta = 0, a level-set member lies above a fiber with hit fraction 0.
+# residues per block of the row selection, so its big integers stay small
+_SELECT_BLOCK = 1 << 18
+
+
+def _select_rows(off_row: array, on_row: array, mask: bytes) -> array:
+    """Per residue z, on_row's id where mask[z] is set, else off_row's.
+
+    The rows hold one id per parent fiber and are tiled over the lifts:
+    residue z lies over fiber z mod len(off_row).  The selection off ^ ((off
+    ^ on) & m), with m all ones on the lanes of set mask bytes, runs on big
+    integers a block of whole rows at a time.
+    """
+    fibers, width = len(off_row), off_row.itemsize
+    diff_row = (int.from_bytes(off_row, "little") ^ int.from_bytes(on_row, "little")).to_bytes(
+        fibers * width, "little"
+    )
+    step = fibers * min(len(mask) // fibers, max(1, _SELECT_BLOCK // fibers))
+    ids = array(off_row.typecode)
+    for start in range(0, len(mask), step):
+        block = mask[start : start + step].translate(_ALL_ONES)
+        rows, size = len(block) // fibers, len(block) * width
+        wide = bytearray(size)
+        for lane in range(width):
+            wide[lane::width] = block
+        off = int.from_bytes(off_row * rows, "little")
+        diff = int.from_bytes(diff_row * rows, "little") & int.from_bytes(wide, "little")
+        ids.frombytes((off ^ diff).to_bytes(size, "little"))
+    return ids
+
+
+def _check_zero_fibers(counts, mask: bytes, delta: Fraction) -> None:
+    """Raise if, at delta = 0, a level-set member lies above a fiber with no hit.
 
     The update thins B_j by (a - delta) / (a (1 - delta)), which has no value
     at a = delta = 0; for delta > 0 such a fiber is emptied instead.  The
-    fibers with fraction 0, tiled over the lifts, must not meet the mask.
+    fibers with count 0, tiled over the lifts, must not meet the mask.
     """
     if delta:
         return
-    empty = bytes(map(operator.not_, fractions))
+    empty = _hit_flags(counts).translate(_NOT)
     if 1 in empty and int.from_bytes(mask, "little") & int.from_bytes(
         empty * (len(mask) // len(empty)), "little"
     ):
@@ -305,22 +398,26 @@ def _check_zero_fibers(fractions: tuple[Fraction, ...], mask: bytes, delta: Frac
 
 
 def _fiber_masses(
-    m: Fraction, a: Fraction, delta: Fraction, lifts: int
-) -> tuple[Fraction, Fraction | None]:
-    """The (off, on) masses of one lift of a fiber of mass m and hit fraction a.
+    m: Fraction, c: int, lifts: int, delta: Fraction
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (off, on) masses of one lift of a fiber of mass m and c hits in lifts.
 
-    With base = m / lifts: off = base / (1 - a) and on = 0 when a < delta,
-    else off = base / (1 - delta) and on = base (a - delta) / (a (1 - delta)),
-    undefined (None) when a = 0.  Written over integers, so that each mass
-    costs one normalization.
+    With base = m / lifts and a = c / lifts: off = base / (1 - a) and on = 0
+    when a < delta, else off = base / (1 - delta) and on = base (a - delta) /
+    (a (1 - delta)).  An empty or a full fiber keeps base on every lift, so
+    both are base there, and no mass is returned that no lift takes.  Each
+    mass is a reduced (numerator, denominator) pair, written over integers
+    so that it costs one gcd.
     """
-    mn, md = m.numerator, m.denominator * lifts
-    an, ad = a.numerator, a.denominator
+    mn, md = m.numerator, m.denominator
+    if c == 0 or c == lifts:
+        base = _reduced(mn, md * lifts)
+        return base, base
     dn, dd = delta.numerator, delta.denominator
-    if an * dd < dn * ad:
-        return Fraction(mn * ad, md * (ad - an)), _ZERO
-    off = Fraction(mn * dd, md * (dd - dn))
-    return off, (Fraction(mn * (an * dd - dn * ad), md * an * (dd - dn)) if an else None)
+    if c * dd < dn * lifts:
+        return _reduced(mn, md * (lifts - c)), (0, 1)
+    off = _reduced(mn * dd, md * lifts * (dd - dn))
+    return off, _reduced(mn * (c * dd - dn * lifts), md * lifts * c * (dd - dn))
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +537,18 @@ class Certificate:
 class LevelRecord:
     """Everything the pipeline computed at one level.
 
-    parent is the measure the level started from.  The measure the level
-    leaves is built by step_measure on first access to measure, then kept.
+    parent is the measure the level started from and counts are the hit
+    counts of its fibers (see hit_fractions).  The measure the level leaves
+    is built by step_measure on first access to measure, then kept.  The
+    mass it leaves on the level set is checked against the term: at most
+    term, and equal to it when delta = 0, where nothing is moved.
     """
 
     level: int
     prime: int
     delta: Fraction
     level_set: LevelSet
-    fractions: tuple[Fraction, ...]
+    counts: bytes | list[int]
     m1: Fraction
     m2: Fraction
     term: Fraction
@@ -457,7 +557,13 @@ class LevelRecord:
 
     @cached_property
     def measure(self) -> FiberMeasure:
-        return step_measure(self.parent, self.fractions, self.delta, self.level_set)
+        measure = step_measure(self.parent, self.counts, self.delta, self.level_set)
+        on = measure.level_mass
+        if on > self.term or (self.delta == 0 and on != self.term):
+            raise InternalConsistencyError(
+                f"level {self.level} leaves mass {on} on its level set, its term is {self.term}"
+            )
+        return measure
 
 
 def _level_term(m1: Fraction, m2: Fraction, delta: Fraction) -> tuple[Fraction, str]:
@@ -498,12 +604,12 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
         bset = level_set(sys, ladder, j, limits=limits)
-        fractions = hit_fractions(prev, bset, ladder, j)
-        m1, m2 = moments(prev, fractions)
+        counts = hit_fractions(prev, bset, ladder, j)
+        m1, m2 = moments(prev, counts, ladder.prime_power(j))
         delta = schedule[j - 1]
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(
-            j, ladder.primes[j - 1], delta, bset, fractions, m1, m2, term, branch, prev
+            j, ladder.primes[j - 1], delta, bset, counts, m1, m2, term, branch, prev
         )
         yield record
 
@@ -535,7 +641,7 @@ def certify(
         )
     if last is not None:
         # step_measure checks every other level as it builds its measure
-        _check_zero_fibers(last.fractions, last.level_set.mask, last.delta)
+        _check_zero_fibers(last.counts, last.level_set.mask, last.delta)
     terms = tuple(terms)
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
@@ -595,10 +701,9 @@ def ap_mass_bound_check(
     inflation = {p: 1 / (1 - schedule[i]) for i, p in enumerate(ladder.primes[:level])}
     # integer masses over one common denominator keep the comparisons exact
     # while the per-progression sums run at native speed
-    common = 1
-    for m in measure.masses:
-        common = lcm(common, m.denominator)
-    scaled = [m.numerator * (common // m.denominator) for m in measure.masses]
+    common = lcm(*(m.denominator for m in measure.table))
+    scaled_table = [m.numerator * (common // m.denominator) for m in measure.table]
+    scaled = list(map(scaled_table.__getitem__, measure.ids))
     violations = []
     for g in divisors:
         bound = Fraction(1, g)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import settings
 
 settings.register_profile("covercert", deadline=None, max_examples=100)
@@ -15,3 +16,24 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def zeroed_last_hit(monkeypatch):
+    """Zero, at the last level of every run, the hit count of the first fiber with a hit.
+
+    That fiber still holds a level-set member, which the update cannot thin
+    at delta = 0: the pipeline must notice.
+    """
+    from covercert import distortion
+
+    real = distortion.hit_fractions
+
+    def zeroed(prev, bset, ladder, j):
+        counts = real(prev, bset, ladder, j)
+        if j < ladder.depth:
+            return counts
+        y = next(y for y, c in enumerate(counts) if c)
+        return counts[:y] + bytes(1) + counts[y + 1 :]
+
+    monkeypatch.setattr(distortion, "hit_fractions", zeroed)

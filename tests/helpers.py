@@ -79,6 +79,37 @@ def brute_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def reference_level(masses, in_b, qprev: int, delta):
+    """One level of the pointwise pipeline, over all of Z/QZ.
+
+    masses holds one rational mass per residue mod Q, in_b says which
+    residues mod Q_j lie in B_j, and the fibers are the residues mod qprev,
+    so len(in_b) divides Q and qprev divides len(in_b).  Returns (alpha, m1,
+    m2, updated): the hit fraction per residue mod qprev, the two moments,
+    and the masses after the two-case update.
+    """
+    q, qj = len(masses), len(in_b)
+    lifts = qj // qprev
+    alpha = []
+    for y in range(qprev):
+        hits = sum(1 for z in range(y, qj, qprev) if in_b[z])
+        alpha.append(Fraction(hits, lifts))
+    m1 = sum((masses[x] * alpha[x % qprev] for x in range(q)), Fraction(0))
+    m2 = sum((masses[x] * alpha[x % qprev] ** 2 for x in range(q)), Fraction(0))
+    delta = Fraction(delta)
+    updated = []
+    for x in range(q):
+        a = alpha[x % qprev]
+        mx = masses[x]
+        if a < delta:
+            updated.append(Fraction(0) if in_b[x % qj] else mx / (1 - a))
+        elif in_b[x % qj]:
+            updated.append(mx * (a - delta) / (a * (1 - delta)))
+        else:
+            updated.append(mx / (1 - delta))
+    return alpha, m1, m2, updated
+
+
 def reference_pipeline(pairs, deltas):
     """Pointwise re-derivation of the distorted measures over all of Z/QZ.
 
@@ -101,18 +132,12 @@ def reference_pipeline(pairs, deltas):
     for j in range(1, depth + 1):
         p = fact[j - 1][0]
         qj, qprev = partials[j], partials[j - 1]
-        lifts = qj // qprev
         level_pairs = [(r, d) for r, d in pairs if brute_largest_prime(d) == p]
         in_b = [
             any((z - r) % d == 0 for r, d in level_pairs) for z in range(qj)
         ]
-        alpha = []
-        for y in range(qprev):
-            hits = sum(1 for z in range(y, qj, qprev) if in_b[z])
-            alpha.append(Fraction(hits, lifts))
-        m1 = sum((masses[x] * alpha[x % qprev] for x in range(q)), Fraction(0))
-        m2 = sum((masses[x] * alpha[x % qprev] ** 2 for x in range(q)), Fraction(0))
         delta = Fraction(deltas[j - 1])
+        alpha, m1, m2, masses = reference_level(masses, in_b, qprev, delta)
         if delta == 0:
             term, branch = m1, "first-moment"
         else:
@@ -122,17 +147,6 @@ def reference_pipeline(pairs, deltas):
             else:
                 term, branch = second, "second-moment"
         eta += term
-        updated = []
-        for x in range(q):
-            a = alpha[x % qprev]
-            mx = masses[x]
-            if a < delta:
-                updated.append(Fraction(0) if in_b[x % qj] else mx / (1 - a))
-            elif in_b[x % qj]:
-                updated.append(mx * (a - delta) / (a * (1 - delta)))
-            else:
-                updated.append(mx / (1 - delta))
-        masses = updated
         records.append(
             {
                 "level": j,
@@ -156,6 +170,11 @@ def reference_hit_counts(mask: bytes, modulus: int) -> list[int]:
         if bit:
             counts[z % modulus] += 1
     return counts
+
+
+def masses_of(measure) -> tuple[Fraction, ...]:
+    """The mass of each fiber of a measure, read one residue at a time through mass(y)."""
+    return tuple(measure.mass(y) for y in range(measure.modulus))
 
 
 def fiber_sums(pointwise, modulus: int) -> tuple[Fraction, ...]:

@@ -39,6 +39,7 @@ from helpers import (
     agree_to_digits,
     divisors_of,
     fiber_sums,
+    masses_of,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
 )
@@ -211,21 +212,23 @@ def _check_measure_invariants(outcome, pairs, records, schedule):
     prev_modulus, prev_masses = 1, (F(1),)
     for record in records:
         where = f"{pairs} level {record.level}"
-        pushed = fiber_sums(record.measure.masses, prev_modulus)
+        masses = masses_of(record.measure)
+        pushed = fiber_sums(masses, prev_modulus)
         if sum(pushed) != 1:
             outcome.measure_failures.append(f"{where}: total != 1")
-        if any(m < 0 for m in record.measure.masses):
+        if any(m < 0 for m in masses):
             outcome.measure_failures.append(f"{where}: negative mass")
         if pushed != prev_masses:
             outcome.measure_failures.append(f"{where}: pushforward mismatch")
         mask = record.level_set.mask
         qj = record.measure.modulus
-        for y, alpha in enumerate(record.fractions):
-            if alpha < record.delta:
+        lifts = qj // prev_modulus
+        for y, count in enumerate(record.counts):
+            if F(count, lifts) < record.delta:
                 for z in range(y, qj, prev_modulus):
-                    if mask[z] and record.measure.masses[z] != 0:
+                    if mask[z] and masses[z] != 0:
                         outcome.measure_failures.append(f"{where}: survivor at {z}")
-        prev_modulus, prev_masses = record.measure.modulus, record.measure.masses
+        prev_modulus, prev_masses = record.measure.modulus, masses
 
 
 def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):

@@ -462,8 +462,9 @@ class TestBounds:
     @pytest.mark.parametrize(
         "args",
         [
-            # the constant has 400001 digits; only a few of them are converted
-            ["--s", "3", "--c", "1e400000"],
+            # the constant has 4001 digits, under the int/str digit limit;
+            # only a few of them are converted
+            ["--s", "3", "--c", "1e4000"],
             # exp(10^24 / log(10^12 + 1)) is past 10^(10^18)
             ["--j", "1000000000000", "--c", "1"],
         ],
@@ -607,6 +608,47 @@ class TestUsageAndExitCodes:
         code, _, err = run(capsys, "verify", "--system", "0 mod 2, zebra")
         assert code == 1
         assert "line 2" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--j", "5", "--c", "1e10000000"], "bad constant '1e10000000'"),
+            (["bounds", "--j", "5", "--c", "1e-10000000"], "bad constant '1e-10000000'"),
+            (
+                ["certify", "--schedule-C", "1e10000000", "--system", TWO_THREE],
+                "bad schedule constant '1e10000000'",
+            ),
+            (
+                ["certify", "--deltas", "0,1E-10000000", "--system", TWO_THREE],
+                "bad delta list '0,1E-10000000'",
+            ),
+            # an exponent whose own digits are past the limit
+            (["bounds", "--j", "5", "--c", "1e" + "9" * (DIGIT_LIMIT + 1)], "bad constant"),
+        ],
+        ids=["c-big", "c-small", "schedule-C", "deltas", "exponent-digits"],
+    )
+    def test_decimal_exponent_past_digit_limit(self, capsys, argv, message):
+        # Fraction would build 10**exponent exactly, for seconds per call
+        with time_limit(5):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @needs_digit_limit
+    def test_decimal_exponent_up_to_digit_limit(self, capsys):
+        # 1 digit and exponent DIGIT_LIMIT - 1: a numerator of DIGIT_LIMIT digits
+        exponent = DIGIT_LIMIT - 1
+        code, out, err = run(capsys, "bounds", "--j", "1", "--c", f"1e-{exponent}")
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, "bounds", "--j", "1", "--c", f"10e-{exponent}")
+        assert code == 1 and err.startswith("error: bad constant")
+
+    @pytest.mark.usefixtures("zeroed_last_hit")
+    def test_internal_error_is_one_line(self, capsys):
+        code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
+        assert (code, out) == (4, "")
+        assert err == "error: internal: level set member above a fiber with hit fraction 0\n"
 
 
 def test_import_needs_only_the_standard_library():

@@ -1,6 +1,8 @@
 """The distorted-measure pipeline: ladders, level sets, measures, certificates."""
 
 import random
+from array import array
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,8 +38,10 @@ from covercert import (
 from helpers import (
     brute_covers,
     fiber_sums,
+    masses_of,
     pipeline_cases,
     reference_hit_counts,
+    reference_level,
     reference_pipeline,
     time_limit,
 )
@@ -51,6 +55,18 @@ def sys_of(pairs) -> CongruenceSystem:
 
 def ladder_of(q: int):
     return prime_ladder(factorize(q))
+
+
+def measure_of(level: int, masses, typecode: str = "") -> FiberMeasure:
+    """The FiberMeasure with masses[y] on fiber y.
+
+    Its ids are an array of typecode, by default the narrowest of H and I
+    that indexes the distinct masses.
+    """
+    table = tuple(dict.fromkeys(masses))
+    index = {m: i for i, m in enumerate(table)}
+    typecode = typecode or ("H" if len(table) <= 1 << 16 else "I")
+    return FiberMeasure(level, len(masses), table, array(typecode, map(index.__getitem__, masses)))
 
 
 class TestPrimeLadder:
@@ -161,26 +177,23 @@ class TestHitFractions:
     def test_single_fiber(self):
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
-        alpha = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
-        assert alpha == (F(1, 2),)
+        # one of the two lifts of the single fiber is hit: fraction 1/2
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        assert list(counts) == [1]
 
     def test_second_level_constant(self):
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
-        prev = step_measure(
-            uniform_measure(),
-            (F(1, 2),),
-            F(0),
-            level_set(system, ladder, 1),
-        )
-        alpha = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
-        assert alpha == (F(1, 3), F(1, 3))
+        prev = step_measure(uniform_measure(), b"\x01", F(0), level_set(system, ladder, 1))
+        # one of three lifts per fiber: fraction 1/3
+        counts = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
+        assert list(counts) == [1, 1]
 
     def test_empty_level_set_is_zero(self):
         system = sys_of([(0, 6)])
         ladder = ladder_of(6)
-        alpha = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
-        assert alpha == (F(0),)
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        assert list(counts) == [0]
 
     def test_level_mismatch_rejected(self):
         system = sys_of([(0, 2), (0, 3)])
@@ -205,7 +218,7 @@ class TestHitFractions:
     def test_counts_at_lane_boundary(self, ladder, j):
         qprev, qj = ladder.partials[j - 1], ladder.partials[j]
         lifts = qj // qprev
-        prev = FiberMeasure(j - 1, qprev, (F(1, qprev),) * qprev)
+        prev = measure_of(j - 1, (F(1, qprev),) * qprev)
         rng = random.Random(qj)
         # fiber y is empty, full or partial by (y + shift) mod 3, so a single
         # fiber takes each kind once over the three shifts
@@ -219,8 +232,61 @@ class TestHitFractions:
             counts = reference_hit_counts(mask, qprev)
             seen.update(0 if c == 0 else 1 if c == lifts else 2 for c in counts)
             got = hit_fractions(prev, LevelSet(j, qj, bytes(mask)), ladder, j)
-            assert got == tuple(F(c, lifts) for c in counts)
+            assert list(got) == counts
         assert seen == {0, 1, 2}
+
+
+class TestTypeTable:
+    """Levels whose parent holds hundreds or tens of thousands of mass types.
+
+    The parent gives fiber y the mass (y + 1) / S, so every fiber is its own
+    type; the level set is a seeded random mask.  Hit fractions, moments and
+    the stepped measure must equal helpers.reference_level pointwise.
+    """
+
+    @staticmethod
+    def _level(ladder, j, delta, typecode=""):
+        qprev, qj = ladder.partials[j - 1], ladder.partials[j]
+        lifts = qj // qprev
+        total = qprev * (qprev + 1) // 2
+        parent = [F(y + 1, total) for y in range(qprev)]
+        prev = measure_of(j - 1, parent, typecode)
+        rng = random.Random(qj)
+        mask = bytes(rng.random() < 0.5 for _ in range(qj))
+        bset = LevelSet(j, qj, mask)
+        pointwise = [parent[x % qprev] / lifts for x in range(qj)]
+        alpha, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
+        counts = hit_fractions(prev, bset, ladder, j)
+        assert [F(c, lifts) for c in counts] == alpha
+        assert moments(prev, counts, lifts) == (m1, m2)
+        out = step_measure(prev, counts, delta, bset)
+        assert masses_of(out) == tuple(updated)
+        assert len(out.table) == len(set(updated))
+        return out
+
+    @pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1, 2)])
+    @pytest.mark.parametrize(
+        "ladder, j, typecode",
+        [
+            # 512 parent types: ids past one byte, in 16-bit and 32-bit arrays
+            (PrimeLadder((2, 3), (9, 1), (1, 2**9, 3 * 2**9)), 2, "H"),
+            (PrimeLadder((2, 3), (9, 1), (1, 2**9, 3 * 2**9)), 2, "I"),
+            # 256 lifts: the counts are a list, not byte lanes
+            (PrimeLadder((3, 2), (1, 8), (1, 3, 3 * 2**8)), 2, ""),
+        ],
+        ids=["types-512-H", "types-512-I", "lifts-256"],
+    )
+    def test_many_types_match_reference(self, ladder, j, typecode, delta):
+        out = self._level(ladder, j, delta, typecode)
+        assert out.ids.itemsize == 2
+
+    def test_ids_widen_past_65536_types(self):
+        # 3^10 = 59049 parent types; at delta = 1/3 each half-hit fiber, about
+        # half of them, splits its mass m into 3m/4 off and m/4 on: 72813 types
+        ladder = PrimeLadder((3, 2), (10, 1), (1, 3**10, 2 * 3**10))
+        out = self._level(ladder, 2, F(1, 3))
+        assert len(out.table) > 1 << 16
+        assert out.ids.typecode == "I"
 
 
 class TestShapeMismatch:
@@ -229,24 +295,24 @@ class TestShapeMismatch:
         [
             # hit_fractions: measure modulus is not Q_(j-1)
             lambda: hit_fractions(
-                FiberMeasure(1, 2, (F(1, 2), F(1, 2))),
+                measure_of(1, (F(1, 2), F(1, 2))),
                 level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 1),
                 ladder_of(6),
                 1,
             ),
-            # moments: one hit fraction per parent residue
-            lambda: moments(uniform_measure(), (F(0), F(0))),
+            # moments: one hit count per parent residue
+            lambda: moments(uniform_measure(), bytes(2), 2),
             # step_measure: level set modulus is not a multiple of the parent's
             lambda: step_measure(
-                FiberMeasure(1, 2, (F(1, 2), F(1, 2))), (F(0), F(0)), F(0), LevelSet(2, 3, bytes(3))
+                measure_of(1, (F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(2, 3, bytes(3))
             ),
-            # step_measure: one hit fraction per parent residue
+            # step_measure: one hit count per parent residue
             lambda: step_measure(
-                uniform_measure(), (F(0), F(0)), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
+                uniform_measure(), bytes(2), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
             ),
             # ap_mass_bound_check: measure modulus is not Q_level
             lambda: ap_mass_bound_check(
-                FiberMeasure(1, 3, (F(1, 3),) * 3), as_schedule([0, 0]), ladder_of(6)
+                measure_of(1, (F(1, 3),) * 3), as_schedule([0, 0]), ladder_of(6)
             ),
         ],
         ids=["hit-fractions-modulus", "moments-length", "step-modulus", "step-length",
@@ -261,34 +327,26 @@ class TestStepMeasure:
     def test_half_delta_pushes_everything_off(self):
         system = sys_of([(0, 2)])
         ladder = ladder_of(2)
-        out = step_measure(
-            uniform_measure(), (F(1, 2),), F(1, 2), level_set(system, ladder, 1)
-        )
-        assert out.masses == (F(0), F(1))
+        out = step_measure(uniform_measure(), b"\x01", F(1, 2), level_set(system, ladder, 1))
+        assert masses_of(out) == (F(0), F(1))
 
     def test_zero_delta_refines_uniformly(self):
         system = sys_of([(0, 2)])
         ladder = ladder_of(2)
-        out = step_measure(
-            uniform_measure(), (F(1, 2),), F(0), level_set(system, ladder, 1)
-        )
-        assert out.masses == (F(1, 2), F(1, 2))
+        out = step_measure(uniform_measure(), b"\x01", F(0), level_set(system, ladder, 1))
+        assert masses_of(out) == (F(1, 2), F(1, 2))
 
     def test_kill_branch(self):
         system = sys_of([(0, 4)])
         ladder = ladder_of(4)
-        out = step_measure(
-            uniform_measure(), (F(1, 4),), F(1, 2), level_set(system, ladder, 1)
-        )
-        assert out.masses == (F(0), F(1, 3), F(1, 3), F(1, 3))
+        out = step_measure(uniform_measure(), b"\x01", F(1, 2), level_set(system, ladder, 1))
+        assert masses_of(out) == (F(0), F(1, 3), F(1, 3), F(1, 3))
 
     def test_full_fiber_keeps_mass(self):
         system = sys_of([(0, 2), (1, 2)])
         ladder = ladder_of(2)
-        out = step_measure(
-            uniform_measure(), (F(1),), F(1, 4), level_set(system, ladder, 1)
-        )
-        assert out.masses == (F(1, 2), F(1, 2))
+        out = step_measure(uniform_measure(), b"\x02", F(1, 4), level_set(system, ladder, 1))
+        assert masses_of(out) == (F(1, 2), F(1, 2))
 
     def test_delta_out_of_range(self):
         system = sys_of([(0, 2)])
@@ -296,26 +354,37 @@ class TestStepMeasure:
         bset = level_set(system, ladder, 1)
         for bad in (F(-1, 10), F(3, 5), F(1)):
             with pytest.raises(DomainError):
-                step_measure(uniform_measure(), (F(1, 2),), bad, bset)
+                step_measure(uniform_measure(), b"\x01", bad, bset)
+
+    @pytest.mark.parametrize(
+        "parent", [(F(1, 4), F(1, 4)), (F(3, 2), F(-1, 2))], ids=["total-half", "negative"]
+    )
+    def test_result_must_be_a_probability_measure(self, parent):
+        # every fiber keeps its mass: a parent of total 1/2 leaves total 1/2,
+        # one with a negative mass leaves negative masses
+        bset = LevelSet(2, 4, b"\x01\x00\x00\x01")
+        with pytest.raises(InternalConsistencyError, match="not a probability measure"):
+            step_measure(measure_of(1, parent), b"\x01\x01", F(1, 4), bset)
 
     def test_member_over_zero_fraction_fiber(self):
         bset = LevelSet(1, 2, b"\x00\x01")
         with pytest.raises(InternalConsistencyError):
-            step_measure(uniform_measure(), (F(0),), F(0), bset)
+            step_measure(uniform_measure(), b"\x00", F(0), bset)
 
     @given(pipeline_cases())
     def test_mass_conserved_and_nonnegative(self, case):
         pairs, deltas = case
         for record in run_levels(sys_of(pairs), deltas):
-            assert sum(record.measure.masses) == 1
-            assert all(m >= 0 for m in record.measure.masses)
+            masses = masses_of(record.measure)
+            assert sum(masses) == 1
+            assert all(m >= 0 for m in masses)
 
     @given(pipeline_cases())
     def test_pushforward_identity(self, case):
         pairs, deltas = case
         prev = uniform_measure()
         for record in run_levels(sys_of(pairs), deltas):
-            assert fiber_sums(record.measure.masses, prev.modulus) == prev.masses
+            assert fiber_sums(masses_of(record.measure), prev.modulus) == masses_of(prev)
             prev = record.measure
 
     @given(pipeline_cases())
@@ -324,12 +393,13 @@ class TestStepMeasure:
         prev = uniform_measure()
         for record in run_levels(sys_of(pairs), deltas):
             qj = record.measure.modulus
+            lifts = qj // prev.modulus
             mask = record.level_set.mask
-            for y, alpha in enumerate(record.fractions):
-                if alpha < record.delta:
+            for y, count in enumerate(record.counts):
+                if F(count, lifts) < record.delta:
                     for z in range(y, qj, prev.modulus):
                         if mask[z]:
-                            assert record.measure.masses[z] == 0
+                            assert record.measure.mass(z) == 0
             prev = record.measure
 
 
@@ -368,18 +438,22 @@ class TestFinalMeasureOnDemand:
         assert final.modulus == sys_of(pairs).lcm_modulus
         assert calls == list(range(len(deltas)))
 
-    def test_certify_checks_the_last_level(self, monkeypatch):
-        # zero the fraction of a fiber that holds a member, at the last level
-        real = distortion.hit_fractions
+    def test_measure_checks_the_mass_left_on_the_level_set(self):
+        # delta 1/4: the one fiber, half hit, leaves 1/3 on B_1, equal to its
+        # second-moment term; at delta 0 it leaves exactly M1 = 1/2
+        system = sys_of([(0, 2), (0, 3)])
+        record = next(run_levels(system, [F(1, 4), 0]))
+        assert (record.term, record.measure.level_mass) == (F(1, 3), F(1, 3))
+        assert replace(record, term=F(1, 2)).measure.level_mass == F(1, 3)
+        with pytest.raises(InternalConsistencyError, match="leaves mass 1/3"):
+            replace(record, term=F(1, 4)).measure
+        record = next(run_levels(system, [0, 0]))
+        assert (record.term, record.measure.level_mass) == (F(1, 2), F(1, 2))
+        with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
+            replace(record, term=F(3, 4)).measure
 
-        def zeroed(prev, bset, ladder, j):
-            fractions = real(prev, bset, ladder, j)
-            if j < ladder.depth:
-                return fractions
-            y = next(y for y, a in enumerate(fractions) if a)
-            return fractions[:y] + (F(0),) + fractions[y + 1 :]
-
-        monkeypatch.setattr(distortion, "hit_fractions", zeroed)
+    @pytest.mark.usefixtures("zeroed_last_hit")
+    def test_certify_checks_the_last_level(self):
         with pytest.raises(InternalConsistencyError):
             certify(sys_of([(0, 2), (0, 3)]), [0, 0])
         # with delta > 0 the fiber is emptied, which is well defined
@@ -390,23 +464,26 @@ class TestMoments:
     def test_single_class(self):
         system = sys_of([(0, 2)])
         ladder = ladder_of(2)
-        alpha = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
-        assert moments(uniform_measure(), alpha) == (F(1, 2), F(1, 4))
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        assert moments(uniform_measure(), counts, 2) == (F(1, 2), F(1, 4))
 
     def test_second_level(self):
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
-        prev = step_measure(
-            uniform_measure(), (F(1, 2),), F(0), level_set(system, ladder, 1)
-        )
-        alpha = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
-        assert moments(prev, alpha) == (F(1, 3), F(1, 9))
+        prev = step_measure(uniform_measure(), b"\x01", F(0), level_set(system, ladder, 1))
+        counts = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
+        assert moments(prev, counts, 3) == (F(1, 3), F(1, 9))
 
     def test_empty_level(self):
         system = sys_of([(0, 6)])
         ladder = ladder_of(6)
-        alpha = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
-        assert moments(uniform_measure(), alpha) == (F(0), F(0))
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        assert moments(uniform_measure(), counts, 2) == (F(0), F(0))
+
+    def test_repeated_table_masses(self):
+        # two types may hold equal masses; each fiber's mass counts once
+        prev = FiberMeasure(1, 2, (F(1, 2), F(1, 2)), array("H", [0, 1]))
+        assert moments(prev, b"\x01\x01", 3) == (F(1, 3), F(1, 9))
 
     @given(pipeline_cases())
     def test_moment_ordering(self, case):
@@ -523,7 +600,7 @@ class TestCertify:
             (
                 # sigma(6) = 12 (residue, divisor) pairs
                 lambda: ap_mass_bound_check(
-                    FiberMeasure(2, 6, (F(1, 6),) * 6), [0, 0], ladder_of(6),
+                    measure_of(2, (F(1, 6),) * 6), [0, 0], ladder_of(6),
                     limits=Limits(divisors=11),
                 ),
                 "progression check needs 12 (residue, divisor) pairs, over the limit 11", 12, 11,
@@ -561,12 +638,13 @@ class TestCertify:
         assert len(records) == len(expected_records)
         for got, want in zip(records, expected_records):
             assert got.prime == want["prime"]
-            assert got.fractions == want["alpha"]
+            lifts = got.level_set.modulus // got.parent.modulus
+            assert tuple(F(c, lifts) for c in got.counts) == want["alpha"]
             assert got.m1 == want["m1"]
             assert got.m2 == want["m2"]
             assert got.term == want["term"]
             assert got.branch == want["branch"]
-            assert got.measure.masses == fiber_sums(want["masses"], got.measure.modulus)
+            assert masses_of(got.measure) == fiber_sums(want["masses"], got.measure.modulus)
         cert = certify(system, deltas)
         assert cert.eta == expected_eta
         assert cert.verdict == (NOT_COVERING if expected_eta < 1 else INCONCLUSIVE)
@@ -597,7 +675,7 @@ class TestCertify:
         for record in records:
             mask = record.level_set.mask
             qj = len(mask)
-            on = sum((final.masses[z] for z in range(q) if mask[z % qj]), F(0))
+            on = sum((final.mass(z) for z in range(q) if mask[z % qj]), F(0))
             assert on <= record.term
             if record.delta == 0:
                 assert on == record.term
@@ -613,7 +691,7 @@ class TestCertify:
         zero = [0] * ladder.depth
         records = list(run_levels(system, zero))
         q = system.lcm_modulus
-        assert records[-1].measure.masses == (F(1, q),) * q
+        assert masses_of(records[-1].measure) == (F(1, q),) * q
         expected_eta = sum(
             F(len(r.level_set.members), r.level_set.modulus) for r in records
         )
@@ -631,7 +709,7 @@ class TestApMassBound:
         ladder = ladder_of(2)
         schedule = as_schedule([F(1, 2)])
         record = next(iter(run_levels(system, schedule)))
-        assert record.measure.masses == (F(0), F(1))
+        assert masses_of(record.measure) == (F(0), F(1))
         assert ap_mass_bound_check(record.measure, schedule, ladder) == []
 
     def test_pipeline_levels_clean(self):
@@ -644,9 +722,7 @@ class TestApMassBound:
     def test_tampered_measure_detected(self):
         ladder = ladder_of(6)
         schedule = as_schedule([0, 0])
-        bad = FiberMeasure(
-            2, 6, (F(1, 3), F(1, 3), F(0), F(1, 3), F(0), F(0))
-        )
+        bad = measure_of(2, (F(1, 3), F(1, 3), F(0), F(1, 3), F(0), F(0)))
         violations = ap_mass_bound_check(bad, schedule, ladder)
         assert [(v.modulus, v.residue, v.mass, v.bound) for v in violations] == [
             (2, 1, F(2, 3), F(1, 2)),
@@ -666,7 +742,7 @@ class TestApMassBound:
 
     def test_short_schedule_rejected(self):
         ladder = ladder_of(6)
-        measure = FiberMeasure(1, 2, (F(1, 2), F(1, 2)))
+        measure = measure_of(1, (F(1, 2), F(1, 2)))
         with pytest.raises(DomainError):
             ap_mass_bound_check(measure, as_schedule([]), ladder)
 
