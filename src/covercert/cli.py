@@ -152,7 +152,7 @@ def _cmd_verify(args, cfg: RunConfig) -> str:
     system = _load_system(args)
     method = args.method
     if method == "auto":
-        method = "oracle" if system.lcm_modulus <= 2 ** len(system.classes) else "interval"
+        method = "oracle" if system.lcm_modulus <= 2 ** len(system) else "interval"
     if method == "oracle":
         report = covers_oracle(system, limits=cfg.limits)
         witness = "none" if report.witness is None else str(report.witness)
@@ -233,19 +233,42 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+# longest stretch of a flag value quoted in an error line
+_QUOTE_LIMIT = 80
+
+
+def _quote(value: str) -> str:
+    """repr of value, cut after _QUOTE_LIMIT characters and marked with an ellipsis."""
+    if len(value) <= _QUOTE_LIMIT:
+        return repr(value)
+    return repr(value[:_QUOTE_LIMIT]) + "…"
+
+
+def _fraction_reason(exc: Exception, value: str) -> str:
+    """Why _fraction(value) raised exc, in words of bounded length."""
+    if isinstance(exc, ZeroDivisionError):
+        return "zero denominator"
+    # Fraction's own message repeats the whole value
+    return "not a fraction" if repr(value) in str(exc) else str(exc)
+
+
 def _parse_deltas(raw: str) -> list[Fraction]:
     parts = [piece.strip() for piece in raw.split(",")] if raw.strip() else []
-    try:
-        return [_fraction(piece) for piece in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad delta list {raw!r}: {exc}") from exc
+    deltas = []
+    for entry, piece in enumerate(parts, 1):
+        try:
+            deltas.append(_fraction(piece))
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = _fraction_reason(exc, piece)
+            raise _UsageError(f"bad delta list {_quote(raw)}: entry {entry}: {reason}") from exc
+    return deltas
 
 
 def _parse_fraction(raw: str, what: str) -> Fraction:
     try:
         return _fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad {what} {raw!r}: {exc}") from exc
+        raise _UsageError(f"bad {what} {_quote(raw)}: {_fraction_reason(exc, raw)}") from exc
 
 
 def _cmd_certify(args, cfg: RunConfig) -> str:
@@ -307,6 +330,15 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
     digits = args.precision
     if digits < 1:
         raise _UsageError(f"--precision must be positive, got {digits}")
+    # the digit limit parse_system and _fraction apply also bounds the decimal work
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ResourceLimitError(
+            f"--precision {digits} is over Python's int/str digit limit {limit}"
+            " (PYTHONINTMAXSTRDIGITS)",
+            required=digits,
+            limit=limit,
+        )
     constant = _parse_fraction(args.c, "constant")
     working = digits + 10
     payload: dict = {"c": args.c, "precision": digits}
@@ -387,8 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser last built, under the COVERCERT_* environment it read its defaults from
+_parser_cache: tuple[tuple, argparse.ArgumentParser] | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built again only when the COVERCERT_* environment changes."""
+    global _parser_cache
+    environ = os.environ
+    key = tuple(sorted((name, environ[name]) for name in environ if name.startswith("COVERCERT_")))
+    if _parser_cache is None or _parser_cache[0] != key:
+        _parser_cache = (key, build_parser())
+    return _parser_cache[1]
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

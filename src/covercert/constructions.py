@@ -10,6 +10,8 @@ with blocks of shifted copies.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .core import (
     DEFAULT_LIMITS,
     CongruenceSystem,
@@ -69,7 +71,7 @@ def shift_expand(
     precondition is checked and its failure raises DomainError; for larger
     systems the precondition is trusted as asserted by the caller.
     """
-    n = len(sys.classes)
+    n = len(sys)
     if not 1 <= ell <= n:
         raise DomainError(f"shift level must satisfy 1 <= ell <= {n}, got {ell}")
     if sys.lcm_modulus <= limits.residue_space:
@@ -78,7 +80,9 @@ def shift_expand(
             raise DomainError("shift expansion needs a minimal covering system")
     source = sys.sorted_by_modulus()
     width = 2 ** (ell - 1)
-    out: list[ResidueClass] = []
-    for c in source.classes[ell - 1 :]:
-        out.extend(ResidueClass(c.residue - h, c.modulus) for h in range(width))
-    return CongruenceSystem(tuple(out))
+    residues: list[int] = []
+    moduli: list[int] = []
+    for r, d in zip(source.residues[ell - 1 :], source.moduli[ell - 1 :]):
+        residues.extend(range(r, r - width, -1))
+        moduli.extend(repeat(d, width))
+    return CongruenceSystem._from_columns(residues, moduli)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mod
 
 
 class CovercertError(Exception):
@@ -113,9 +114,6 @@ class ResidueClass:
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.modulus, self.residue)
-
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus}"
 
@@ -186,32 +184,69 @@ def factorize(m: int) -> Factorization:
 # congruence systems
 
 
-@dataclass(frozen=True)
 class CongruenceSystem:
     """An ordered multiset of residue classes.
 
     Duplicate classes are preserved: multiplicity counts are taken over the
     multiset, and deduplication is a separate, explicit operation.
+
+    The classes are stored as two int columns of equal length, residues
+    (reduced, 0 <= r < d) and moduli, so that scans and transforms run over
+    the columns without a Python object per class.  The ResidueClass
+    objects are built only when .classes is read.
     """
 
-    classes: tuple[ResidueClass, ...]
+    def __init__(self, classes=()):
+        classes = tuple(classes)
+        self.__dict__.update(
+            residues=tuple(c.residue for c in classes),
+            moduli=tuple(c.modulus for c in classes),
+            classes=classes,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
+    @classmethod
+    def _from_columns(cls, residues, moduli) -> "CongruenceSystem":
+        """A system from a column of residues and a column of moduli >= 1."""
+        moduli = tuple(moduli)
+        system = cls.__new__(cls)
+        system.__dict__.update(residues=tuple(map(mod, residues, moduli)), moduli=moduli)
+        return system
 
     @classmethod
     def from_pairs(cls, pairs) -> "CongruenceSystem":
-        return cls(tuple(ResidueClass(r, d) for r, d in pairs))
+        residues, moduli = _columns(pairs)
+        if moduli and min(moduli) < 1:  # the first one, as ResidueClass would report it
+            bad = next(d for d in moduli if d < 1)
+            raise InvalidModulusError(f"modulus must be >= 1, got {bad}")
+        return cls._from_columns(residues, moduli)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CongruenceSystem is immutable, cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.moduli)
 
     def __iter__(self):
         return iter(self.classes)
 
+    def __eq__(self, other):
+        if not isinstance(other, CongruenceSystem):
+            return NotImplemented
+        return self.moduli == other.moduli and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash((self.residues, self.moduli))
+
+    def __repr__(self) -> str:
+        return f"CongruenceSystem(classes={self.classes!r})"
+
+    @cached_property
+    def classes(self) -> tuple[ResidueClass, ...]:
+        return tuple(map(ResidueClass, self.residues, self.moduli))
+
     @cached_property
     def lcm_modulus(self) -> int:
-        return lcm(*{c.modulus for c in self.classes})
+        return lcm(*set(self.moduli))
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -219,32 +254,40 @@ class CongruenceSystem:
 
     @cached_property
     def modulus_counts(self) -> Counter:
-        return Counter(c.modulus for c in self.classes)
+        return Counter(self.moduli)
 
     def sorted_by_modulus(self) -> "CongruenceSystem":
-        return CongruenceSystem(tuple(sorted(self.classes, key=ResidueClass.sort_key)))
+        """The classes sorted by (modulus, residue)."""
+        moduli, residues = _columns(sorted(zip(self.moduli, self.residues)))
+        return CongruenceSystem._from_columns(residues, moduli)
 
     def without(self, index: int) -> "CongruenceSystem":
-        return CongruenceSystem(self.classes[:index] + self.classes[index + 1 :])
+        r, d = self.residues, self.moduli
+        return CongruenceSystem._from_columns(
+            r[:index] + r[index + 1 :], d[:index] + d[index + 1 :]
+        )
+
+
+def _columns(pairs) -> tuple[tuple, tuple]:
+    """Split (a, b) pairs into the column of the a and the column of the b."""
+    pairs = tuple(pairs)
+    if not pairs:
+        return (), ()
+    first, second = zip(*pairs)
+    return first, second
 
 
 def multiplicity(sys: CongruenceSystem) -> int:
     """Largest number of classes sharing one modulus, duplicates included."""
-    if not sys.classes:
+    if not sys.moduli:
         raise DomainError("multiplicity of the empty system is undefined")
     return max(sys.modulus_counts.values())
 
 
 def deduplicated(sys: CongruenceSystem) -> CongruenceSystem:
     """Remove repeated (residue, modulus) pairs, keeping first occurrences."""
-    seen = set()
-    kept = []
-    for c in sys.classes:
-        key = (c.residue, c.modulus)
-        if key not in seen:
-            seen.add(key)
-            kept.append(c)
-    return CongruenceSystem(tuple(kept))
+    residues, moduli = _columns(dict.fromkeys(zip(sys.residues, sys.moduli)))
+    return CongruenceSystem._from_columns(residues, moduli)
 
 
 @dataclass(frozen=True)
@@ -257,18 +300,29 @@ class CoverageReport:
 
 
 def _hit_mask(size: int, progressions) -> bytearray:
-    """Byte mask of length size with 1 at start, start + d, ... for each (start, d).
+    """Byte mask of length size, 1 at start, start + d, ... for each (start, d).
 
-    Progressions of one length share one fill: one per modulus, not per class.
+    Each start is below its d.  While each d divides size, the mask is built
+    over Z/period, period the lcm of the d so far, and repeated whenever the
+    period grows: a class costs period/d writes, not size/d, and one fill
+    per modulus serves every class of that modulus.  A d that does not
+    divide size, as in the interval check, is written over the whole length.
     """
-    hit = bytearray(size)
-    fills = {}
+    hit, period, fills = bytearray(1), 1, {}
     for start, d in progressions:
-        n = len(range(start, size, d))
-        fill = fills.get(n)
+        fill = fills.get(d)
         if fill is None:
-            fill = fills[n] = b"\x01" * n
+            grown = lcm(period, d) if size % d == 0 else size
+            if grown != period:
+                hit *= grown // period
+                period = grown
+                fills.clear()
+            if size % d:  # the fill's length depends on start
+                hit[start::d] = b"\x01" * len(range(start, size, d))
+                continue
+            fill = fills[d] = b"\x01" * (period // d)
         hit[start::d] = fill
+    hit *= size // period
     return hit
 
 
@@ -280,7 +334,7 @@ def covers_oracle(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -> 
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "coverage oracle")
-    hit = _hit_mask(q, ((c.residue, c.modulus) for c in sys.classes))
+    hit = _hit_mask(q, zip(sys.residues, sys.moduli))
     uncovered = hit.count(0)
     if uncovered == 0:
         return CoverageReport(True, None, 0)
@@ -293,11 +347,11 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
     For n arithmetic progressions this interval check is equivalent to
     coverage of all of Z.
     """
-    n = len(sys.classes)
+    n = len(sys)
     size = 2**n
     limits.require("interval", size, f"interval check needs {size} integers")
     # index i stands for the integer i + 1, so r mod d starts at (r - 1) mod d
-    hit = _hit_mask(size, (((c.residue - 1) % c.modulus, c.modulus) for c in sys.classes))
+    hit = _hit_mask(size, (((r - 1) % d, d) for r, d in zip(sys.residues, sys.moduli)))
     return 0 not in hit
 
 
@@ -316,15 +370,19 @@ def is_minimal(
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "minimality check")
-    # per residue, how many classes hit it, saturating at 2
-    counts = bytearray(q)
-    for c in sys.classes:
-        counts[c.residue :: c.modulus] = counts[c.residue :: c.modulus].translate(_BUMP)
-    if not sys.classes or 0 in counts:
+    # per residue, how many classes hit it, saturating at 2; built over
+    # Z/period and repeated as the period grows to Q, as in _hit_mask
+    counts, period = bytearray(1), 1
+    classes = list(zip(sys.residues, sys.moduli))
+    for r, d in classes:
+        if period % d:
+            grown = lcm(period, d)
+            counts *= grown // period
+            period = grown
+        counts[r::d] = counts[r::d].translate(_BUMP)
+    if not classes or 0 in counts:
         raise DomainError("minimality is only defined for covering systems")
-    redundant = [
-        i for i, c in enumerate(sys.classes) if 1 not in counts[c.residue :: c.modulus]
-    ]
+    redundant = [i for i, (r, d) in enumerate(classes) if 1 not in counts[r::d]]
     return (not redundant, redundant)
 
 
@@ -338,6 +396,14 @@ def density_uncovered(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS)
 # text and JSON formats
 
 _LINE_RE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
+# one line of plain line-format text and its end: "R mod D" in ASCII digits,
+# or blank, with spaces and tabs only, ended by "\n" or the end of the text.
+# Plain text is checked line by line, by the first line's match and a search
+# for a later line that fails; one fullmatch over all lines would keep
+# backtracking state for each line, about 0.8 kB
+_PLAIN_LINE = r"[ \t]*(?:-?[0-9]+[ \t]+mod[ \t]+[0-9]+[ \t]*)?(?:\n|\Z)"
+_PLAIN_FIRST_LINE = re.compile(_PLAIN_LINE)
+_NOT_PLAIN_LATER_LINE = re.compile(rf"\n(?!{_PLAIN_LINE})")
 _TOO_LONG = "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
 
 
@@ -352,8 +418,24 @@ def parse_system(text: str) -> CongruenceSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_system(text)
+    if _PLAIN_FIRST_LINE.match(text) and not _NOT_PLAIN_LATER_LINE.search(text):
+        # every line holds three tokens or none, so the columns are strided
+        tokens = text.split()
+        try:
+            residues = tuple(map(int, tokens[0::3]))
+            moduli = tuple(map(int, tokens[2::3]))
+        except ValueError:  # a number past the digit limit: the line loop names its line
+            pass
+        else:
+            if not moduli or min(moduli) >= 1:
+                return CongruenceSystem._from_columns(residues, moduli)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> CongruenceSystem:
+    """The line format, line by line: any text, and the error names its line."""
     match = _LINE_RE.match
-    classes = []
+    residues, moduli = [], []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         m = match(line)
@@ -368,8 +450,9 @@ def parse_system(text: str) -> CongruenceSystem:
             raise ParseError(f"line {lineno}: {_TOO_LONG}", line=lineno) from exc
         if d < 1:
             raise ParseError(f"line {lineno}: invalid modulus {d}", line=lineno)
-        classes.append(ResidueClass(r, d))
-    return CongruenceSystem(tuple(classes))
+        residues.append(r)
+        moduli.append(d)
+    return CongruenceSystem._from_columns(residues, moduli)
 
 
 def _parse_json_system(text: str) -> CongruenceSystem:
@@ -379,7 +462,7 @@ def _parse_json_system(text: str) -> CongruenceSystem:
         raise ParseError(f"invalid JSON system: {exc}") from exc
     if not isinstance(data, dict) or "classes" not in data:
         raise ParseError('JSON system must be an object with a "classes" array')
-    classes = []
+    residues, moduli = [], []
     for i, entry in enumerate(data["classes"]):
         if not isinstance(entry, dict) or "r" not in entry or "d" not in entry:
             raise ParseError(f'class {i}: expected an object with keys "r" and "d"')
@@ -388,8 +471,9 @@ def _parse_json_system(text: str) -> CongruenceSystem:
             raise ParseError(f"class {i}: residue and modulus must be integers")
         if d < 1:
             raise ParseError(f"class {i}: invalid modulus {d}")
-        classes.append(ResidueClass(r, d))
-    return CongruenceSystem(tuple(classes))
+        residues.append(r)
+        moduli.append(d)
+    return CongruenceSystem._from_columns(residues, moduli)
 
 
 def _require_printable(sys: CongruenceSystem) -> None:
@@ -398,9 +482,9 @@ def _require_printable(sys: CongruenceSystem) -> None:
     Residues are below their moduli, so converting the largest modulus first
     makes an oversized system fail before any output is built.
     """
-    if sys.classes:
+    if sys.moduli:
         try:
-            str(max(c.modulus for c in sys.classes))
+            str(max(sys.moduli))
         except ValueError as exc:
             raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
 
@@ -408,11 +492,18 @@ def _require_printable(sys: CongruenceSystem) -> None:
 def emit_system(sys: CongruenceSystem) -> str:
     """Render a system in the line format, one "R mod D" per line."""
     _require_printable(sys)
-    return "".join(f"{c.residue} mod {c.modulus}\n" for c in sys.classes)
+    return "".join(map("{} mod {}\n".format, sys.residues, sys.moduli))
 
 
 def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:
     """Render a system in the JSON format, indented as json.dumps does."""
     _require_printable(sys)
-    classes = [{"r": c.residue, "d": c.modulus} for c in sys.classes]
-    return json.dumps({"classes": classes}, indent=indent)
+    if indent is None or set(map(type, sys.moduli)) != {int}:
+        classes = [{"r": r, "d": d} for r, d in zip(sys.residues, sys.moduli)]
+        return json.dumps({"classes": classes}, indent=indent)
+    # json.dumps's indented layout without its pure-Python encoder; str(d) is
+    # its JSON text for an int, which a bool (JSON true) is not
+    pad = " " * indent
+    item = f'{pad * 2}{{{{\n{pad * 3}"r": {{}},\n{pad * 3}"d": {{}}\n{pad * 2}}}}}'
+    body = ",\n".join(map(item.format, sys.residues, sys.moduli))
+    return f'{{\n{pad}"classes": [\n{body}\n{pad}]\n}}'

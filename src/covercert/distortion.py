@@ -162,7 +162,7 @@ class LevelSet:
 
 
 def _reject_modulus_one(sys: CongruenceSystem) -> None:
-    if any(c.modulus == 1 for c in sys.classes):
+    if 1 in sys.moduli:
         raise DomainError("distortion requires every modulus to be at least 2")
 
 
@@ -185,12 +185,11 @@ def level_set(
     limits.require_residue_space(qj, f"level set at level {j}")
     q, qprev = ladder.partials[-1], ladder.partials[j - 1]
     progressions = []
-    for c in sys.classes:
-        d = c.modulus
+    for r, d in zip(sys.residues, sys.moduli):
         if q % d != 0:
             raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
         if qj % d == 0 and qprev % d != 0:
-            progressions.append((c.residue, d))
+            progressions.append((r, d))
     return LevelSet(j, qj, bytes(_hit_mask(qj, progressions)))
 
 
@@ -479,7 +478,7 @@ def system_default_schedule(
     The empty system takes the empty schedule.  A modulus 1 and a Q over the
     residue-space limit are rejected before Q is factored.
     """
-    if not sys.classes:
+    if not sys.moduli:
         return DeltaSchedule(())
     _reject_modulus_one(sys)
     # Q is checked before it is factored: trial division of a huge Q hangs

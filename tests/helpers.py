@@ -8,6 +8,7 @@ only package types used are plain (residue, modulus) pairs and delta lists.
 from __future__ import annotations
 
 import contextlib
+import re
 import signal
 import sys
 from collections import Counter
@@ -245,6 +246,37 @@ def reference_parse_lines(text: str) -> list[tuple[int, int]] | int:
     return pairs
 
 
+_REFERENCE_LINE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
+_REFERENCE_TOO_LONG = (
+    "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
+)
+
+
+def reference_parse_system(text: str) -> list[tuple[int, int]] | tuple[str, int]:
+    """(residue mod d, d) pairs of a line-format system, or the (message, line)
+    of the ParseError it raises.
+
+    This is the parser's line loop before the columnar fast path: lines from
+    str.splitlines, each stripped and matched by one regex.
+    """
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        m = _REFERENCE_LINE.match(line)
+        if m is None:
+            if not line or line[0] == "#":
+                continue
+            return (f"line {lineno}: expected 'R mod D', got {line!r}", lineno)
+        try:
+            r, d = int(m.group(1)), int(m.group(2))
+        except ValueError:
+            return (f"line {lineno}: {_REFERENCE_TOO_LONG}", lineno)
+        if d < 1:
+            return (f"line {lineno}: invalid modulus {d}", lineno)
+        pairs.append((r % d, d))
+    return pairs
+
+
 def mpmath_jth_modulus_bound(j: int, c, dps: int):
     """exp(c j^2 / log(j+1)) in binary floating point with mpmath at dps digits.
 
@@ -328,6 +360,42 @@ def system_text(draw, max_lines: int = 8):
     breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
     text = "".join(line + draw(breaks) for line in lines)
     return text if draw(st.booleans()) else text.rstrip("".join(_LINE_BREAKS))
+
+
+# lines the columnar fast path leaves to the line loop, or that the line
+# loop rejects: Unicode digits and spaces, unreduced or invalid moduli, a
+# number past the default int/str digit limit (4301 digits), malformed text
+_ODD_LINES = (
+    "# 1 mod 2", "#", "", " \t ", "1 mod 0", "-3 mod -4", "0 mod -0",
+    "\u0661\u0662 mod \u0667", "2\xa0mod 3", "\xa05 mod 6\xa0", "4 mod\u20035",
+    "0 mod 1" + "0" * 4300, "1" + "0" * 4300 + " mod 7", "x mod 3", "1 mod", "1 mod 2 3",
+    "+1 mod 2", "1 MOD 2", "1\x1fmod 2", "1 mod 2 # note",
+)
+
+
+@st.composite
+def line_format_text(draw, max_lines: int = 8):
+    r"""Line-format text, mostly plain ("\n" breaks, ASCII digits, spaces and tabs).
+
+    The rest mixes in comments, blank lines, "\r\n", "\x0b" and "\x1c"
+    breaks, Arabic-Indic digits, no-break and em spaces, negative or unreduced
+    residues, modulus 0 and numbers past the digit limit.
+    """
+    pad = st.sampled_from(["", " ", "\t", " \t"])
+    space = st.sampled_from([" ", "\t", " \t "])
+    plain = st.builds(
+        lambda a, r, s1, s2, d, b: f"{a}{r}{s1}mod{s2}{d}{b}",
+        pad, st.integers(-10**6, 10**6), space, space, st.integers(0, 10**4), pad,
+    )
+    if draw(st.booleans()):  # text the fast path takes, unless a modulus is 0
+        lines = st.one_of(plain, plain, plain, st.sampled_from(["", " \t "]))
+        breaks = st.just("\n")
+    else:
+        lines = st.one_of(plain, st.sampled_from(_ODD_LINES))
+        breaks = st.sampled_from(["\n"] * 4 + ["\r\n", "\x0b", "\x1c", "\r"])
+    lines = draw(st.lists(lines, max_size=max_lines))
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
 
 
 _DELTA_POOL = (

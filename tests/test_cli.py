@@ -10,7 +10,7 @@ import jsonschema
 import mpmath
 import pytest
 
-from covercert import Limits
+from covercert import Limits, cli
 from covercert.cli import RunConfig, _significant, build_parser, main
 
 from helpers import (
@@ -511,6 +511,25 @@ class TestBounds:
         assert code == 1
         assert "--precision must be positive" in err
 
+    @needs_digit_limit
+    def test_precision_up_to_the_digit_limit(self, capsys):
+        # the smallest limit Python allows keeps the accepted run short
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            argv = ["bounds", "--j", "12", "--s", "100", "--c", "1/2", "--precision"]
+            code, out, err = run(capsys, *argv, "640")
+            assert (code, err) == (0, "") and "precision: 640" in out
+            with time_limit(5):
+                code, out, err = run(capsys, *argv, "641")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --precision 641 is over Python's int/str digit limit 640"
+            " (PYTHONINTMAXSTRDIGITS)\n"
+        )
+
 
 class TestEnvironmentMirroring:
     def test_format_from_env(self, capsys, monkeypatch):
@@ -539,6 +558,17 @@ class TestEnvironmentMirroring:
         assert code == 0
         assert out == "density_uncovered: 1/3\n"
 
+    def test_env_change_between_calls_is_honoured(self, capsys, monkeypatch):
+        # the parser is cached per COVERCERT_* environment, not per process
+        monkeypatch.delenv("COVERCERT_FORMAT", raising=False)
+        argv = ("multiplicity", "--system", "0 mod 2")
+        assert run(capsys, *argv) == (0, "multiplicity: 1\n", "")
+        monkeypatch.setenv("COVERCERT_FORMAT", "json")
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"multiplicity": 1})
+        monkeypatch.delenv("COVERCERT_FORMAT")
+        assert run(capsys, *argv) == (0, "multiplicity: 1\n", "")
+
     def test_env_limits(self, capsys, monkeypatch):
         monkeypatch.setenv("COVERCERT_LIMIT_RESIDUE_SPACE", "5")
         code, _, _ = run(
@@ -563,6 +593,48 @@ class TestUsageAndExitCodes:
     def test_subcommand_help_is_success(self, capsys):
         assert main(["certify", "--help"]) == 0
         capsys.readouterr()
+
+    def test_cached_parser_prints_what_a_fresh_parser_prints(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_parser_cache", None)
+        cases = (
+            ["--help"], ["certify", "--help"], [], ["frobnicate"], ["verify", "--method", "x"],
+            ["construct"], ["bounds", "--j", "x", "--c", "1"],
+        )
+        for argv in cases * 2:  # the first round builds the parser, the second reuses it
+            code = main(argv)
+            cached = capsys.readouterr()
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            fresh = capsys.readouterr()
+            assert (cached.out, cached.err) == (fresh.out, fresh.err)
+            assert code == (0 if exit_info.value.code == 0 else 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--deltas", "1/2," + "x" * 1_000_000, "--system", TWO_THREE],
+            ["certify", "--deltas", "7" * 1_000_000, "--system", TWO_THREE],
+            ["certify", "--deltas", "1/2,1/" + "0" * 4000, "--system", TWO_THREE],
+            ["certify", "--schedule-C", "z" * 1_000_000, "--system", TWO_THREE],
+            ["bounds", "--j", "5", "--c", "1/" + "0" * 4000],
+        ],
+        ids=["deltas-not-fraction", "deltas-digits", "deltas-zero", "schedule-C", "c-zero"],
+    )
+    def test_bad_fraction_error_line_is_bounded(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+        assert len(err) < 400
+
+    def test_bad_fraction_reasons(self, capsys):
+        code, _, err = run(capsys, "certify", "--deltas", "1/2,x", "--system", TWO_THREE)
+        assert (code, err) == (1, "error: bad delta list '1/2,x': entry 2: not a fraction\n")
+        code, _, err = run(capsys, "bounds", "--j", "5", "--c", "1/0")
+        assert (code, err) == (1, "error: bad constant '1/0': zero denominator\n")
+        long_value = "y" * 100
+        code, _, err = run(capsys, "bounds", "--j", "5", "--c", long_value)
+        assert err == f"error: bad constant {long_value[:80]!r}…: not a fraction\n"
 
     def test_limit_defaults_are_the_library_defaults(self, monkeypatch):
         for name in ("RESIDUE_SPACE", "INTERVAL", "DIVISORS"):

@@ -1,5 +1,6 @@
 """Residue-class algebra, coverage oracles, minimality, parsing."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from covercert import (
     parse_system,
     rational_str,
 )
-from covercert.core import DEFAULT_LIMITS
+from covercert.constructions import shift_expand
+from covercert.core import _TOO_LONG, DEFAULT_LIMITS
 
 from helpers import (
     DIGIT_LIMIT,
@@ -36,8 +38,10 @@ from helpers import (
     brute_factor,
     brute_lcm,
     brute_multiplicity,
+    line_format_text,
     needs_digit_limit,
     reference_parse_lines,
+    reference_parse_system,
     system_pairs,
     system_text,
 )
@@ -391,6 +395,33 @@ class TestParseEmit:
             got = parse_system(text)
             assert [(c.residue, c.modulus) for c in got.classes] == expected
 
+    @given(line_format_text())
+    @settings(max_examples=300)
+    def test_matches_line_loop_reference(self, text):
+        # the columnar fast path and the line loop give the same columns, or
+        # the same error message and line
+        expected = reference_parse_system(text)
+        if isinstance(expected, tuple):
+            with pytest.raises(ParseError) as err:
+                parse_system(text)
+            assert (str(err.value), err.value.line) == expected
+        else:
+            got = parse_system(text)
+            assert list(zip(got.residues, got.moduli)) == expected
+
+    def test_fast_path_falls_back_with_the_line_number(self):
+        cases = {
+            "1 mod 2\n3 mod 0\n": "line 2: invalid modulus 0",
+            "1 mod 2\n\n5 mod " + "9" * 4301: f"line 3: {_TOO_LONG}",
+            "1 mod 2\r\n3 mod -4": "line 2: invalid modulus -4",
+            "1 mod 2\x0b0 mod 3\x1cx mod 5": "line 3: expected 'R mod D', got 'x mod 5'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_system(text)
+            assert str(err.value) == message
+        assert parse_system("\u0661 mod \u0662\n-1\xa0mod 4") == sys_of([(1, 2), (3, 4)])
+
     @given(system_pairs())
     def test_text_roundtrip(self, pairs):
         system = sys_of(pairs)
@@ -400,6 +431,76 @@ class TestParseEmit:
     def test_emit_idempotent_after_normalization(self, pairs):
         text = emit_system(sys_of(pairs))
         assert emit_system(parse_system(text)) == text
+
+
+class TestColumns:
+    """The two int columns agree with the definitions over ResidueClass objects."""
+
+    @staticmethod
+    def objects(pairs) -> tuple:
+        return tuple(ResidueClass(r, d) for r, d in pairs)
+
+    @given(system_pairs())
+    def test_classes_and_columns(self, pairs):
+        system = sys_of(pairs)
+        assert system.classes == self.objects(pairs)
+        assert system.residues == tuple(r % d for r, d in pairs)
+        assert system.moduli == tuple(d for _, d in pairs)
+        assert list(system) == list(system.classes) and len(system) == len(pairs)
+        assert CongruenceSystem(self.objects(pairs)) == system
+
+    @given(system_pairs(max_classes=3), system_pairs(max_classes=3))
+    def test_equality_and_hash(self, a, b):
+        left, right = sys_of(a), sys_of(b)
+        assert (left == right) == (self.objects(a) == self.objects(b))
+        if left == right:
+            assert hash(left) == hash(right)
+        same = CongruenceSystem(self.objects(a))
+        assert same == left and hash(same) == hash(left) and len({same, left}) == 1
+
+    @given(system_pairs(), st.integers(-8, 8))
+    def test_without(self, pairs, index):
+        classes = self.objects(pairs)
+        assert sys_of(pairs).without(index).classes == classes[:index] + classes[index + 1 :]
+
+    @given(system_pairs())
+    def test_sorted_by_modulus_and_deduplicated(self, pairs):
+        classes = self.objects(pairs)
+        by_modulus = tuple(sorted(classes, key=lambda c: (c.modulus, c.residue)))
+        assert sys_of(pairs).sorted_by_modulus().classes == by_modulus
+        assert deduplicated(sys_of(pairs)).classes == tuple(dict.fromkeys(classes))
+
+    @given(system_pairs(min_classes=1, min_modulus=2), st.integers(1, 4))
+    def test_shift_expand(self, pairs, ell):
+        ell = min(ell, len(pairs))
+        # Q >= 2 is over a residue space of 1: the minimality check is skipped
+        got = shift_expand(sys_of(pairs), ell, limits=Limits(residue_space=1))
+        source = sorted(self.objects(pairs), key=lambda c: (c.modulus, c.residue))
+        width = 2 ** (ell - 1)
+        expected = tuple(
+            ResidueClass(c.residue - h, c.modulus) for c in source[ell - 1 :] for h in range(width)
+        )
+        assert got.classes == expected
+
+    @given(system_pairs(), st.sampled_from([None, 0, 2, 4]))
+    def test_emit_json_matches_json_dumps(self, pairs, indent):
+        classes = [{"r": c.residue, "d": c.modulus} for c in self.objects(pairs)]
+        want = json.dumps({"classes": classes}, indent=indent)
+        assert emit_system_json(sys_of(pairs), indent=indent) == want
+
+    def test_json_true_modulus_is_kept_as_today(self):
+        system = parse_system('{"classes": [{"r": 3, "d": true}, {"r": 1, "d": 2}]}')
+        assert emit_system(system) == "0 mod True\n1 mod 2\n"
+        assert '"d": true' in emit_system_json(system, indent=2)
+
+    def test_immutable(self):
+        system = sys_of(C5)
+        with pytest.raises(AttributeError):
+            system.moduli = ()
+
+    def test_from_pairs_rejects_a_modulus_below_one(self):
+        with pytest.raises(InvalidModulusError, match="got -2"):
+            CongruenceSystem.from_pairs([(1, 2), (0, -2), (0, 0)])
 
 
 class TestLimitsAndMisc:
