@@ -419,22 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser last built, under the COVERCERT_* environment it read its defaults from
-_parser_cache: tuple[tuple, argparse.ArgumentParser] | None = None
-
-
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built again only when the COVERCERT_* environment changes."""
-    global _parser_cache
-    environ = os.environ
-    key = tuple(sorted((name, environ[name]) for name in environ if name.startswith("COVERCERT_")))
-    if _parser_cache is None or _parser_cache[0] != key:
-        _parser_cache = (key, build_parser())
-    return _parser_cache[1]
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -199,17 +199,22 @@ class CongruenceSystem:
     def __init__(self, classes=()):
         classes = tuple(classes)
         self.__dict__.update(
-            residues=tuple(c.residue for c in classes),
-            moduli=tuple(c.modulus for c in classes),
+            residues=tuple([c.residue for c in classes]),
+            moduli=tuple([c.modulus for c in classes]),
             classes=classes,
         )
 
     @classmethod
     def _from_columns(cls, residues, moduli) -> "CongruenceSystem":
-        """A system from a column of residues and a column of moduli >= 1."""
+        """A system from a list or tuple of residues and one of moduli >= 1."""
+        # Each tuple is made from a list, whose length is known.  tuple() of
+        # an iterator builds its result at a guessed length and resizes it;
+        # freed, it joins the free list of its final length, which that
+        # tuple() never draws from, so CPython's free list for the class
+        # count would fill with each system up to 2000 tuples.
         moduli = tuple(moduli)
         system = cls.__new__(cls)
-        system.__dict__.update(residues=tuple(map(mod, residues, moduli)), moduli=moduli)
+        system.__dict__.update(residues=tuple(list(map(mod, residues, moduli))), moduli=moduli)
         return system
 
     @classmethod
@@ -242,7 +247,7 @@ class CongruenceSystem:
 
     @cached_property
     def classes(self) -> tuple[ResidueClass, ...]:
-        return tuple(map(ResidueClass, self.residues, self.moduli))
+        return tuple(list(map(ResidueClass, self.residues, self.moduli)))
 
     @cached_property
     def lcm_modulus(self) -> int:
@@ -299,30 +304,41 @@ class CoverageReport:
     uncovered_count: int
 
 
+def _repeat_for(mask: bytearray, size: int, d: int) -> None:
+    """Repeat mask in place so that it can take a progression of difference d.
+
+    mask holds a pattern over Z/len(mask), and len(mask) divides size.  When
+    d does not divide len(mask), mask is repeated up to the lcm of the two,
+    or up to size when d does not divide size.  Built this way, while every
+    d divides size, a progression costs len(mask)/d writes, not size/d.
+    """
+    period = len(mask)
+    if period % d:
+        mask *= (lcm(period, d) if size % d == 0 else size) // period
+
+
 def _hit_mask(size: int, progressions) -> bytearray:
     """Byte mask of length size, 1 at start, start + d, ... for each (start, d).
 
-    Each start is below its d.  While each d divides size, the mask is built
-    over Z/period, period the lcm of the d so far, and repeated whenever the
-    period grows: a class costs period/d writes, not size/d, and one fill
-    per modulus serves every class of that modulus.  A d that does not
+    Each start is below its d.  The mask grows with the moduli (_repeat_for)
+    and is repeated up to size at the end; one fill per modulus serves every
+    class of that modulus while the mask keeps its length.  A d that does not
     divide size, as in the interval check, is written over the whole length.
     """
-    hit, period, fills = bytearray(1), 1, {}
+    hit, fills = bytearray(1), {}
     for start, d in progressions:
         fill = fills.get(d)
         if fill is None:
-            grown = lcm(period, d) if size % d == 0 else size
-            if grown != period:
-                hit *= grown // period
-                period = grown
+            period = len(hit)
+            _repeat_for(hit, size, d)
+            if len(hit) != period:
                 fills.clear()
             if size % d:  # the fill's length depends on start
                 hit[start::d] = b"\x01" * len(range(start, size, d))
                 continue
-            fill = fills[d] = b"\x01" * (period // d)
+            fill = fills[d] = b"\x01" * (len(hit) // d)
         hit[start::d] = fill
-    hit *= size // period
+    hit *= size // len(hit)
     return hit
 
 
@@ -370,15 +386,12 @@ def is_minimal(
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "minimality check")
-    # per residue, how many classes hit it, saturating at 2; built over
-    # Z/period and repeated as the period grows to Q, as in _hit_mask
-    counts, period = bytearray(1), 1
+    # per residue, how many classes hit it, saturating at 2, over a period
+    # that _repeat_for grows to Q
+    counts = bytearray(1)
     classes = list(zip(sys.residues, sys.moduli))
     for r, d in classes:
-        if period % d:
-            grown = lcm(period, d)
-            counts *= grown // period
-            period = grown
+        _repeat_for(counts, q, d)
         counts[r::d] = counts[r::d].translate(_BUMP)
     if not classes or 0 in counts:
         raise DomainError("minimality is only defined for covering systems")
@@ -422,8 +435,8 @@ def parse_system(text: str) -> CongruenceSystem:
         # every line holds three tokens or none, so the columns are strided
         tokens = text.split()
         try:
-            residues = tuple(map(int, tokens[0::3]))
-            moduli = tuple(map(int, tokens[2::3]))
+            residues = list(map(int, tokens[0::3]))
+            moduli = list(map(int, tokens[2::3]))
         except ValueError:  # a number past the digit limit: the line loop names its line
             pass
         else:
@@ -498,12 +511,5 @@ def emit_system(sys: CongruenceSystem) -> str:
 def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:
     """Render a system in the JSON format, indented as json.dumps does."""
     _require_printable(sys)
-    if indent is None or set(map(type, sys.moduli)) != {int}:
-        classes = [{"r": r, "d": d} for r, d in zip(sys.residues, sys.moduli)]
-        return json.dumps({"classes": classes}, indent=indent)
-    # json.dumps's indented layout without its pure-Python encoder; str(d) is
-    # its JSON text for an int, which a bool (JSON true) is not
-    pad = " " * indent
-    item = f'{pad * 2}{{{{\n{pad * 3}"r": {{}},\n{pad * 3}"d": {{}}\n{pad * 2}}}}}'
-    body = ",\n".join(map(item.format, sys.residues, sys.moduli))
-    return f'{{\n{pad}"classes": [\n{body}\n{pad}]\n}}'
+    classes = [{"r": r, "d": d} for r, d in zip(sys.residues, sys.moduli)]
+    return json.dumps({"classes": classes}, indent=indent)

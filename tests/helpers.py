@@ -8,7 +8,6 @@ only package types used are plain (residue, modulus) pairs and delta lists.
 from __future__ import annotations
 
 import contextlib
-import re
 import signal
 import sys
 from collections import Counter
@@ -209,12 +208,17 @@ def _is_integer_token(token: str) -> bool:
     return digits.isdecimal()
 
 
-def reference_parse_lines(text: str) -> list[tuple[int, int]] | int:
-    """(residue mod d, d) pairs of a line-format system, or the 1-based
-    number of its first malformed line.
+_TOO_LONG_MESSAGE = (
+    "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
+)
+
+
+def reference_parse_lines(text: str) -> list[tuple[int, int]] | tuple[str, int]:
+    """(residue mod d, d) pairs of a line-format system, or the message and
+    1-based line number of the error its first bad line raises.
 
     Lines are cut character by character and split into whitespace tokens; a
-    class line is exactly the tokens R, "mod", D with D >= 1.
+    class line is exactly the tokens R, "mod", D of decimal digits, D >= 1.
     """
     lines, current, i = [], [], 0
     while i < len(text):
@@ -238,39 +242,12 @@ def reference_parse_lines(text: str) -> list[tuple[int, int]] | int:
             or tokens[1] != "mod"
             or not _is_integer_token(tokens[0])
             or not _is_integer_token(tokens[2])
-            or int(tokens[2]) < 1
         ):
-            return lineno
-        r, d = int(tokens[0]), int(tokens[2])
-        pairs.append((r % d, d))
-    return pairs
-
-
-_REFERENCE_LINE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
-_REFERENCE_TOO_LONG = (
-    "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
-)
-
-
-def reference_parse_system(text: str) -> list[tuple[int, int]] | tuple[str, int]:
-    """(residue mod d, d) pairs of a line-format system, or the (message, line)
-    of the ParseError it raises.
-
-    This is the parser's line loop before the columnar fast path: lines from
-    str.splitlines, each stripped and matched by one regex.
-    """
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        m = _REFERENCE_LINE.match(line)
-        if m is None:
-            if not line or line[0] == "#":
-                continue
-            return (f"line {lineno}: expected 'R mod D', got {line!r}", lineno)
+            return (f"line {lineno}: expected 'R mod D', got {line.strip()!r}", lineno)
         try:
-            r, d = int(m.group(1)), int(m.group(2))
+            r, d = int(tokens[0]), int(tokens[2])
         except ValueError:
-            return (f"line {lineno}: {_REFERENCE_TOO_LONG}", lineno)
+            return (f"line {lineno}: {_TOO_LONG_MESSAGE}", lineno)
         if d < 1:
             return (f"line {lineno}: invalid modulus {d}", lineno)
         pairs.append((r % d, d))
@@ -329,16 +306,31 @@ def system_pairs(draw, max_classes: int = 6, min_classes: int = 0, min_modulus: 
 
 
 _PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0"])
-_BAD_LINES = (
+# malformed lines, and lines the line format takes only outside plain
+# ASCII text: Unicode digits and spaces, a number of 4301 digits (past the
+# default int/str digit limit), an invalid modulus
+_ODD_LINES = (
     "x mod 3", "1 mod", "1 mod 2 3", "1 MOD 2", "1mod 2", "--1 mod 2", "1 mod +2",
-    "mod", "1 mod 0", "2 mod -3", "1 # mod 2",
+    "+1 mod 2", "mod", "1 mod 0", "2 mod -3", "0 mod -0", "1 # mod 2", "1 mod 2 # note",
+    "1\x1fmod 2", "\u0661\u0662 mod \u0667", "2\xa0mod 3", "4 mod\u20035",
+    "0 mod 1" + "0" * 4300, "1" + "0" * 4300 + " mod 7",
 )
 
 
 @st.composite
-def system_line(draw):
-    """One line of line-format system text: a class, blank, comment or malformed."""
-    kind = draw(st.sampled_from(("class", "class", "class", "blank", "comment", "bad")))
+def system_line(draw, plain: bool = False):
+    """One line of line-format system text: a class, blank, comment or odd line.
+
+    A plain line is a class or blank in ASCII digits, spaces and tabs, and
+    its modulus may be 0.
+    """
+    if plain:
+        pad, space = st.sampled_from(["", " ", "\t"]), st.sampled_from([" ", "\t", " \t "])
+        if draw(st.integers(0, 3)) == 0:
+            return draw(pad)
+        r, d = draw(st.integers(-(10**6), 10**6)), draw(st.integers(0, 40))
+        return f"{draw(pad)}{r}{draw(space)}mod{draw(space)}{d}{draw(pad)}"
+    kind = draw(st.sampled_from(("class", "class", "class", "blank", "comment", "odd")))
     if kind == "class":
         r = draw(st.integers(min_value=-50, max_value=50))
         d = draw(st.integers(min_value=1, max_value=40))
@@ -349,53 +341,25 @@ def system_line(draw):
     elif kind == "comment":
         body = "#" + draw(st.text(alphabet="ab mod12#\t", max_size=8))
     else:
-        body = draw(st.sampled_from(_BAD_LINES))
+        body = draw(st.sampled_from(_ODD_LINES))
     return draw(_PADDING) + body + draw(_PADDING)
 
 
 @st.composite
 def system_text(draw, max_lines: int = 8):
-    """Line-format system text joined by any of the line breaks str.splitlines knows."""
-    lines = draw(st.lists(system_line(), max_size=max_lines))
-    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
-    text = "".join(line + draw(breaks) for line in lines)
-    return text if draw(st.booleans()) else text.rstrip("".join(_LINE_BREAKS))
+    """Line-format system text.
 
-
-# lines the columnar fast path leaves to the line loop, or that the line
-# loop rejects: Unicode digits and spaces, unreduced or invalid moduli, a
-# number past the default int/str digit limit (4301 digits), malformed text
-_ODD_LINES = (
-    "# 1 mod 2", "#", "", " \t ", "1 mod 0", "-3 mod -4", "0 mod -0",
-    "\u0661\u0662 mod \u0667", "2\xa0mod 3", "\xa05 mod 6\xa0", "4 mod\u20035",
-    "0 mod 1" + "0" * 4300, "1" + "0" * 4300 + " mod 7", "x mod 3", "1 mod", "1 mod 2 3",
-    "+1 mod 2", "1 MOD 2", "1\x1fmod 2", "1 mod 2 # note",
-)
-
-
-@st.composite
-def line_format_text(draw, max_lines: int = 8):
-    r"""Line-format text, mostly plain ("\n" breaks, ASCII digits, spaces and tabs).
-
-    The rest mixes in comments, blank lines, "\r\n", "\x0b" and "\x1c"
-    breaks, Arabic-Indic digits, no-break and em spaces, negative or unreduced
-    residues, modulus 0 and numbers past the digit limit.
+    Half the texts are plain: system_line(plain=True) joined by "\n".  The
+    rest join any lines with any of the line breaks str.splitlines knows.
     """
-    pad = st.sampled_from(["", " ", "\t", " \t"])
-    space = st.sampled_from([" ", "\t", " \t "])
-    plain = st.builds(
-        lambda a, r, s1, s2, d, b: f"{a}{r}{s1}mod{s2}{d}{b}",
-        pad, st.integers(-10**6, 10**6), space, space, st.integers(0, 10**4), pad,
-    )
-    if draw(st.booleans()):  # text the fast path takes, unless a modulus is 0
-        lines = st.one_of(plain, plain, plain, st.sampled_from(["", " \t "]))
+    plain = draw(st.booleans())
+    lines = draw(st.lists(system_line(plain), max_size=max_lines))
+    if plain:
         breaks = st.just("\n")
     else:
-        lines = st.one_of(plain, st.sampled_from(_ODD_LINES))
-        breaks = st.sampled_from(["\n"] * 4 + ["\r\n", "\x0b", "\x1c", "\r"])
-    lines = draw(st.lists(lines, max_size=max_lines))
+        breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
     text = "".join(line + draw(breaks) for line in lines)
-    return text if draw(st.booleans()) else text.rstrip("\n")
+    return text if draw(st.booleans()) else text.rstrip(_LINE_BREAKS)
 
 
 _DELTA_POOL = (

@@ -10,7 +10,7 @@ import jsonschema
 import mpmath
 import pytest
 
-from covercert import Limits, cli
+from covercert import Limits
 from covercert.cli import RunConfig, _significant, build_parser, main
 
 from helpers import (
@@ -558,17 +558,6 @@ class TestEnvironmentMirroring:
         assert code == 0
         assert out == "density_uncovered: 1/3\n"
 
-    def test_env_change_between_calls_is_honoured(self, capsys, monkeypatch):
-        # the parser is cached per COVERCERT_* environment, not per process
-        monkeypatch.delenv("COVERCERT_FORMAT", raising=False)
-        argv = ("multiplicity", "--system", "0 mod 2")
-        assert run(capsys, *argv) == (0, "multiplicity: 1\n", "")
-        monkeypatch.setenv("COVERCERT_FORMAT", "json")
-        code, out, _ = run(capsys, *argv)
-        assert (code, json.loads(out)) == (0, {"multiplicity": 1})
-        monkeypatch.delenv("COVERCERT_FORMAT")
-        assert run(capsys, *argv) == (0, "multiplicity: 1\n", "")
-
     def test_env_limits(self, capsys, monkeypatch):
         monkeypatch.setenv("COVERCERT_LIMIT_RESIDUE_SPACE", "5")
         code, _, _ = run(
@@ -593,22 +582,6 @@ class TestUsageAndExitCodes:
     def test_subcommand_help_is_success(self, capsys):
         assert main(["certify", "--help"]) == 0
         capsys.readouterr()
-
-    def test_cached_parser_prints_what_a_fresh_parser_prints(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setattr(cli, "_parser_cache", None)
-        cases = (
-            ["--help"], ["certify", "--help"], [], ["frobnicate"], ["verify", "--method", "x"],
-            ["construct"], ["bounds", "--j", "x", "--c", "1"],
-        )
-        for argv in cases * 2:  # the first round builds the parser, the second reuses it
-            code = main(argv)
-            cached = capsys.readouterr()
-            with pytest.raises(SystemExit) as exit_info:
-                build_parser().parse_args(argv)
-            fresh = capsys.readouterr()
-            assert (cached.out, cached.err) == (fresh.out, fresh.err)
-            assert code == (0 if exit_info.value.code == 0 else 1)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,6 @@
 """Residue-class algebra, coverage oracles, minimality, parsing."""
 
-import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,10 +38,8 @@ from helpers import (
     brute_factor,
     brute_lcm,
     brute_multiplicity,
-    line_format_text,
     needs_digit_limit,
     reference_parse_lines,
-    reference_parse_system,
     system_pairs,
     system_text,
 )
@@ -384,23 +382,10 @@ class TestParseEmit:
             emit_system(system)
 
     @given(system_text())
-    @settings(max_examples=200)
-    def test_matches_reference_line_parser(self, text):
-        expected = reference_parse_lines(text)
-        if isinstance(expected, int):
-            with pytest.raises(ParseError) as err:
-                parse_system(text)
-            assert err.value.line == expected
-        else:
-            got = parse_system(text)
-            assert [(c.residue, c.modulus) for c in got.classes] == expected
-
-    @given(line_format_text())
     @settings(max_examples=300)
-    def test_matches_line_loop_reference(self, text):
-        # the columnar fast path and the line loop give the same columns, or
-        # the same error message and line
-        expected = reference_parse_system(text)
+    def test_matches_reference_line_parser(self, text):
+        # the same columns, or the same error message and line
+        expected = reference_parse_lines(text)
         if isinstance(expected, tuple):
             with pytest.raises(ParseError) as err:
                 parse_system(text)
@@ -408,6 +393,7 @@ class TestParseEmit:
         else:
             got = parse_system(text)
             assert list(zip(got.residues, got.moduli)) == expected
+            assert [(c.residue, c.modulus) for c in got.classes] == expected
 
     def test_fast_path_falls_back_with_the_line_number(self):
         cases = {
@@ -482,16 +468,22 @@ class TestColumns:
         )
         assert got.classes == expected
 
-    @given(system_pairs(), st.sampled_from([None, 0, 2, 4]))
-    def test_emit_json_matches_json_dumps(self, pairs, indent):
-        classes = [{"r": c.residue, "d": c.modulus} for c in self.objects(pairs)]
-        want = json.dumps({"classes": classes}, indent=indent)
-        assert emit_system_json(sys_of(pairs), indent=indent) == want
-
-    def test_json_true_modulus_is_kept_as_today(self):
-        system = parse_system('{"classes": [{"r": 3, "d": true}, {"r": 1, "d": 2}]}')
-        assert emit_system(system) == "0 mod True\n1 mod 2\n"
-        assert '"d": true' in emit_system_json(system, indent=2)
+    def test_building_systems_again_keeps_no_memory(self):
+        # a tuple built from an iterator of unknown length is resized and,
+        # freed, joins CPython's free list of its final length, which then
+        # grows with every system built
+        text = "".join(f"{r} mod 17\n" for r in range(16))
+        parse_system(text)
+        tracemalloc.start()
+        try:
+            for _ in range(500):
+                system = parse_system(text)
+                CongruenceSystem(system.classes)
+            del system
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 50_000
 
     def test_immutable(self):
         system = sys_of(C5)
