@@ -12,7 +12,7 @@ from .analytic import (
     multiplicity_modulus_bound,
     smooth_reciprocal_sum,
 )
-from .constructions import construct_minimal_family, minimal_family_moduli, shift_expand
+from .constructions import construct_minimal_family, shift_expand
 from .core import (
     DEFAULT_LIMITS,
     CongruenceSystem,

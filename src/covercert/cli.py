@@ -212,6 +212,11 @@ def _cmd_reduce(args, cfg: RunConfig) -> str:
     return cfg.emit_system(shift_expand(_load_system(args), args.ell, limits=cfg.limits))
 
 
+def _digit_limit() -> int:
+    """Python's int/str digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 # compiled on first use, by re's cache, so that importing the CLI stays cheap
 _EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
@@ -225,7 +230,7 @@ def _fraction(text: str) -> Fraction:
     to moduli, the text is rejected before anything is built.
     """
     match = re.search(_EXPONENT, text)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if match and limit:
         digits = sum(map(str.isdigit, text[: match.start()]))
         if digits + abs(int(match.group(1))) > limit:
@@ -331,7 +336,7 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
     if digits < 1:
         raise _UsageError(f"--precision must be positive, got {digits}")
     # the digit limit parse_system and _fraction apply also bounds the decimal work
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and digits > limit:
         raise ResourceLimitError(
             f"--precision {digits} is over Python's int/str digit limit {limit}"

@@ -24,13 +24,6 @@ from .core import (
 )
 
 
-def minimal_family_moduli(j: int) -> list[int]:
-    """Sorted moduli of the j-modulus minimal covering family."""
-    if j < 5:
-        raise DomainError(f"the minimal covering family needs j >= 5, got {j}")
-    return sorted([2**i for i in range(1, j - 2)] + [3 * 2 ** (j - 5 + k) for k in range(3)])
-
-
 def construct_minimal_family(j: int) -> CongruenceSystem:
     """Build a minimal covering system with exactly j distinct moduli.
 
@@ -42,13 +35,15 @@ def construct_minimal_family(j: int) -> CongruenceSystem:
     """
     if j < 5:
         raise DomainError(f"the minimal covering family needs j >= 5, got {j}")
-    classes = [ResidueClass(2 ** (i - 1), 2**i) for i in range(1, j - 2)]
+    residues = [2 ** (i - 1) for i in range(1, j - 2)]
+    moduli = [2**i for i in range(1, j - 2)]
     for k in range(3):
         piece = intersect(ResidueClass(k, 3), ResidueClass(0, 2 ** (j - 5 + k)))
         if piece is None:
             raise InternalConsistencyError("family pieces must be nonempty")
-        classes.append(piece)
-    return CongruenceSystem(tuple(classes))
+        residues.append(piece.residue)
+        moduli.append(piece.modulus)
+    return CongruenceSystem(residues, moduli)
 
 
 def shift_expand(
@@ -85,4 +80,4 @@ def shift_expand(
     for r, d in zip(source.residues[ell - 1 :], source.moduli[ell - 1 :]):
         residues.extend(range(r, r - width, -1))
         moduli.extend(repeat(d, width))
-    return CongruenceSystem._from_columns(residues, moduli)
+    return CongruenceSystem(residues, moduli)

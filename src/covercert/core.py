@@ -184,6 +184,7 @@ def factorize(m: int) -> Factorization:
 # congruence systems
 
 
+@dataclass(frozen=True, init=False)
 class CongruenceSystem:
     """An ordered multiset of residue classes.
 
@@ -196,54 +197,33 @@ class CongruenceSystem:
     objects are built only when .classes is read.
     """
 
-    def __init__(self, classes=()):
-        classes = tuple(classes)
-        self.__dict__.update(
-            residues=tuple([c.residue for c in classes]),
-            moduli=tuple([c.modulus for c in classes]),
-            classes=classes,
-        )
+    residues: tuple[int, ...]
+    moduli: tuple[int, ...]
 
-    @classmethod
-    def _from_columns(cls, residues, moduli) -> "CongruenceSystem":
+    def __init__(self, residues=(), moduli=()):
         """A system from a list or tuple of residues and one of moduli >= 1."""
+        if len(residues) != len(moduli):
+            raise DomainError(f"{len(residues)} residues but {len(moduli)} moduli")
+        if moduli and min(moduli) < 1:  # the first one, as ResidueClass would report it
+            bad = next(d for d in moduli if d < 1)
+            raise InvalidModulusError(f"modulus must be >= 1, got {bad}")
         # Each tuple is made from a list, whose length is known.  tuple() of
         # an iterator builds its result at a guessed length and resizes it;
         # freed, it joins the free list of its final length, which that
         # tuple() never draws from, so CPython's free list for the class
         # count would fill with each system up to 2000 tuples.
         moduli = tuple(moduli)
-        system = cls.__new__(cls)
-        system.__dict__.update(residues=tuple(list(map(mod, residues, moduli))), moduli=moduli)
-        return system
+        self.__dict__.update(residues=tuple(list(map(mod, residues, moduli))), moduli=moduli)
 
     @classmethod
     def from_pairs(cls, pairs) -> "CongruenceSystem":
-        residues, moduli = _columns(pairs)
-        if moduli and min(moduli) < 1:  # the first one, as ResidueClass would report it
-            bad = next(d for d in moduli if d < 1)
-            raise InvalidModulusError(f"modulus must be >= 1, got {bad}")
-        return cls._from_columns(residues, moduli)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CongruenceSystem is immutable, cannot set {name!r}")
+        return cls(*_columns(pairs))
 
     def __len__(self) -> int:
         return len(self.moduli)
 
     def __iter__(self):
         return iter(self.classes)
-
-    def __eq__(self, other):
-        if not isinstance(other, CongruenceSystem):
-            return NotImplemented
-        return self.moduli == other.moduli and self.residues == other.residues
-
-    def __hash__(self) -> int:
-        return hash((self.residues, self.moduli))
-
-    def __repr__(self) -> str:
-        return f"CongruenceSystem(classes={self.classes!r})"
 
     @cached_property
     def classes(self) -> tuple[ResidueClass, ...]:
@@ -264,18 +244,16 @@ class CongruenceSystem:
     def sorted_by_modulus(self) -> "CongruenceSystem":
         """The classes sorted by (modulus, residue)."""
         moduli, residues = _columns(sorted(zip(self.moduli, self.residues)))
-        return CongruenceSystem._from_columns(residues, moduli)
+        return CongruenceSystem(residues, moduli)
 
     def without(self, index: int) -> "CongruenceSystem":
         r, d = self.residues, self.moduli
-        return CongruenceSystem._from_columns(
-            r[:index] + r[index + 1 :], d[:index] + d[index + 1 :]
-        )
+        return CongruenceSystem(r[:index] + r[index + 1 :], d[:index] + d[index + 1 :])
 
 
 def _columns(pairs) -> tuple[tuple, tuple]:
     """Split (a, b) pairs into the column of the a and the column of the b."""
-    pairs = tuple(pairs)
+    pairs = list(pairs)  # not tuple(): see the free list in CongruenceSystem.__init__
     if not pairs:
         return (), ()
     first, second = zip(*pairs)
@@ -292,7 +270,7 @@ def multiplicity(sys: CongruenceSystem) -> int:
 def deduplicated(sys: CongruenceSystem) -> CongruenceSystem:
     """Remove repeated (residue, modulus) pairs, keeping first occurrences."""
     residues, moduli = _columns(dict.fromkeys(zip(sys.residues, sys.moduli)))
-    return CongruenceSystem._from_columns(residues, moduli)
+    return CongruenceSystem(residues, moduli)
 
 
 @dataclass(frozen=True)
@@ -435,13 +413,9 @@ def parse_system(text: str) -> CongruenceSystem:
         # every line holds three tokens or none, so the columns are strided
         tokens = text.split()
         try:
-            residues = list(map(int, tokens[0::3]))
-            moduli = list(map(int, tokens[2::3]))
-        except ValueError:  # a number past the digit limit: the line loop names its line
-            pass
-        else:
-            if not moduli or min(moduli) >= 1:
-                return CongruenceSystem._from_columns(residues, moduli)
+            return CongruenceSystem(list(map(int, tokens[0::3])), list(map(int, tokens[2::3])))
+        except (ValueError, InvalidModulusError):
+            pass  # a number past the digit limit or a modulus 0: the line loop names its line
     return _parse_lines(text)
 
 
@@ -465,7 +439,7 @@ def _parse_lines(text: str) -> CongruenceSystem:
             raise ParseError(f"line {lineno}: invalid modulus {d}", line=lineno)
         residues.append(r)
         moduli.append(d)
-    return CongruenceSystem._from_columns(residues, moduli)
+    return CongruenceSystem(residues, moduli)
 
 
 def _parse_json_system(text: str) -> CongruenceSystem:
@@ -480,13 +454,14 @@ def _parse_json_system(text: str) -> CongruenceSystem:
         if not isinstance(entry, dict) or "r" not in entry or "d" not in entry:
             raise ParseError(f'class {i}: expected an object with keys "r" and "d"')
         r, d = entry["r"], entry["d"]
-        if not isinstance(r, int) or not isinstance(d, int):
+        # type, not isinstance: JSON true and false load as bool, an int subclass
+        if type(r) is not int or type(d) is not int:
             raise ParseError(f"class {i}: residue and modulus must be integers")
         if d < 1:
             raise ParseError(f"class {i}: invalid modulus {d}")
         residues.append(r)
         moduli.append(d)
-    return CongruenceSystem._from_columns(residues, moduli)
+    return CongruenceSystem(residues, moduli)
 
 
 def _require_printable(sys: CongruenceSystem) -> None:

@@ -470,22 +470,30 @@ def default_delta_schedule(
     return DeltaSchedule(tuple(_ZERO if p <= threshold else _HALF for p in ladder.primes))
 
 
+def _pipeline_ladder(sys: CongruenceSystem, limits: Limits) -> PrimeLadder | None:
+    """The prime ladder of the system's Q, or None for the empty system.
+
+    A modulus 1 and a Q over the residue-space limit are rejected before Q
+    is factored: trial division of a huge Q hangs.
+    """
+    if not sys.moduli:
+        return None
+    _reject_modulus_one(sys)
+    limits.require_residue_space(sys.lcm_modulus, "pipeline")
+    return prime_ladder(sys.factorization)
+
+
 def system_default_schedule(
     sys: CongruenceSystem, smooth_constant=Fraction(1), *, limits: Limits = DEFAULT_LIMITS
 ) -> DeltaSchedule:
     """default_delta_schedule for the system's multiplicity and the primes of its Q.
 
-    The empty system takes the empty schedule.  A modulus 1 and a Q over the
-    residue-space limit are rejected before Q is factored.
+    The empty system takes the empty schedule.
     """
-    if not sys.moduli:
+    ladder = _pipeline_ladder(sys, limits)
+    if ladder is None:
         return DeltaSchedule(())
-    _reject_modulus_one(sys)
-    # Q is checked before it is factored: trial division of a huge Q hangs
-    limits.require_residue_space(sys.lcm_modulus, "pipeline")
-    return default_delta_schedule(
-        multiplicity(sys), prime_ladder(sys.factorization), smooth_constant
-    )
+    return default_delta_schedule(multiplicity(sys), ladder, smooth_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +591,12 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     record before it, so every level's measure but the last is built; the
     last is built only if its record's measure is read.
     """
-    _reject_modulus_one(sys)
-    # Q is checked before it is factored: trial division of a huge Q hangs
-    limits.require_residue_space(sys.lcm_modulus, "pipeline")
+    ladder = _pipeline_ladder(sys, limits)
     schedule = as_schedule(schedule)
-    fact = sys.factorization
-    if not fact.pairs:
+    if ladder is None:
         if len(schedule) != 0:
             raise DomainError("an empty system takes an empty schedule")
         return
-    ladder = prime_ladder(fact)
     if len(schedule) != ladder.depth:
         raise DomainError(
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"

@@ -127,6 +127,14 @@ class TestSystemSources:
         assert code == 0
         assert out == "covers: true\nwitness: none\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_json_boolean_is_parse_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "system.json"
+        path.write_text('{"classes": [{"r": 1, "d": 2}, {"r": 0, "d": true}]}')
+        code, out, err = run(capsys, "witness", "--input", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: class 1: residue and modulus must be integers\n"
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("0 mod 2\n0 mod 3\n"))
         code, out, _ = run(capsys, "witness", "--input", "-")

@@ -12,7 +12,6 @@ from covercert import (
     covers_oracle,
     deduplicated,
     is_minimal,
-    minimal_family_moduli,
     multiplicity,
     shift_expand,
 )
@@ -39,8 +38,6 @@ class TestMinimalFamily:
     def test_small_j_rejected(self, bad):
         with pytest.raises(DomainError):
             construct_minimal_family(bad)
-        with pytest.raises(DomainError):
-            minimal_family_moduli(bad)
 
     def test_five_classes_exact(self):
         system = construct_minimal_family(5)
@@ -52,9 +49,7 @@ class TestMinimalFamily:
 
     @pytest.mark.parametrize("j", sorted(FAMILY_MODULI))
     def test_frozen_moduli(self, j):
-        system = construct_minimal_family(j)
-        assert sorted(c.modulus for c in system.classes) == FAMILY_MODULI[j]
-        assert minimal_family_moduli(j) == FAMILY_MODULI[j]
+        assert sorted(construct_minimal_family(j).moduli) == FAMILY_MODULI[j]
 
     @pytest.mark.parametrize("j", sorted(FAMILY_MODULI))
     def test_covers_and_minimal(self, j):

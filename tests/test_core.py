@@ -28,7 +28,7 @@ from covercert import (
     parse_system,
     rational_str,
 )
-from covercert.constructions import shift_expand
+from covercert.constructions import construct_minimal_family, shift_expand
 from covercert.core import _TOO_LONG, DEFAULT_LIMITS
 
 from helpers import (
@@ -366,6 +366,12 @@ class TestParseEmit:
         with pytest.raises(ParseError):
             parse_system('{"classes": [{"r": 1, "d": 0}]}')
 
+    @pytest.mark.parametrize("entry", ['{"r": 0, "d": true}', '{"r": false, "d": 2}'])
+    def test_json_booleans_are_not_integers(self, entry):
+        text = f'{{"classes": [{{"r": 1, "d": 2}}, {entry}]}}'
+        with pytest.raises(ParseError, match="^class 1: residue and modulus must be integers$"):
+            parse_system(text)
+
     @needs_digit_limit
     def test_number_past_digit_limit_is_parse_error(self):
         digits = "1" + "0" * DIGIT_LIMIT
@@ -377,7 +383,7 @@ class TestParseEmit:
 
     @needs_digit_limit
     def test_emit_past_digit_limit_is_resource_error(self):
-        system = CongruenceSystem((ResidueClass(1, 2), ResidueClass(0, 10**DIGIT_LIMIT)))
+        system = CongruenceSystem.from_pairs([(1, 2), (0, 10**DIGIT_LIMIT)])
         with pytest.raises(ResourceLimitError):
             emit_system(system)
 
@@ -426,6 +432,10 @@ class TestColumns:
     def objects(pairs) -> tuple:
         return tuple(ResidueClass(r, d) for r, d in pairs)
 
+    @staticmethod
+    def from_objects(classes) -> CongruenceSystem:
+        return CongruenceSystem.from_pairs((c.residue, c.modulus) for c in classes)
+
     @given(system_pairs())
     def test_classes_and_columns(self, pairs):
         system = sys_of(pairs)
@@ -433,7 +443,7 @@ class TestColumns:
         assert system.residues == tuple(r % d for r, d in pairs)
         assert system.moduli == tuple(d for _, d in pairs)
         assert list(system) == list(system.classes) and len(system) == len(pairs)
-        assert CongruenceSystem(self.objects(pairs)) == system
+        assert self.from_objects(self.objects(pairs)) == system
 
     @given(system_pairs(max_classes=3), system_pairs(max_classes=3))
     def test_equality_and_hash(self, a, b):
@@ -441,7 +451,7 @@ class TestColumns:
         assert (left == right) == (self.objects(a) == self.objects(b))
         if left == right:
             assert hash(left) == hash(right)
-        same = CongruenceSystem(self.objects(a))
+        same = self.from_objects(self.objects(a))
         assert same == left and hash(same) == hash(left) and len({same, left}) == 1
 
     @given(system_pairs(), st.integers(-8, 8))
@@ -478,7 +488,7 @@ class TestColumns:
         try:
             for _ in range(500):
                 system = parse_system(text)
-                CongruenceSystem(system.classes)
+                self.from_objects(system.classes)
             del system
             kept = tracemalloc.get_traced_memory()[0]
         finally:
@@ -493,6 +503,38 @@ class TestColumns:
     def test_from_pairs_rejects_a_modulus_below_one(self):
         with pytest.raises(InvalidModulusError, match="got -2"):
             CongruenceSystem.from_pairs([(1, 2), (0, -2), (0, 0)])
+
+    def test_constructor_rejects_a_modulus_below_one(self):
+        with pytest.raises(InvalidModulusError, match="^modulus must be >= 1, got -2$"):
+            CongruenceSystem([1, 0], [2, -2])
+
+    @pytest.mark.parametrize("residues, moduli", [([1], []), ([], [2]), ((0, 1), (2,))])
+    def test_constructor_rejects_a_length_mismatch(self, residues, moduli):
+        with pytest.raises(DomainError):
+            CongruenceSystem(residues, moduli)
+
+    def test_constructor_reduces_residues(self):
+        system = CongruenceSystem([-1, 9, 5, -7], [4, 4, 1, 3])
+        assert system.residues == (3, 1, 0, 2) and system.moduli == (4, 4, 1, 3)
+        assert system == CongruenceSystem((3, 1, 0, 2), (4, 4, 1, 3))
+        assert CongruenceSystem() == CongruenceSystem((), ()) == CongruenceSystem([], [])
+
+    def test_repr_shows_the_columns(self):
+        system = CongruenceSystem([-1, 2], [4, 3])
+        assert repr(system) == "CongruenceSystem(residues=(3, 2), moduli=(4, 3))"
+
+    def test_instances_hold_only_the_columns(self):
+        systems = [
+            construct_minimal_family(6),
+            parse_system("1 mod 2\n0 mod 3"),
+            parse_system('{"classes": [{"r": 1, "d": 2}]}'),
+            construct_minimal_family(6).without(0),
+            shift_expand(construct_minimal_family(6), 2),
+        ]
+        for system in systems:
+            assert set(vars(system)) == {"residues", "moduli"}
+            system.classes  # a cached property is kept once read
+            assert set(vars(system)) == {"residues", "moduli", "classes"}
 
 
 class TestLimitsAndMisc:
