@@ -25,25 +25,25 @@ from covercert import (
 
 def describe_family(j: int) -> None:
     family = construct_minimal_family(j)
-    moduli = sorted(c.modulus for c in family.classes)
+    moduli = sorted(family.moduli)
     covers = covers_oracle(family).covers
     minimal, _ = is_minimal(family)
     print(f"j = {j}: moduli {moduli}")
     print(f"  covers = {covers}, minimal = {minimal}, Q = {family.lcm_modulus}")
 
-    for ell in range(1, len(family.classes) + 1):
+    for ell in range(1, len(family) + 1):
         expanded = shift_expand(family, ell)
-        print(f"  ell = {ell}: {len(expanded.classes)} classes,"
+        print(f"  ell = {ell}: {len(expanded)} classes,"
               f" multiplicity {multiplicity(expanded)},"
-              f" {len(deduplicated(expanded).classes)} after deduplication")
+              f" {len(deduplicated(expanded))} after deduplication")
 
-    for index, dropped in enumerate(family.classes):
+    for index, (r, d) in enumerate(zip(family.residues, family.moduli)):
         rest = family.without(index)
         cert = certify(rest)
         mark = f"eta = {rational_str(cert.eta)}, {cert.verdict}"
         if cert.verdict == "NotCovering":
             mark += f", witness {cert.witness}"
-        print(f"  drop {dropped}: {mark}")
+        print(f"  drop {r} mod {d}: {mark}")
     print()
 
 

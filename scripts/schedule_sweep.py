@@ -45,7 +45,7 @@ def main():
 
     system = parse_system(args.system.replace(",", "\n"))
     print(f"system: {args.system}")
-    print(f"classes: {len(system.classes)}, Q = {system.lcm_modulus},"
+    print(f"classes: {len(system)}, Q = {system.lcm_modulus},"
           f" multiplicity = {multiplicity(system)}")
     print()
 

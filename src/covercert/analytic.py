@@ -1,9 +1,8 @@
-"""Exact moment sums and high-precision growth bounds.
+"""Smooth reciprocal sums and high-precision growth bounds.
 
-The exact pieces (a finite first-moment estimate over divisors, and
-reciprocal sums over smooth integers) return fractions.  The asymptotic
-growth shapes are evaluated with the standard decimal module at a
-caller-chosen number of significant digits; they are the only inexact
+The reciprocal sum over smooth integers is exact and returns a fraction.
+The asymptotic growth shapes are evaluated with the standard decimal module
+at a caller-chosen number of significant digits; they are the only inexact
 numbers in the package, and they feed no verdict.
 """
 
@@ -14,49 +13,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, getcontext, 
 from fractions import Fraction
 from math import lcm, log10
 
-from .core import (
-    DEFAULT_LIMITS,
-    CongruenceSystem,
-    DomainError,
-    Limits,
-    multiplicity,
-)
-from .distortion import PrimeLadder
-
-
-def first_moment_bound(
-    sys: CongruenceSystem,
-    ladder: PrimeLadder,
-    j: int,
-    min_modulus: int,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Fraction:
-    """Exact finite bound on the first moment at level j.
-
-    The moment of the level-j hit fractions is at most the system
-    multiplicity times the sum of 1 / (g * p_j^r) over divisors g of
-    Q_(j-1) and 1 <= r <= nu_j, restricted to g * p_j^r at least the
-    smallest modulus of the system.
-    """
-    if not 1 <= j <= ladder.depth:
-        raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {j}")
-    if min_modulus < 1:
-        raise DomainError(f"smallest modulus must be at least 1, got {min_modulus}")
-    mult = multiplicity(sys)
-    fact = ladder.factorization(j - 1)
-    count = fact.num_divisors
-    limits.require("divisors", count, f"first-moment bound needs {count} divisors")
-    divisors = fact.divisors()
-    p = ladder.primes[j - 1]
-    nu = ladder.exponents[j - 1]
-    total = Fraction(0)
-    for r in range(1, nu + 1):
-        pr = p**r
-        for g in divisors:
-            if g * pr >= min_modulus:
-                total += Fraction(1, g * pr)
-    return mult * total
+from .core import DomainError
 
 
 def _primes_up_to(n: int) -> list[int]:

@@ -42,6 +42,7 @@ from .core import (
     multiplicity,
     parse_system,
     rational_str,
+    _require_printable,
     _TOO_LONG,
 )
 from .distortion import DeltaSchedule, certify, system_default_schedule
@@ -65,9 +66,7 @@ class RunConfig:
     def from_args(cls, args) -> "RunConfig":
         try:
             limits = Limits(
-                residue_space=args.limit_residue_space,
-                interval=args.limit_interval,
-                divisors=args.limit_divisors,
+                residue_space=args.limit_residue_space, interval=args.limit_interval
             )
         except DomainError as exc:
             raise _UsageError("limits must be positive") from exc
@@ -106,8 +105,6 @@ def _common_flags() -> argparse.ArgumentParser:
          help="largest residue space Z/QZ that may be scanned")
     _opt(parser, "--limit-interval", type=int, default=DEFAULT_LIMITS.interval,
          help="longest initial segment that may be scanned")
-    _opt(parser, "--limit-divisors", type=int, default=DEFAULT_LIMITS.divisors,
-         help="largest divisor enumeration")
     return parser
 
 
@@ -205,6 +202,12 @@ def _cmd_density(args, cfg: RunConfig) -> str:
 
 
 def _cmd_construct(args, cfg: RunConfig) -> str:
+    if args.j >= 5:  # a smaller j is construct_minimal_family's domain error
+        # the largest modulus, 3 * 2^(j-3), is checked before the family is
+        # built.  Past 2^20 bits, far over the default digit limit, 3 * 2^(2^20)
+        # stands in for it, so that a huge j builds no huge int; emit_system
+        # checks the real one
+        _require_printable(3 << min(args.j - 3, 1 << 20))
     return cfg.emit_system(construct_minimal_family(args.j).sorted_by_modulus())
 
 
@@ -281,7 +284,7 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
     # Q is checked before it is factored: trial division of a huge Q hangs
     cfg.limits.require_residue_space(system.lcm_modulus, "pipeline")
     if args.deltas is not None:
-        depth = len(system.factorization.pairs)
+        depth = len(system.factorization)
         deltas = _parse_deltas(args.deltas)
         if len(deltas) != depth:
             raise _UsageError(

@@ -12,16 +12,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .core import (
-    DEFAULT_LIMITS,
-    CongruenceSystem,
-    DomainError,
-    InternalConsistencyError,
-    Limits,
-    ResidueClass,
-    intersect,
-    is_minimal,
-)
+from .core import DEFAULT_LIMITS, CongruenceSystem, DomainError, Limits, is_minimal
 
 
 def construct_minimal_family(j: int) -> CongruenceSystem:
@@ -29,20 +20,19 @@ def construct_minimal_family(j: int) -> CongruenceSystem:
 
     The binary ladder 2^(i-1) mod 2^i for i = 1..j-3 covers everything except
     the class 0 mod 2^(j-3).  That leftover class is split by residue mod 3
-    into three pieces, and each piece is a single residue class modulo
-    3 * 2^(j-5+k) by the Chinese Remainder Theorem.  All j moduli are
-    distinct, so the multiset multiplicity is 1.
+    into three pieces, and piece k is the class of k mod 3 and 0 mod 2^m,
+    m = j-5+k, a single class modulo 3 * 2^m by the Chinese Remainder
+    Theorem: 2^m t with t = k * 2^-m mod 3, and 2^-m = 2^m mod 3.  All j
+    moduli are distinct, so the multiset multiplicity is 1.
     """
     if j < 5:
         raise DomainError(f"the minimal covering family needs j >= 5, got {j}")
     residues = [2 ** (i - 1) for i in range(1, j - 2)]
     moduli = [2**i for i in range(1, j - 2)]
     for k in range(3):
-        piece = intersect(ResidueClass(k, 3), ResidueClass(0, 2 ** (j - 5 + k)))
-        if piece is None:
-            raise InternalConsistencyError("family pieces must be nonempty")
-        residues.append(piece.residue)
-        moduli.append(piece.modulus)
+        m = j - 5 + k
+        residues.append(2**m * (k * pow(2, m, 3) % 3))
+        moduli.append(3 * 2**m)
     return CongruenceSystem(residues, moduli)
 
 

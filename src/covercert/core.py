@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mod
 
 
@@ -58,7 +58,6 @@ class Limits:
 
     residue_space: int = 10_000_000  # largest Z/QZ that may be scanned
     interval: int = 2**24            # longest initial segment {1..2^n} scanned
-    divisors: int = 1_000_000        # largest divisor/progression enumeration
 
     def __post_init__(self):
         for field in fields(self):
@@ -92,77 +91,17 @@ def rational_str(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residue classes
+# residue classes and factorization
+
+# one class r mod d, as CongruenceSystem.classes hands it out
+ResidueClass = namedtuple("ResidueClass", "residue modulus")
 
 
-@dataclass(frozen=True, init=False)
-class ResidueClass:
-    """A single congruence a mod d, stored with 0 <= a < d.
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer by deterministic trial division.
 
-    A modulus of 1 denotes the class equal to all of Z.
+    Returns the (prime, exponent) pairs in increasing order of the prime.
     """
-
-    residue: int
-    modulus: int
-
-    def __init__(self, residue: int, modulus: int):
-        if modulus < 1:
-            raise InvalidModulusError(f"modulus must be >= 1, got {modulus}")
-        object.__setattr__(self, "residue", residue % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def contains(self, x: int) -> bool:
-        return x % self.modulus == self.residue
-
-    def __str__(self) -> str:
-        return f"{self.residue} mod {self.modulus}"
-
-
-def intersect(c1: ResidueClass, c2: ResidueClass) -> ResidueClass | None:
-    """Intersect two residue classes.
-
-    By the Chinese Remainder Theorem the intersection is empty exactly when
-    the residues disagree modulo gcd of the moduli, and otherwise is a single
-    class modulo the lcm.  Returns None for the empty intersection.
-    """
-    d1, d2 = c1.modulus, c2.modulus
-    g = gcd(d1, d2)
-    if (c1.residue - c2.residue) % g != 0:
-        return None
-    m = d2 // g
-    if m == 1:
-        return ResidueClass(c1.residue, lcm(d1, d2))
-    t = ((c2.residue - c1.residue) // g) * pow(d1 // g, -1, m) % m
-    return ResidueClass(c1.residue + d1 * t, lcm(d1, d2))
-
-
-# ---------------------------------------------------------------------------
-# factorization utilities
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """A prime factorization as ordered (prime, exponent) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def num_divisors(self) -> int:
-        out = 1
-        for _, e in self.pairs:
-            out *= e + 1
-        return out
-
-    def divisors(self) -> list[int]:
-        """Every divisor, in increasing order."""
-        divs = [1]
-        for p, e in self.pairs:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
-
-def factorize(m: int) -> Factorization:
-    """Factor a positive integer by deterministic trial division."""
     if m < 1:
         raise DomainError(f"cannot factor non-positive integer {m}")
     pairs = []
@@ -177,7 +116,7 @@ def factorize(m: int) -> Factorization:
         d += 1 if d == 2 else 2
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +132,8 @@ class CongruenceSystem:
 
     The classes are stored as two int columns of equal length, residues
     (reduced, 0 <= r < d) and moduli, so that scans and transforms run over
-    the columns without a Python object per class.  The ResidueClass
-    objects are built only when .classes is read.
+    the columns without a Python object per class.  The (residue, modulus)
+    tuples of .classes are built only when it is read.
     """
 
     residues: tuple[int, ...]
@@ -204,7 +143,7 @@ class CongruenceSystem:
         """A system from a list or tuple of residues and one of moduli >= 1."""
         if len(residues) != len(moduli):
             raise DomainError(f"{len(residues)} residues but {len(moduli)} moduli")
-        if moduli and min(moduli) < 1:  # the first one, as ResidueClass would report it
+        if moduli and min(moduli) < 1:  # report the first one
             bad = next(d for d in moduli if d < 1)
             raise InvalidModulusError(f"modulus must be >= 1, got {bad}")
         # Each tuple is made from a list, whose length is known.  tuple() of
@@ -222,9 +161,6 @@ class CongruenceSystem:
     def __len__(self) -> int:
         return len(self.moduli)
 
-    def __iter__(self):
-        return iter(self.classes)
-
     @cached_property
     def classes(self) -> tuple[ResidueClass, ...]:
         return tuple(list(map(ResidueClass, self.residues, self.moduli)))
@@ -234,7 +170,7 @@ class CongruenceSystem:
         return lcm(*set(self.moduli))
 
     @cached_property
-    def factorization(self) -> Factorization:
+    def factorization(self) -> tuple[tuple[int, int], ...]:
         return factorize(self.lcm_modulus)
 
     @cached_property
@@ -464,27 +400,27 @@ def _parse_json_system(text: str) -> CongruenceSystem:
     return CongruenceSystem(residues, moduli)
 
 
-def _require_printable(sys: CongruenceSystem) -> None:
-    """Raise ResourceLimitError when a number is past Python's int/str digit limit.
+def _require_printable(largest_modulus: int) -> None:
+    """Raise ResourceLimitError when a system's largest modulus cannot be printed.
 
-    Residues are below their moduli, so converting the largest modulus first
-    makes an oversized system fail before any output is built.
+    Python's int/str digit limit applies to every number printed.  Residues
+    are below their moduli, so checking the largest modulus first makes an
+    oversized system fail before any output is built.
     """
-    if sys.moduli:
-        try:
-            str(max(sys.moduli))
-        except ValueError as exc:
-            raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
+    try:
+        str(largest_modulus)
+    except ValueError as exc:
+        raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
 
 
 def emit_system(sys: CongruenceSystem) -> str:
     """Render a system in the line format, one "R mod D" per line."""
-    _require_printable(sys)
+    _require_printable(max(sys.moduli, default=0))
     return "".join(map("{} mod {}\n".format, sys.residues, sys.moduli))
 
 
 def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:
     """Render a system in the JSON format, indented as json.dumps does."""
-    _require_printable(sys)
+    _require_printable(max(sys.moduli, default=0))
     classes = [{"r": r, "d": d} for r, d in zip(sys.residues, sys.moduli)]
     return json.dumps({"classes": classes}, indent=indent)

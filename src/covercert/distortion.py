@@ -12,7 +12,10 @@ a(y) < delta_j), or the mass inside B_j is thinned by the factor
 Either way the mass of any residue class grows by at most 1/(1 - delta_j)
 per level, while the mass left on B_j after its own level is bounded by a
 moment of a(y).  If the sum of those moment bounds is below 1, some residue
-mod Q escapes every class, so the system does not cover.
+mod Q escapes every class, so the system does not cover.  Only the moment
+bounds enter the certificate: the bound on the mass of a progression is
+not computed here, and the test suite checks it on the measures the
+pipeline builds.
 
 All measures, fractions and moments are fractions.Fraction; no floats enter
 any decision.
@@ -58,7 +61,6 @@ from .core import (
     DEFAULT_LIMITS,
     CongruenceSystem,
     DomainError,
-    Factorization,
     InternalConsistencyError,
     Limits,
     _hit_mask,
@@ -124,19 +126,15 @@ class PrimeLadder:
     def prime_power(self, j: int) -> int:
         return self.partials[j] // self.partials[j - 1]
 
-    def factorization(self, j: int) -> Factorization:
-        """The factorization of Q_j: the first j (prime, exponent) pairs."""
-        return Factorization(tuple(zip(self.primes[:j], self.exponents[:j])))
 
-
-def prime_ladder(fact: Factorization) -> PrimeLadder:
-    """Build the ladder of partial prime-power products from a factorization."""
-    if not fact.pairs:
+def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
+    """Build the ladder of partial prime-power products from (prime, exponent) pairs."""
+    if not pairs:
         raise DomainError("a prime ladder needs at least one prime")
-    primes = tuple(p for p, _ in fact.pairs)
-    exponents = tuple(e for _, e in fact.pairs)
+    primes = tuple(p for p, _ in pairs)
+    exponents = tuple(e for _, e in pairs)
     partials = [1]
-    for p, e in fact.pairs:
+    for p, e in pairs:
         partials.append(partials[-1] * p**e)
     return PrimeLadder(primes, exponents, tuple(partials))
 
@@ -655,70 +653,3 @@ def certify(
             )
         return Certificate(terms, eta, NOT_COVERING, witness)
     return Certificate(terms, eta, INCONCLUSIVE, None)
-
-
-# ---------------------------------------------------------------------------
-# progression mass bound
-
-
-@dataclass(frozen=True)
-class ApBoundViolation:
-    """A progression whose measure exceeds its certified bound."""
-
-    modulus: int
-    residue: int
-    mass: Fraction
-    bound: Fraction
-
-
-def ap_mass_bound_check(
-    measure: FiberMeasure,
-    schedule,
-    ladder: PrimeLadder,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list[ApBoundViolation]:
-    """Check the progression bound on every class a mod g with g | Q_level.
-
-    After level j the measure of any progression a mod g is at most
-    (1/g) * product of 1/(1 - delta_i) over the ladder primes dividing g.
-    Returns the violations, so a sound pipeline returns an empty list.
-    """
-    schedule = as_schedule(schedule)
-    level = measure.level
-    if not 0 <= level <= ladder.depth:
-        raise DomainError(f"measure level {level} is outside the ladder")
-    if measure.modulus != ladder.partials[level]:
-        raise DomainError(
-            f"measure modulus {measure.modulus} is not Q_{level} = {ladder.partials[level]}"
-        )
-    if len(schedule) < level:
-        raise DomainError("schedule is shorter than the measure level")
-    # Q_level is the modulus of a measure held in memory, so its divisors are
-    # few; their sum is the number of (residue, divisor) pairs to scan
-    divisors = ladder.factorization(level).divisors()
-    pair_count = sum(divisors)
-    limits.require(
-        "divisors", pair_count, f"progression check needs {pair_count} (residue, divisor) pairs"
-    )
-    inflation = {p: 1 / (1 - schedule[i]) for i, p in enumerate(ladder.primes[:level])}
-    # integer masses over one common denominator keep the comparisons exact
-    # while the per-progression sums run at native speed
-    common = lcm(*(m.denominator for m in measure.table))
-    scaled_table = [m.numerator * (common // m.denominator) for m in measure.table]
-    scaled = list(map(scaled_table.__getitem__, measure.ids))
-    violations = []
-    for g in divisors:
-        bound = Fraction(1, g)
-        for p, factor in inflation.items():
-            if g % p == 0:
-                bound *= factor
-        bn, bd = bound.numerator, bound.denominator
-        threshold = bn * common
-        for a in range(g):
-            total = sum(scaled[a::g])
-            if total * bd > threshold:
-                violations.append(
-                    ApBoundViolation(g, a, Fraction(total, common), bound)
-                )
-    return violations

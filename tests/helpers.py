@@ -2,7 +2,10 @@
 
 Everything here recomputes expected results from first principles with its
 own arithmetic, so a bug in the package cannot hide in its own oracle.  The
-only package types used are plain (residue, modulus) pairs and delta lists.
+only package types used are plain (residue, modulus) pairs and delta lists,
+and nothing is imported from covercert.  Two checks of the paper's argument
+live only here: the divisor-sum bound on the first moment and the
+progression mass bound.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import contextlib
 import signal
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import mpmath
 import pytest
@@ -31,7 +34,9 @@ def brute_lcm(values) -> int:
 
 
 def divisors_of(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n in increasing order, found by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def brute_covers(pairs) -> tuple[bool, int | None, int]:
@@ -161,6 +166,56 @@ def reference_pipeline(pairs, deltas):
             }
         )
     return records, eta
+
+
+def first_moment_bound(pairs, primes, exponents, j: int, min_modulus: int) -> Fraction:
+    """The divisor-sum bound on the first moment of the hit fractions at level j.
+
+    The multiplicity of the system times the sum of 1 / (g * p_j^r) over the
+    divisors g of Q_(j-1) and 1 <= r <= nu_j with g * p_j^r >= min_modulus.
+    primes and exponents are the (p, nu) of the ladder, Q_(j-1) the product
+    of its first j - 1 prime powers.  Every term divides Q_j, so the terms
+    are summed as integers over Q_j.
+    """
+    qprev = 1
+    for p, e in zip(primes[: j - 1], exponents[: j - 1]):
+        qprev *= p**e
+    p, nu = primes[j - 1], exponents[j - 1]
+    qj = qprev * p**nu
+    terms = [g * p**r for r in range(1, nu + 1) for g in divisors_of(qprev)]
+    total = sum(qj // t for t in terms if t >= min_modulus)
+    return brute_multiplicity(pairs) * Fraction(total, qj)
+
+
+ApBoundViolation = namedtuple("ApBoundViolation", "modulus residue mass bound")
+
+
+def ap_mass_bound_check(masses, primes, deltas) -> list[ApBoundViolation]:
+    """The classes a mod g, g dividing Q = len(masses), whose mass is over its bound.
+
+    masses holds the mass of each residue mod Q_level after a level of the
+    pipeline, and primes and deltas the ladder's primes and their deltas.
+    The level of prime p multiplies the mass of a mod g by at most
+    1/(1 - delta) when p divides g, and leaves it alone otherwise, so the
+    mass of a mod g is at most 1/g times those factors.  A sound pipeline
+    gives no violation.  The masses are scaled to integers over one common
+    denominator, so that each progression is an exact sum of ints.
+    """
+    denominators = {m.denominator for m in masses}
+    common = lcm(*denominators)
+    scale = {den: common // den for den in denominators}
+    scaled = [m.numerator * scale[m.denominator] for m in masses]
+    violations = []
+    for g in divisors_of(len(masses)):
+        bound = Fraction(1, g)
+        for p, delta in zip(primes, deltas):
+            if g % p == 0:
+                bound /= 1 - Fraction(delta)
+        for a in range(g):
+            total = sum(scaled[a::g])
+            if total * bound.denominator > bound.numerator * common:
+                violations.append(ApBoundViolation(g, a, Fraction(total, common), bound))
+    return violations
 
 
 def reference_hit_counts(mask: bytes, modulus: int) -> list[int]:

@@ -17,14 +17,11 @@ import pytest
 
 from covercert import (
     CongruenceSystem,
-    ap_mass_bound_check,
-    as_schedule,
     certify,
     construct_minimal_family,
     covers_interval,
     covers_oracle,
     default_delta_schedule,
-    first_moment_bound,
     is_minimal,
     jth_modulus_bound,
     multiplicity,
@@ -37,8 +34,10 @@ from covercert import (
 
 from helpers import (
     agree_to_digits,
+    ap_mass_bound_check,
     divisors_of,
     fiber_sums,
+    first_moment_bound,
     masses_of,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
@@ -208,7 +207,7 @@ class SweepOutcome:
     moment_failures: list = field(default_factory=list)
 
 
-def _check_measure_invariants(outcome, pairs, records, schedule):
+def _check_measure_invariants(outcome, pairs, records, primes, schedule):
     prev_modulus, prev_masses = 1, (F(1),)
     for record in records:
         where = f"{pairs} level {record.level}"
@@ -228,6 +227,9 @@ def _check_measure_invariants(outcome, pairs, records, schedule):
                 for z in range(y, qj, prev_modulus):
                     if mask[z] and masses[z] != 0:
                         outcome.measure_failures.append(f"{where}: survivor at {z}")
+        violations = ap_mass_bound_check(masses, primes, schedule)
+        if violations:
+            outcome.measure_failures.append(f"{where}: {len(violations)} progression bounds")
         prev_modulus, prev_masses = record.measure.modulus, masses
 
 
@@ -258,20 +260,14 @@ def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):
         outcome.cross_checks += 1
 
     # criterion 5: exact measure invariants at every level
-    _check_measure_invariants(outcome, pairs, records, schedule)
-    for record in records:
-        violations = ap_mass_bound_check(record.measure, schedule, ladder)
-        if violations:
-            outcome.measure_failures.append(
-                f"{pairs} level {record.level}: {len(violations)} progression bounds"
-            )
+    _check_measure_invariants(outcome, pairs, records, ladder.primes, schedule)
 
     # criterion 6: divisor-sum bound on the first moment at prefix-zero levels
     prefix_zero = True
     for record in records:
         if prefix_zero:
             outcome.prefix_zero_levels += 1
-            bound = first_moment_bound(system, ladder, record.level, d1)
+            bound = first_moment_bound(pairs, ladder.primes, ladder.exponents, record.level, d1)
             if record.m1 > bound:
                 outcome.moment_failures.append(
                     f"{pairs} level {record.level}: m1 {record.m1} > bound {bound}"

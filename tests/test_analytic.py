@@ -1,4 +1,4 @@
-"""Exact moment and smooth-sum helpers, and the high-precision growth bounds."""
+"""The divisor-sum moment bound, smooth sums and the high-precision growth bounds."""
 
 from fractions import Fraction
 
@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 from covercert import (
     CongruenceSystem,
     DomainError,
-    Limits,
-    ResourceLimitError,
-    factorize,
-    first_moment_bound,
     jth_modulus_bound,
     multiplicity_modulus_bound,
     prime_ladder,
@@ -24,6 +20,7 @@ from covercert import (
 from helpers import (
     agree_to_digits,
     brute_factor,
+    first_moment_bound,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
     pipeline_cases,
@@ -40,59 +37,38 @@ def sys_of(pairs) -> CongruenceSystem:
     return CongruenceSystem.from_pairs(pairs)
 
 
-def ladder_of(q: int):
-    return prime_ladder(factorize(q))
+def bound_of(pairs, q: int, j: int, min_modulus: int) -> Fraction:
+    """The reference first-moment bound at level j of the prime ladder of q."""
+    fact = brute_factor(q)
+    return first_moment_bound(
+        pairs, [p for p, _ in fact], [e for _, e in fact], j, min_modulus
+    )
 
 
 class TestFirstMomentBound:
+    """The test suite's reference bound: exact values, and that it dominates the pipeline."""
+
     def test_two_three_first_level(self):
-        system = sys_of([(0, 2), (0, 3)])
-        assert first_moment_bound(system, ladder_of(6), 1, 2) == F(1, 2)
+        assert bound_of([(0, 2), (0, 3)], 6, 1, 2) == F(1, 2)
 
     def test_two_three_second_level(self):
         # divisors 1 and 2 of Q_1, prime 3: 1/3 + 1/6
-        system = sys_of([(0, 2), (0, 3)])
-        assert first_moment_bound(system, ladder_of(6), 2, 2) == F(1, 2)
+        assert bound_of([(0, 2), (0, 3)], 6, 2, 2) == F(1, 2)
 
     def test_min_modulus_prunes_small_terms(self):
-        system = sys_of([(0, 2), (0, 3)])
-        assert first_moment_bound(system, ladder_of(6), 2, 4) == F(1, 6)
-        assert first_moment_bound(system, ladder_of(6), 2, 7) == F(0)
+        pairs = [(0, 2), (0, 3)]
+        assert bound_of(pairs, 6, 2, 4) == F(1, 6)
+        assert bound_of(pairs, 6, 2, 7) == F(0)
 
     def test_prime_power_level(self):
         # Q = 4: r runs over 1, 2 at the single level
-        system = sys_of([(0, 4)])
-        assert first_moment_bound(system, ladder_of(4), 1, 1) == F(3, 4)
+        assert bound_of([(0, 4)], 4, 1, 1) == F(3, 4)
 
     def test_scales_with_multiplicity(self):
-        base = sys_of([(0, 2), (0, 3)])
-        doubled = sys_of([(0, 2), (1, 2), (0, 3), (1, 3)])
-        ladder = ladder_of(6)
+        base = [(0, 2), (0, 3)]
+        doubled = [(0, 2), (1, 2), (0, 3), (1, 3)]
         for j in (1, 2):
-            assert first_moment_bound(doubled, ladder, j, 2) == 2 * first_moment_bound(
-                base, ladder, j, 2
-            )
-
-    def test_domain_errors(self):
-        system = sys_of([(0, 2), (0, 3)])
-        ladder = ladder_of(6)
-        with pytest.raises(DomainError):
-            first_moment_bound(system, ladder, 0, 2)
-        with pytest.raises(DomainError):
-            first_moment_bound(system, ladder, 3, 2)
-        with pytest.raises(DomainError):
-            first_moment_bound(system, ladder, 1, 0)
-
-    def test_resource_guard(self):
-        # (Q, level, limit, divisors of Q_(level-1) needed)
-        for q, j, limit, required in [(6, 2, 1, 2), (210, 4, 7, 8)]:
-            system = sys_of([(0, p) for p, _ in brute_factor(q)])
-            with pytest.raises(ResourceLimitError) as err:
-                first_moment_bound(system, ladder_of(q), j, 2, limits=Limits(divisors=limit))
-            assert str(err.value) == (
-                f"first-moment bound needs {required} divisors, over the limit {limit}"
-            )
-            assert (err.value.required, err.value.limit) == (required, limit)
+            assert bound_of(doubled, 6, j, 2) == 2 * bound_of(base, 6, j, 2)
 
     @given(pipeline_cases())
     @settings(max_examples=60)
@@ -105,7 +81,7 @@ class TestFirstMomentBound:
         d1 = min(d for _, d in pairs)
         zero = [0] * ladder.depth
         for record in run_levels(system, zero):
-            bound = first_moment_bound(system, ladder, record.level, d1)
+            bound = first_moment_bound(pairs, ladder.primes, ladder.exponents, record.level, d1)
             assert record.m1 <= bound
 
 

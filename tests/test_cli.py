@@ -10,8 +10,9 @@ import jsonschema
 import mpmath
 import pytest
 
-from covercert import Limits
+from covercert import Limits, cli
 from covercert.cli import RunConfig, _significant, build_parser, main
+from covercert.core import _TOO_LONG
 
 from helpers import (
     DIGIT_LIMIT,
@@ -618,10 +619,15 @@ class TestUsageAndExitCodes:
         assert err == f"error: bad constant {long_value[:80]!r}…: not a fraction\n"
 
     def test_limit_defaults_are_the_library_defaults(self, monkeypatch):
-        for name in ("RESIDUE_SPACE", "INTERVAL", "DIVISORS"):
+        for name in ("RESIDUE_SPACE", "INTERVAL"):
             monkeypatch.delenv(f"COVERCERT_LIMIT_{name}", raising=False)
         args = build_parser().parse_args(["witness", "--system", "0 mod 2"])
         assert RunConfig.from_args(args).limits == Limits()
+
+    def test_limit_divisors_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "witness", "--limit-divisors", "5", "--system", "0 mod 2")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --limit-divisors 5\n")
 
     def test_nonpositive_limit(self, capsys):
         code, _, err = run(
@@ -656,6 +662,22 @@ class TestUsageAndExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot print the system") and err.count("\n") == 1
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("j", ["100000", "100000000000"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_construct_checks_digits_before_building(self, capsys, monkeypatch, fmt, j):
+        # the largest modulus, 3 * 2^(j-3), is checked first: the family of
+        # j = 100000 would take seconds and hundreds of megabytes to build,
+        # and 3 * 2^(j-3) itself gigabytes at j = 10^11
+        def unbuilt(j):
+            raise AssertionError(f"construct_minimal_family({j}) was called")
+
+        monkeypatch.setattr(cli, "construct_minimal_family", unbuilt)
+        with time_limit(30):
+            code, out, err = run(capsys, "construct", "--j", j, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot print the system: {_TOO_LONG}\n"
 
     def test_parse_error_carries_line(self, capsys):
         code, _, err = run(capsys, "verify", "--system", "0 mod 2, zebra")

@@ -59,6 +59,16 @@ class TestMinimalFamily:
         assert covers_oracle(system).covers
         assert is_minimal(system) == (True, [])
 
+    @pytest.mark.parametrize("j", range(5, 16))
+    def test_pieces_are_crt_intersections(self, j):
+        # piece k is the one class mod 3 * 2^m, m = j-5+k, whose members are
+        # k mod 3 and 0 mod 2^m, found by scanning a period
+        pieces = pairs_of(construct_minimal_family(j))[-3:]
+        for k, (r, d) in enumerate(pieces):
+            m = j - 5 + k
+            assert d == 3 * 2**m
+            assert [x for x in range(d) if x % 3 == k and x % 2**m == 0] == [r]
+
     @pytest.mark.parametrize("j", [5, 6, 7])
     def test_covers_by_independent_check(self, j):
         covers, _, _ = brute_covers(pairs_of(construct_minimal_family(j)))

@@ -1,4 +1,4 @@
-"""Residue-class algebra, coverage oracles, minimality, parsing."""
+"""Congruence systems, factorization, coverage oracles, minimality, parsing."""
 
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +13,6 @@ from covercert import (
     InvalidModulusError,
     Limits,
     ParseError,
-    ResidueClass,
     ResourceLimitError,
     covers_interval,
     covers_oracle,
@@ -21,15 +20,13 @@ from covercert import (
     density_uncovered,
     emit_system,
     emit_system_json,
-    factorize,
-    intersect,
     is_minimal,
     multiplicity,
     parse_system,
     rational_str,
 )
 from covercert.constructions import construct_minimal_family, shift_expand
-from covercert.core import _TOO_LONG, DEFAULT_LIMITS
+from covercert.core import _TOO_LONG, DEFAULT_LIMITS, ResidueClass, factorize
 
 from helpers import (
     DIGIT_LIMIT,
@@ -75,41 +72,41 @@ def sys_of(pairs) -> CongruenceSystem:
 
 
 class TestResidueClass:
+    """A single class r mod d, as a one-class system."""
+
     def test_reduction(self):
-        assert ResidueClass(7, 3) == ResidueClass(1, 3)
-        assert ResidueClass(7, 3).residue == 1
+        assert CongruenceSystem([7], [3]) == CongruenceSystem([1], [3])
+        assert CongruenceSystem([7], [3]).residues == (1,)
 
     def test_negative_residue(self):
-        c = ResidueClass(-1, 4)
-        assert (c.residue, c.modulus) == (3, 4)
+        system = CongruenceSystem([-1], [4])
+        assert (system.residues, system.moduli) == ((3,), (4,))
 
     def test_modulus_one_absorbs(self):
-        assert ResidueClass(5, 1).residue == 0
+        assert CongruenceSystem([5], [1]).residues == (0,)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_invalid_modulus(self, bad):
         with pytest.raises(InvalidModulusError):
-            ResidueClass(1, bad)
+            CongruenceSystem([1], [bad])
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
     def test_contains_after_reduction(self, a, d):
-        c = ResidueClass(a, d)
-        assert 0 <= c.residue < d
-        assert c.contains(a)
-        assert c.contains(a + 7 * d)
+        (r,) = CongruenceSystem([a], [d]).residues
+        assert 0 <= r < d
+        assert (a - r) % d == 0
+        assert (a + 7 * d - r) % d == 0
 
 
 class TestFactorize:
     def test_twelve(self):
-        assert factorize(12).pairs == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_one_is_empty(self):
-        f = factorize(1)
-        assert f.pairs == ()
-        assert f.num_divisors == 1
+        assert factorize(1) == ()
 
     def test_prime(self):
-        assert factorize(97).pairs == ((97, 1),)
+        assert factorize(97) == ((97, 1),)
 
     @pytest.mark.parametrize("bad", [0, -12])
     def test_nonpositive(self, bad):
@@ -118,54 +115,7 @@ class TestFactorize:
 
     @given(st.integers(1, 10**6))
     def test_matches_independent_factorizer(self, n):
-        f = factorize(n)
-        assert list(f.pairs) == brute_factor(n)
-        assert f.divisors()[-1] == n
-
-    def test_divisors(self):
-        assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
-        assert factorize(1).divisors() == [1]
-        assert factorize(12).num_divisors == 6
-
-
-class TestIntersect:
-    def test_crt_merge(self):
-        assert intersect(ResidueClass(1, 2), ResidueClass(2, 3)) == ResidueClass(5, 6)
-
-    def test_incompatible_parity(self):
-        assert intersect(ResidueClass(1, 2), ResidueClass(0, 4)) is None
-
-    def test_modulus_one_identity(self):
-        assert intersect(ResidueClass(0, 1), ResidueClass(3, 7)) == ResidueClass(3, 7)
-
-    def test_exhaustive_small_moduli(self):
-        for d1 in range(1, 13):
-            for d2 in range(1, 13):
-                period = brute_lcm([d1, d2])
-                for r1 in range(d1):
-                    for r2 in range(d2):
-                        both = {
-                            x for x in range(period)
-                            if x % d1 == r1 and x % d2 == r2
-                        }
-                        got = intersect(ResidueClass(r1, d1), ResidueClass(r2, d2))
-                        if got is None:
-                            assert both == set()
-                        else:
-                            assert got.modulus == period
-                            assert both == {got.residue}
-
-    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 59), st.integers(0, 59))
-    def test_membership_agreement(self, d1, d2, r1, r2):
-        c1 = ResidueClass(r1, d1)
-        c2 = ResidueClass(r2, d2)
-        got = intersect(c1, c2)
-        period = brute_lcm([d1, d2])
-        members = {x for x in range(period) if c1.contains(x) and c2.contains(x)}
-        if got is None:
-            assert members == set()
-        else:
-            assert members == {x for x in range(period) if got.contains(x)}
+        assert list(factorize(n)) == brute_factor(n)
 
 
 class TestCoversOracle:
@@ -296,11 +246,11 @@ class TestIsMinimal:
         system = sys_of(pairs)
         minimal, redundant = is_minimal(system)
         q = system.lcm_modulus
-        for i, c in enumerate(system.classes):
+        for i, (r0, d0) in enumerate(pairs):
             others = [p for k, p in enumerate(pairs) if k != i]
             alone = [
                 x for x in range(q)
-                if c.contains(x) and not any((x - r) % m == 0 for r, m in others)
+                if (x - r0) % d0 == 0 and not any((x - r) % m == 0 for r, m in others)
             ]
             if minimal or i not in redundant:
                 assert alone, f"class {i} should cover something uniquely"
@@ -426,11 +376,11 @@ class TestParseEmit:
 
 
 class TestColumns:
-    """The two int columns agree with the definitions over ResidueClass objects."""
+    """The two int columns agree with the definitions over (residue, modulus) tuples."""
 
     @staticmethod
     def objects(pairs) -> tuple:
-        return tuple(ResidueClass(r, d) for r, d in pairs)
+        return tuple(ResidueClass(r % d, d) for r, d in pairs)
 
     @staticmethod
     def from_objects(classes) -> CongruenceSystem:
@@ -442,7 +392,7 @@ class TestColumns:
         assert system.classes == self.objects(pairs)
         assert system.residues == tuple(r % d for r, d in pairs)
         assert system.moduli == tuple(d for _, d in pairs)
-        assert list(system) == list(system.classes) and len(system) == len(pairs)
+        assert len(system) == len(pairs)
         assert self.from_objects(self.objects(pairs)) == system
 
     @given(system_pairs(max_classes=3), system_pairs(max_classes=3))
@@ -474,7 +424,9 @@ class TestColumns:
         source = sorted(self.objects(pairs), key=lambda c: (c.modulus, c.residue))
         width = 2 ** (ell - 1)
         expected = tuple(
-            ResidueClass(c.residue - h, c.modulus) for c in source[ell - 1 :] for h in range(width)
+            ResidueClass((c.residue - h) % c.modulus, c.modulus)
+            for c in source[ell - 1 :]
+            for h in range(width)
         )
         assert got.classes == expected
 
@@ -539,11 +491,9 @@ class TestColumns:
 
 class TestLimitsAndMisc:
     def test_default_limits(self):
-        assert DEFAULT_LIMITS == Limits(
-            residue_space=10**7, interval=2**24, divisors=10**6
-        )
+        assert DEFAULT_LIMITS == Limits(residue_space=10**7, interval=2**24)
 
-    @pytest.mark.parametrize("field", ["residue_space", "interval", "divisors"])
+    @pytest.mark.parametrize("field", ["residue_space", "interval"])
     def test_nonpositive_limit_rejected(self, field):
         for bad in (0, -1):
             with pytest.raises(DomainError):

@@ -9,33 +9,35 @@ import pytest
 from hypothesis import given, settings
 
 from covercert import (
-    INCONCLUSIVE,
-    NOT_COVERING,
     CongruenceSystem,
     DeltaSchedule,
     DomainError,
-    FiberMeasure,
     InternalConsistencyError,
-    LevelSet,
     Limits,
-    PrimeLadder,
     ResourceLimitError,
-    ap_mass_bound_check,
-    as_schedule,
     certify,
     default_delta_schedule,
     distortion,
-    factorize,
+    prime_ladder,
+    run_levels,
+)
+from covercert.core import factorize
+from covercert.distortion import (
+    INCONCLUSIVE,
+    NOT_COVERING,
+    FiberMeasure,
+    LevelSet,
+    PrimeLadder,
+    as_schedule,
     hit_fractions,
     level_set,
     moments,
-    prime_ladder,
-    run_levels,
     step_measure,
     uniform_measure,
 )
 
 from helpers import (
+    ap_mass_bound_check,
     brute_covers,
     fiber_sums,
     masses_of,
@@ -310,13 +312,8 @@ class TestShapeMismatch:
             lambda: step_measure(
                 uniform_measure(), bytes(2), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
             ),
-            # ap_mass_bound_check: measure modulus is not Q_level
-            lambda: ap_mass_bound_check(
-                measure_of(1, (F(1, 3),) * 3), as_schedule([0, 0]), ladder_of(6)
-            ),
         ],
-        ids=["hit-fractions-modulus", "moments-length", "step-modulus", "step-length",
-             "ap-modulus"],
+        ids=["hit-fractions-modulus", "moments-length", "step-modulus", "step-length"],
     )
     def test_shape_mismatch_is_domain_error(self, call):
         with pytest.raises(DomainError):
@@ -597,14 +594,6 @@ class TestCertify:
                 ),
                 "level set at level 2 needs a residue space of size 6, over the limit 5", 6, 5,
             ),
-            (
-                # sigma(6) = 12 (residue, divisor) pairs
-                lambda: ap_mass_bound_check(
-                    measure_of(2, (F(1, 6),) * 6), [0, 0], ladder_of(6),
-                    limits=Limits(divisors=11),
-                ),
-                "progression check needs 12 (residue, divisor) pairs, over the limit 11", 12, 11,
-            ),
         ]
         for call, message, required, limit in cases:
             with pytest.raises(ResourceLimitError) as err:
@@ -699,31 +688,29 @@ class TestCertify:
 
 
 class TestApMassBound:
+    """The test suite's reference progression check, on the pipeline's measures."""
+
     def test_uniform_start_clean(self):
-        ladder = ladder_of(12)
         schedule = as_schedule([0, F(1, 2)])
-        assert ap_mass_bound_check(uniform_measure(), schedule, ladder) == []
+        assert ap_mass_bound_check(masses_of(uniform_measure()), (2, 3), schedule) == []
 
     def test_boundary_equality_clean(self):
         system = sys_of([(0, 2)])
-        ladder = ladder_of(2)
         schedule = as_schedule([F(1, 2)])
         record = next(iter(run_levels(system, schedule)))
         assert masses_of(record.measure) == (F(0), F(1))
-        assert ap_mass_bound_check(record.measure, schedule, ladder) == []
+        assert ap_mass_bound_check(masses_of(record.measure), (2,), schedule) == []
 
     def test_pipeline_levels_clean(self):
         system = sys_of([(0, 2), (0, 3), (1, 4), (5, 6), (7, 12)])
         schedule = as_schedule([F(1, 4), F(1, 3)])
         ladder = prime_ladder(system.factorization)
         for record in run_levels(system, schedule):
-            assert ap_mass_bound_check(record.measure, schedule, ladder) == []
+            assert ap_mass_bound_check(masses_of(record.measure), ladder.primes, schedule) == []
 
     def test_tampered_measure_detected(self):
-        ladder = ladder_of(6)
-        schedule = as_schedule([0, 0])
         bad = measure_of(2, (F(1, 3), F(1, 3), F(0), F(1, 3), F(0), F(0)))
-        violations = ap_mass_bound_check(bad, schedule, ladder)
+        violations = ap_mass_bound_check(masses_of(bad), (2, 3), as_schedule([0, 0]))
         assert [(v.modulus, v.residue, v.mass, v.bound) for v in violations] == [
             (2, 1, F(2, 3), F(1, 2)),
             (3, 0, F(2, 3), F(1, 3)),
@@ -731,20 +718,6 @@ class TestApMassBound:
             (6, 1, F(1, 3), F(1, 6)),
             (6, 3, F(1, 3), F(1, 6)),
         ]
-
-    def test_resource_guard(self):
-        system = sys_of([(0, 2), (0, 3)])
-        ladder = ladder_of(6)
-        schedule = as_schedule([0, 0])
-        record = next(iter(run_levels(system, schedule)))
-        with pytest.raises(ResourceLimitError):
-            ap_mass_bound_check(record.measure, schedule, ladder, limits=Limits(divisors=2))
-
-    def test_short_schedule_rejected(self):
-        ladder = ladder_of(6)
-        measure = measure_of(1, (F(1, 2), F(1, 2)))
-        with pytest.raises(DomainError):
-            ap_mass_bound_check(measure, as_schedule([]), ladder)
 
     @given(pipeline_cases(max_classes=4))
     @settings(max_examples=40)
@@ -754,4 +727,4 @@ class TestApMassBound:
         ladder = prime_ladder(system.factorization)
         schedule = as_schedule(deltas)
         for record in run_levels(system, schedule):
-            assert ap_mass_bound_check(record.measure, schedule, ladder) == []
+            assert ap_mass_bound_check(masses_of(record.measure), ladder.primes, schedule) == []

@@ -40,7 +40,7 @@ def test_examples_found():
 
 @pytest.mark.parametrize("command, output", COMMANDS, ids=[c for c, _ in COMMANDS])
 def test_command_example(command, output, monkeypatch):
-    for name in ("FORMAT", "LIMIT_RESIDUE_SPACE", "LIMIT_INTERVAL", "LIMIT_DIVISORS"):
+    for name in ("FORMAT", "LIMIT_RESIDUE_SPACE", "LIMIT_INTERVAL"):
         monkeypatch.delenv(f"COVERCERT_{name}", raising=False)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
