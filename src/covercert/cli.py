@@ -97,24 +97,6 @@ def _opt(parser, flag: str, *, required: bool = False, **kwargs):
     parser.add_argument(flag, required=required, **kwargs)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    _opt(parser, "--format", choices=("text", "json"), default="text",
-         help="output format")
-    _opt(parser, "--limit-residue-space", type=int, default=DEFAULT_LIMITS.residue_space,
-         help="largest residue space Z/QZ that may be scanned")
-    _opt(parser, "--limit-interval", type=int, default=DEFAULT_LIMITS.interval,
-         help="longest initial segment that may be scanned")
-    return parser
-
-
-def _system_flags() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    _opt(parser, "--system", help="inline system, classes separated by commas")
-    _opt(parser, "--input", help="path to a system file, or - for stdin")
-    return parser
-
-
 def _load_system(args) -> CongruenceSystem:
     if args.system is not None and args.input is not None:
         raise _UsageError("give either --system or --input, not both")
@@ -377,65 +359,93 @@ def _cmd_smoothsum(args, cfg: RunConfig) -> str:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands in the order of the command list: name, help line, and
+# whether the command reads a system (--system or --input).  The handler of
+# each is _cmd_<name>.
+_COMMANDS = (
+    ("verify", "decide whether a system covers Z", True),
+    ("witness", "smallest uncovered residue, if any", True),
+    ("minimal", "check single-removal minimality", True),
+    ("multiplicity", "largest repeated-modulus count", True),
+    ("density", "exact density of the uncovered set", True),
+    ("construct", "minimal covering family with j distinct moduli", False),
+    ("reduce", "shift-expand a minimal covering system", True),
+    ("certify", "run the distorted-measure certificate", True),
+    ("bounds", "high-precision growth bounds", False),
+    ("smoothsum", "exact reciprocal sum over smooth integers", False),
+)
+
+
+def _command_names() -> list[str]:
+    return [name for name, _, _ in _COMMANDS]
+
+
+def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> None:
+    """Give the subparser of command name its flags, in the order of its usage line."""
+    _opt(p, "--format", choices=("text", "json"), default="text", help="output format")
+    _opt(p, "--limit-residue-space", type=int, default=DEFAULT_LIMITS.residue_space,
+         help="largest residue space Z/QZ that may be scanned")
+    _opt(p, "--limit-interval", type=int, default=DEFAULT_LIMITS.interval,
+         help="longest initial segment that may be scanned")
+    if reads_system:
+        _opt(p, "--system", help="inline system, classes separated by commas")
+        _opt(p, "--input", help="path to a system file, or - for stdin")
+    match name:
+        case "verify":
+            _opt(p, "--method", choices=("auto", "oracle", "interval"), default="auto",
+                 help="decision procedure; auto picks the smaller enumeration")
+        case "construct":
+            _opt(p, "--j", type=int, required=True, help="number of distinct moduli, at least 5")
+        case "reduce":
+            _opt(p, "--ell", type=int, required=True,
+                 help="block level: multiset multiplicity becomes 2^(ell-1)")
+        case "certify":
+            _opt(p, "--deltas", help="comma separated deltas in [0,1/2], one per prime of Q")
+            _opt(p, "--schedule-C", default=None,
+                 help="threshold constant for the default schedule (when --deltas is absent)")
+        case "bounds":
+            _opt(p, "--j", type=int, help="index for the j-th smallest modulus bound")
+            _opt(p, "--s", type=int, help="multiplicity for the largest modulus bound")
+            _opt(p, "--c", required=True, help="positive constant in the exponent, no default")
+            _opt(p, "--precision", type=int, default=30, help="significant decimal digits")
+        case "smoothsum":
+            _opt(p, "--y", type=int, required=True, help="smoothness bound, at least 2")
+            _opt(p, "--threshold", type=int, required=True, help="sum runs over d > threshold")
+            _opt(p, "--cap", type=int, required=True, help="sum runs over d <= cap")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The covercert parser, with every subcommand, or with only the one named command."""
     parser = argparse.ArgumentParser(
         prog="covercert",
         description="verify, build, expand and certify systems of congruences",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # each flag is built once and its action shared by every subcommand
-    common, system_source = _common_flags(), _system_flags()
-
-    def command(name, handler, help_text, *, system=False):
-        parents = [common, system_source] if system else [common]
-        p = sub.add_parser(name, help=help_text, parents=parents)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("verify", _cmd_verify, "decide whether a system covers Z", system=True)
-    _opt(p, "--method", choices=("auto", "oracle", "interval"), default="auto",
-         help="decision procedure; auto picks the smaller enumeration")
-
-    command("witness", _cmd_witness, "smallest uncovered residue, if any", system=True)
-    command("minimal", _cmd_minimal, "check single-removal minimality", system=True)
-    command("multiplicity", _cmd_multiplicity, "largest repeated-modulus count", system=True)
-    command("density", _cmd_density, "exact density of the uncovered set", system=True)
-
-    p = command("construct", _cmd_construct, "minimal covering family with j distinct moduli")
-    _opt(p, "--j", type=int, required=True, help="number of distinct moduli, at least 5")
-
-    p = command("reduce", _cmd_reduce, "shift-expand a minimal covering system", system=True)
-    _opt(p, "--ell", type=int, required=True,
-         help="block level: multiset multiplicity becomes 2^(ell-1)")
-
-    p = command("certify", _cmd_certify, "run the distorted-measure certificate", system=True)
-    _opt(p, "--deltas", help="comma separated deltas in [0,1/2], one per prime of Q")
-    _opt(p, "--schedule-C", default=None,
-         help="threshold constant for the default schedule (when --deltas is absent)")
-
-    p = command("bounds", _cmd_bounds, "high-precision growth bounds")
-    _opt(p, "--j", type=int, help="index for the j-th smallest modulus bound")
-    _opt(p, "--s", type=int, help="multiplicity for the largest modulus bound")
-    _opt(p, "--c", required=True, help="positive constant in the exponent, no default")
-    _opt(p, "--precision", type=int, default=30, help="significant decimal digits")
-
-    p = command("smoothsum", _cmd_smoothsum, "exact reciprocal sum over smooth integers")
-    _opt(p, "--y", type=int, required=True, help="smoothness bound, at least 2")
-    _opt(p, "--threshold", type=int, required=True, help="sum runs over d > threshold")
-    _opt(p, "--cap", type=int, required=True, help="sum runs over d <= cap")
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the usage line of a top-level error still lists every command.  The
+        # full build keeps the default, which names the missing-command error
+        metavar = "{" + ",".join(_command_names()) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, reads_system in _COMMANDS:
+        if command in (None, name):
+            _add_flags(sub.add_parser(name, help=help_text), name, reads_system)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call that starts with a command builds only that command's parser;
+    # anything else (-h, no argument, a misspelt name) needs the command list
+    command = argv[0] if argv and argv[0] in _command_names() else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = RunConfig.from_args(args)
-        output = args.handler(args, cfg)
+        output = globals()[f"_cmd_{args.command}"](args, cfg)
     except (_UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,6 @@ from .core import (
     InternalConsistencyError,
     Limits,
     _hit_mask,
-    covers_oracle,
     multiplicity,
     rational_str,
 )
@@ -143,12 +142,15 @@ def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
 class LevelSet:
     """Residues mod Q_level covered by the classes assigned to this level.
 
-    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ.
+    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ.  It
+    is the bytearray the level's classes were written into, not a copy; only
+    certify writes to it again, into the last level's mask once the pipeline
+    is done with it (see _first_uncovered).
     """
 
     level: int
     modulus: int
-    mask: bytes
+    mask: bytearray
 
     def __post_init__(self):
         if len(self.mask) != self.modulus:
@@ -188,7 +190,7 @@ def level_set(
             raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
         if qj % d == 0 and qprev % d != 0:
             progressions.append((r, d))
-    return LevelSet(j, qj, bytes(_hit_mask(qj, progressions)))
+    return LevelSet(j, qj, _hit_mask(qj, progressions))
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +625,10 @@ def certify(
     The per-level terms bound the mass that the final measure leaves on each
     level set, so when their sum eta is below 1 some residue mod Q avoids
     every class and the verdict is NotCovering; the witness is then the
-    smallest such residue, found by the exhaustive oracle.  Otherwise the
-    verdict is Inconclusive: eta >= 1 says nothing about coverage.
+    smallest such residue, read from the last level's mask once the classes
+    of the earlier levels are written into it (see _first_uncovered).
+    Otherwise the verdict is Inconclusive: eta >= 1 says nothing about
+    coverage.
 
     When no schedule is given, the default schedule derived from the system's
     multiplicity is used.
@@ -646,10 +650,30 @@ def certify(
     terms = tuple(terms)
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
-        witness = covers_oracle(sys, limits=limits).witness
-        if witness is None:
-            raise InternalConsistencyError(
-                "eta below 1 for a system the oracle says covers"
-            )
+        # the empty system covers nothing, so 0 is its smallest uncovered residue
+        witness = 0 if last is None else _first_uncovered(sys, last)
+        if witness < 0:
+            raise InternalConsistencyError("eta below 1 for a system that covers")
         return Certificate(terms, eta, NOT_COVERING, witness)
     return Certificate(terms, eta, INCONCLUSIVE, None)
+
+
+def _first_uncovered(sys: CongruenceSystem, last: LevelRecord) -> int:
+    """The smallest residue mod Q that no class covers, or -1 when there is none.
+
+    last is the record of the last level, whose mask over Z/QZ holds that
+    level's classes.  Every other class has a modulus d dividing Q_(J-1),
+    the parent modulus, and is written into the mask, with one fill of Q/d
+    bytes per modulus.  The mask is changed in place, so last must not be
+    read again.
+    """
+    mask, q, qprev = last.level_set.mask, last.level_set.modulus, last.parent.modulus
+    earlier = {}
+    for r, d in zip(sys.residues, sys.moduli):
+        if qprev % d == 0:
+            earlier.setdefault(d, []).append(r)
+    for d, residues in earlier.items():
+        fill = b"\x01" * (q // d)
+        for r in residues:
+            mask[r::d] = fill
+    return mask.find(0)

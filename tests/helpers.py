@@ -10,6 +10,7 @@ progression mass bound.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import signal
 import sys
@@ -462,3 +463,9 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def subcommand_help(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Each subcommand of parser, in order, with its help line."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {choice.dest: choice.help for choice in sub._choices_actions}

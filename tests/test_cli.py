@@ -1,5 +1,6 @@
 """The command line: outputs, formats, exit codes, environment mirroring."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -19,6 +20,7 @@ from helpers import (
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
     needs_digit_limit,
+    subcommand_help,
     time_limit,
 )
 
@@ -724,6 +726,64 @@ class TestUsageAndExitCodes:
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         assert (code, out) == (4, "")
         assert err == "error: internal: level set member above a fiber with hit fraction 0\n"
+
+
+SUBCOMMANDS = list(subcommand_help(build_parser()))
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_single_command_parser_parses_as_the_full_one(self, name, capsys, monkeypatch):
+        tails = [
+            ["-h"],
+            [],  # a missing required flag, where the command has one
+            ["--bogus"],
+            ["extra"],
+            ["--syst", TWO_THREE],
+            ["--format", "xml"],
+            ["--limit-interval", "abc"],
+        ]
+        for env in ({}, {"COVERCERT_FORMAT": "json", "COVERCERT_J": "5"}):
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            for tail in tails:
+                outcomes = []
+                for parser in (build_parser(name), build_parser()):
+                    try:
+                        outcome = (0, vars(parser.parse_args([name, *tail])))
+                    except SystemExit as exc:
+                        outcome = (exc.code, None)
+                    outcomes.append((*outcome, *capsys.readouterr()))
+                assert outcomes[0] == outcomes[1], tail
+                if tail == ["-h"]:
+                    assert outcomes[0][0] == 0 and f"usage: covercert {name}" in outcomes[0][2]
+
+    def test_a_named_command_builds_only_its_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        full = 1 + len(SUBCOMMANDS)
+        for argv, parsers in [
+            (["witness", "--system", "0 mod 2"], 2),
+            (["-h"], full),
+            (["verif"], full),
+        ]:
+            built.clear()
+            main(argv)
+            assert len(built) == parsers, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["construct", "--j", "5"], ["-h"]])
+    def test_console_script_reads_sys_argv(self, argv, capsys, monkeypatch):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["covercert", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == expected
 
 
 def test_import_needs_only_the_standard_library():

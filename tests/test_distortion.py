@@ -4,6 +4,7 @@ import random
 from array import array
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from covercert import (
     Limits,
     ResourceLimitError,
     certify,
+    core,
     default_delta_schedule,
     distortion,
     prime_ladder,
@@ -562,6 +564,33 @@ class TestCertify:
         assert cert.verdict == NOT_COVERING
         assert cert.witness == 0
         assert cert.terms == ()
+
+    def test_witness_without_the_oracle(self, monkeypatch):
+        # the witness is read from the level masks; the oracle and the
+        # brute-force scan stay independent checks of it
+        rng = random.Random(12)
+        cases = [((), []), (((0, 2), (0, 3)), [0, 0]), (((1, 2), (0, 4)), [0])]
+        for _ in range(60):
+            pairs = []
+            for _ in range(rng.randint(1, 5)):
+                d = rng.choice((2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 30, 36))
+                pairs.append((rng.randrange(d), d))
+            depth = len(factorize(lcm(*(d for _, d in pairs))))
+            cases.append((tuple(pairs), [rng.choice((0, F(1, 4), F(1, 2))) for _ in range(depth)]))
+        expected = [certify(sys_of(pairs), deltas) for pairs, deltas in cases]
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("certify ran the coverage oracle")
+
+        for module in (core, distortion):
+            monkeypatch.setattr(module, "covers_oracle", oracle, raising=False)
+        got = [certify(sys_of(pairs), deltas) for pairs, deltas in cases]
+        assert got == expected
+        assert got[0].witness == 0
+        assert sum(cert.verdict == NOT_COVERING for cert in got) > 20
+        for (pairs, _), cert in zip(cases, got):
+            if cert.verdict == NOT_COVERING:
+                assert cert.witness == brute_covers(pairs)[1]
 
     def test_schedule_length_mismatch(self):
         with pytest.raises(DomainError):

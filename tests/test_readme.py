@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from covercert.cli import main
+from covercert.cli import build_parser, main
+
+from helpers import subcommand_help
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```$", README, re.M | re.S)
@@ -36,6 +38,13 @@ PYTHON_BLOCKS = [body for lang, body in BLOCKS if lang == "python"]
 def test_examples_found():
     assert len(COMMANDS) >= 3
     assert len(PYTHON_BLOCKS) >= 2
+
+
+def test_command_table_lists_every_subcommand():
+    # the table of the Command line section, one "covercert <name> <help>" row each
+    table = next(body for lang, body in BLOCKS if lang == "text" and body.startswith("covercert "))
+    rows = [tuple(line.split(None, 2)[1:]) for line in table.splitlines()]
+    assert rows == list(subcommand_help(build_parser()).items())
 
 
 @pytest.mark.parametrize("command, output", COMMANDS, ids=[c for c, _ in COMMANDS])
