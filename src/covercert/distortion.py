@@ -22,13 +22,15 @@ any decision.
 
 A measure takes few distinct values, so a FiberMeasure stores each distinct
 exact mass once, in a table, and one small integer per residue, its type:
-the index of its mass in the table, in an array('H') of 2 bytes per residue
-while there are at most 65536 types, else an array('I').  Hit counts stay
-integers; the hit fraction of a fiber is its count over the p_j^(nu_j)
-lifts, and no per-fiber Fraction is made.  Counts are summed in byte lanes:
-the rows of the level-set mask, read as little-endian integers, add up to an
-integer whose byte y is the hit count of fiber y, as long as a fiber has at
-most 255 lifts; wider fibers are counted one slice each.
+the index of its mass in the table, in the narrowest of array('B'),
+array('H') and array('I') that indexes the table, so 1 byte per residue
+while there are at most 256 types.  Hit counts stay integers; the hit
+fraction of a fiber is its count over the p_j^(nu_j) lifts, and no
+per-fiber Fraction is made.  Counts are summed in byte lanes: the rows of
+the level-set mask, read as little-endian integers, add up to an integer
+whose byte y is the hit count of fiber y, as long as a fiber has at most
+255 lifts and every mask byte is 0 or 1; wider fibers are counted one slice
+each.
 
 Inside a parent fiber the new measure takes only two values, on B_j and off
 it, which depend only on the fiber's (type, count) group.  So the moments
@@ -36,9 +38,14 @@ and the update do their exact arithmetic once per distinct group, over
 integer numerators, and leave the per-fiber and per-residue work to C:
 counting the groups, mapping groups to new types, and choosing each
 residue's on or off type by its mask bit with bitwise operations on big
-integers.  Cheap runtime checks guard the arithmetic: each new measure has
-total mass exactly 1 and no negative mass, and the mass it leaves on B_j is
-at most the level's certified term, and equal to it when delta_j = 0.
+integers.  While a level's groups fit in a byte, types * (lifts + 1) <=
+256, each fiber's group is one byte, type * (lifts + 1) + count, so the
+fibers with no hit are dropped with one bytes.translate, and the new types
+of a measure of at most 256 types are read through two 256-byte translate
+tables; other levels group wider integer codes.  Cheap runtime checks guard the
+arithmetic: each new measure has total mass exactly 1 and no negative
+mass, and the mass it leaves on B_j is at most the level's certified term,
+and equal to it when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -84,17 +91,30 @@ _NONZERO = bytes([0] + [1] * 255)
 _NOT = bytes([1, 0] + [0] * 254)
 _ALL_ONES = bytes([0, 255] + [0] * 254)
 
-# the most mass types an array('H') of ids can index
-_MAX_NARROW_TYPES = 1 << 16
+
+def _scaled_sum(weighted: Collection[tuple[tuple[int, int], int]]) -> tuple[int, int]:
+    """The sum of weight * num / den over ((num, den), weight) pairs, as (numerator, L).
+
+    The numerator is the sum of weight * num * (L / den) over the common
+    denominator L of the pairs, unreduced.
+    """
+    common = lcm(*(den for (_, den), _ in weighted))
+    return sum(w * num * (common // den) for (num, den), w in weighted), common
 
 
 def _total(weighted: Collection[tuple[tuple[int, int], int]], scale: int = 1) -> Fraction:
-    """The sum of weight * num / den over ((num, den), weight) pairs, divided by scale.
+    """The sum of weight * num / den over ((num, den), weight) pairs, divided by scale."""
+    num, common = _scaled_sum(weighted)
+    return Fraction(num, common * scale)
 
-    Summed over the common denominator, so that only the total is normalized.
-    """
-    common = lcm(*(den for (_, den), _ in weighted))
-    return Fraction(sum(w * num * (common // den) for (num, den), w in weighted), common * scale)
+
+def _as_delta(delta) -> Fraction:
+    """delta as a Fraction, checked to lie in [0, 1/2] on its numerator and denominator."""
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    if delta.numerator < 0 or 2 * delta.numerator > delta.denominator:
+        raise DomainError(f"delta must lie in [0, 1/2], got {delta}")
+    return delta
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -197,9 +217,9 @@ def level_set(
 # fiber measures
 
 
-def _id_array(types: int) -> array:
-    """An empty id array wide enough to index a table of this many masses."""
-    return array("H" if types <= _MAX_NARROW_TYPES else "I")
+def _id_typecode(types: int) -> str:
+    """The narrowest array typecode whose ids index a table of this many masses."""
+    return "B" if types <= 1 << 8 else "H" if types <= 1 << 16 else "I"
 
 
 @dataclass(frozen=True)
@@ -224,7 +244,7 @@ class FiberMeasure:
 
 def uniform_measure() -> FiberMeasure:
     """The starting measure: total mass 1, constant on Z."""
-    return FiberMeasure(0, 1, (_ONE,), array("H", (0,)))
+    return FiberMeasure(0, 1, (_ONE,), array("B", (0,)))
 
 
 def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: int):
@@ -244,13 +264,12 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: in
     if lifts > 255:
         return [mask[y::qprev].count(1) for y in range(qprev)]
     # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
-    # hit count of fiber y, and a lane of at most 255 cannot carry
+    # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot carry
+    if mask.count(0) + mask.count(1) != len(mask):
+        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
     rows = memoryview(mask)
     total = sum(int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little") for k in range(lifts))
-    counts = total.to_bytes(qprev, "little")
-    if sum(counts) != mask.count(1):
-        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
-    return counts
+    return total.to_bytes(qprev, "little")
 
 
 def _hit_flags(counts) -> bytes:
@@ -260,19 +279,34 @@ def _hit_flags(counts) -> bytes:
     return bytes(map(bool, counts))
 
 
-def _fiber_codes(ids: array, counts) -> tuple[array | list[int], int]:
+def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview | list, int]:
     """Per fiber y, its group code ids[y] * base + counts[y], and base.
 
-    Byte counts under 16-bit ids are packed into 32-bit lanes by byte slicing,
-    with base 256; other shapes take one multiply-add per fiber.
+    When the counts and the ids are bytes and every code fits in a byte,
+    types * (lifts + 1) <= 256, the codes are one bytes object with base
+    lifts + 1: the ids, read as one little-endian integer, are multiplied by
+    base and the counts added, and no byte lane can carry.  Other byte
+    counts under ids of at most 2 bytes are packed into 32-bit lanes with
+    base 256, read through a memoryview; other shapes take one multiply-add
+    per fiber.
     """
-    if isinstance(counts, bytes) and ids.itemsize == 2:
-        lanes = bytearray(4 * len(counts))
-        lanes[0 if sys.byteorder == "little" else 3 :: 4] = counts
-        raw = ids.tobytes()
-        lanes[1::4] = raw[0::2]
-        lanes[2::4] = raw[1::2]
-        return array("I", lanes), 256
+    ids = prev.ids
+    if isinstance(counts, bytes):
+        base = lifts + 1
+        if ids.itemsize == 1 and len(prev.table) * base <= 256:
+            packed = int.from_bytes(ids, "little") * base + int.from_bytes(counts, "little")
+            return packed.to_bytes(len(counts), "little"), base
+        if ids.itemsize <= 2:
+            width = ids.itemsize
+            little = sys.byteorder == "little"
+            lanes = bytearray(4 * len(counts))
+            lanes[0 if little else 3 :: 4] = counts
+            # the id's bytes, in native order, fill the lane's bytes above the count
+            raw = ids.tobytes()
+            first = 1 if little else 3 - width
+            for k in range(width):
+                lanes[first + k :: 4] = raw[k::width]
+            return memoryview(lanes).cast("I"), 256
     base = max(counts, default=0) + 1
     return list(map(int.__add__, map(base.__mul__, ids), counts)), base
 
@@ -282,8 +316,12 @@ def moments(prev: FiberMeasure, counts, lifts: int) -> tuple[Fraction, Fraction]
     if len(counts) != prev.modulus:
         raise DomainError("one hit count per parent residue is required")
     # fibers with no hit add nothing; the rest are grouped by (type, count)
-    codes, base = _fiber_codes(prev.ids, counts)
-    groups = Counter(itertools.compress(codes, _hit_flags(counts)))
+    codes, base = _fiber_codes(prev, counts, lifts)
+    if isinstance(codes, bytes):
+        # a code with count 0 is a multiple of base
+        groups = Counter(codes.translate(None, bytes(range(0, 256, base))))
+    else:
+        groups = Counter(itertools.compress(codes, _hit_flags(counts)))
     # per parent type, the sums of n c and n c^2 over its groups
     first = {}
     second = {}
@@ -311,9 +349,7 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     takes the type of its group's on or off mass by its mask bit, in bitwise
     operations on whole rows of lifts.
     """
-    delta = Fraction(delta)
-    if not _ZERO <= delta <= _HALF:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta}")
+    delta = _as_delta(delta)
     qprev = prev.modulus
     qj = bset.modulus
     if qj % qprev != 0:
@@ -329,24 +365,32 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     pair_of = {}
     weight = Counter()
     on_weight = Counter()
-    codes, base = _fiber_codes(prev.ids, counts)
+    codes, base = _fiber_codes(prev, counts, lifts)
     for code, n in Counter(codes).items():
         c = code % base
         pair_of[code] = off, on = _fiber_masses(prev.table[code // base], c, lifts, delta)
         weight[off] += n * (lifts - c)
         weight[on] += n * c
         on_weight[on] += n * c
-    if _total(weight.items()) != 1 or min(num for num, _ in weight) < 0:
+    total, common = _scaled_sum(weight.items())
+    if total != common or min(num for num, _ in weight) < 0:
         raise InternalConsistencyError(f"level {bset.level} measure is not a probability measure")
     # the types are the distinct masses, in order of first use
     type_of = {mass: i for i, mass in enumerate(weight)}
-    off_of = {code: type_of[off] for code, (off, _) in pair_of.items()}
-    on_of = {code: type_of[on] for code, (_, on) in pair_of.items()}
-    off_row, on_row = _id_array(len(weight)), _id_array(len(weight))
-    off_row.extend(map(off_of.__getitem__, codes))
-    on_row.extend(map(on_of.__getitem__, codes))
+    typecode = _id_typecode(len(weight))
+    if isinstance(codes, bytes) and typecode == "B":
+        # byte codes to byte types, through one 256-byte table per row
+        off_of, on_of = bytearray(256), bytearray(256)
+        for code, (off, on) in pair_of.items():
+            off_of[code], on_of[code] = type_of[off], type_of[on]
+        off_row, on_row = codes.translate(off_of), codes.translate(on_of)
+    else:
+        off_of = {code: type_of[off] for code, (off, _) in pair_of.items()}
+        on_of = {code: type_of[on] for code, (_, on) in pair_of.items()}
+        off_row = array(typecode, map(off_of.__getitem__, codes))
+        on_row = array(typecode, map(on_of.__getitem__, codes))
     table = tuple(Fraction(num, den) for num, den in weight)
-    ids = _select_rows(off_row, on_row, mask)
+    ids = _select_rows(off_row, on_row, mask, typecode)
     return FiberMeasure(bset.level, qj, table, ids, _total(on_weight.items()))
 
 
@@ -354,26 +398,29 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
 _SELECT_BLOCK = 1 << 18
 
 
-def _select_rows(off_row: array, on_row: array, mask: bytes) -> array:
-    """Per residue z, on_row's id where mask[z] is set, else off_row's.
+def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
+    """Per residue z, on_row's id where mask[z] is set, else off_row's, in an array of typecode.
 
-    The rows hold one id per parent fiber and are tiled over the lifts:
-    residue z lies over fiber z mod len(off_row).  The selection off ^ ((off
-    ^ on) & m), with m all ones on the lanes of set mask bytes, runs on big
-    integers a block of whole rows at a time.
+    The rows hold one id per parent fiber, as arrays of typecode or, for
+    one-byte ids, as bytes, and are tiled over the lifts: residue z lies
+    over fiber z mod len(off_row).  The selection off ^ ((off ^ on) & m),
+    with m all ones on the lanes of set mask bytes, runs on big integers a
+    block of whole rows at a time.
     """
-    fibers, width = len(off_row), off_row.itemsize
+    ids = array(typecode)
+    fibers, width = len(off_row), ids.itemsize
     diff_row = (int.from_bytes(off_row, "little") ^ int.from_bytes(on_row, "little")).to_bytes(
         fibers * width, "little"
     )
     step = fibers * min(len(mask) // fibers, max(1, _SELECT_BLOCK // fibers))
-    ids = array(off_row.typecode)
     for start in range(0, len(mask), step):
         block = mask[start : start + step].translate(_ALL_ONES)
         rows, size = len(block) // fibers, len(block) * width
-        wide = bytearray(size)
-        for lane in range(width):
-            wide[lane::width] = block
+        wide = block
+        if width > 1:
+            wide = bytearray(size)
+            for lane in range(width):
+                wide[lane::width] = block
         off = int.from_bytes(off_row * rows, "little")
         diff = int.from_bytes(diff_row * rows, "little") & int.from_bytes(wide, "little")
         ids.frombytes((off ^ diff).to_bytes(size, "little"))
@@ -430,11 +477,7 @@ class DeltaSchedule:
     deltas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(Fraction(d) for d in self.deltas)
-        for d in coerced:
-            if not _ZERO <= d <= _HALF:
-                raise DomainError(f"delta must lie in [0, 1/2], got {d}")
-        object.__setattr__(self, "deltas", coerced)
+        object.__setattr__(self, "deltas", tuple(map(_as_delta, self.deltas)))
 
     def __len__(self) -> int:
         return len(self.deltas)
@@ -575,9 +618,10 @@ class LevelRecord:
 
 def _level_term(m1: Fraction, m2: Fraction, delta: Fraction) -> tuple[Fraction, str]:
     # the second-moment bound m2 / (4 delta (1 - delta)) degenerates at delta = 0
-    if delta == 0:
+    dn, dd = delta.numerator, delta.denominator
+    if dn == 0:
         return m1, FIRST_MOMENT
-    second = m2 / (4 * delta * (1 - delta))
+    second = Fraction(m2.numerator * dd * dd, m2.denominator * 4 * dn * (dd - dn))
     if m1 <= second:
         return m1, FIRST_MOMENT
     return second, SECOND_MOMENT

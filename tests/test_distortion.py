@@ -61,15 +61,20 @@ def ladder_of(q: int):
     return prime_ladder(factorize(q))
 
 
+def narrowest_ids(types: int) -> str:
+    """The typecode of the narrowest id array that indexes this many masses."""
+    return "B" if types <= 1 << 8 else "H" if types <= 1 << 16 else "I"
+
+
 def measure_of(level: int, masses, typecode: str = "") -> FiberMeasure:
     """The FiberMeasure with masses[y] on fiber y.
 
-    Its ids are an array of typecode, by default the narrowest of H and I
-    that indexes the distinct masses.
+    Its ids are an array of typecode, by default the narrowest of B, H and
+    I that indexes the distinct masses.
     """
     table = tuple(dict.fromkeys(masses))
     index = {m: i for i, m in enumerate(table)}
-    typecode = typecode or ("H" if len(table) <= 1 << 16 else "I")
+    typecode = typecode or narrowest_ids(len(table))
     return FiberMeasure(level, len(masses), table, array(typecode, map(index.__getitem__, masses)))
 
 
@@ -239,6 +244,15 @@ class TestHitFractions:
             assert list(got) == counts
         assert seen == {0, 1, 2}
 
+    @pytest.mark.parametrize("byte", [2, 255])
+    def test_mask_byte_past_one_is_caught(self, byte):
+        # 255 lifts of 0 or 1 fit a byte lane; a mask byte above 1 could carry
+        ladder = ladder_of(2 * 3**5)
+        mask = bytearray(2 * 3**5)
+        mask[1] = byte
+        with pytest.raises(InternalConsistencyError, match="overflowed"):
+            hit_fractions(measure_of(1, (F(1, 2), F(1, 2))), LevelSet(2, 2 * 3**5, mask), ladder, 2)
+
 
 class TestTypeTable:
     """Levels whose parent holds hundreds or tens of thousands of mass types.
@@ -249,14 +263,14 @@ class TestTypeTable:
     """
 
     @staticmethod
-    def _level(ladder, j, delta, typecode=""):
+    def _level(ladder, j, delta, typecode="", empty=False):
         qprev, qj = ladder.partials[j - 1], ladder.partials[j]
         lifts = qj // qprev
         total = qprev * (qprev + 1) // 2
         parent = [F(y + 1, total) for y in range(qprev)]
         prev = measure_of(j - 1, parent, typecode)
         rng = random.Random(qj)
-        mask = bytes(rng.random() < 0.5 for _ in range(qj))
+        mask = bytes(qj) if empty else bytes(rng.random() < 0.5 for _ in range(qj))
         bset = LevelSet(j, qj, mask)
         pointwise = [parent[x % qprev] / lifts for x in range(qj)]
         alpha, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
@@ -282,15 +296,59 @@ class TestTypeTable:
     )
     def test_many_types_match_reference(self, ladder, j, typecode, delta):
         out = self._level(ladder, j, delta, typecode)
-        assert out.ids.itemsize == 2
+        assert out.ids.typecode == narrowest_ids(len(out.table))
 
-    def test_ids_widen_past_65536_types(self):
-        # 3^10 = 59049 parent types; at delta = 1/3 each half-hit fiber, about
-        # half of them, splits its mass m into 3m/4 off and m/4 on: 72813 types
-        ladder = PrimeLadder((3, 2), (10, 1), (1, 3**10, 2 * 3**10))
-        out = self._level(ladder, 2, F(1, 3))
-        assert len(out.table) > 1 << 16
-        assert out.ids.typecode == "I"
+    @pytest.mark.parametrize(
+        "ladder, delta, empty, types, typecode",
+        [
+            # an empty level set at delta = 0 keeps one mass per parent type
+            (PrimeLadder((2, 3), (8, 1), (1, 2**8, 3 * 2**8)), F(0), True, 256, "B"),
+            (PrimeLadder((257, 2), (1, 1), (1, 257, 2 * 257)), F(0), True, 257, "H"),
+            # 3^10 = 59049 parent types; at delta = 1/3 each half-hit fiber, about
+            # half of them, splits its mass m into 3m/4 off and m/4 on
+            (PrimeLadder((3, 2), (10, 1), (1, 3**10, 2 * 3**10)), F(1, 3), False, 72813, "I"),
+        ],
+        ids=["types-256-B", "types-257-H", "types-72813-I"],
+    )
+    def test_ids_widen_past_65536_types(self, ladder, delta, empty, types, typecode):
+        out = self._level(ladder, 2, delta, empty=empty)
+        assert len(out.table) == types
+        assert out.ids.typecode == typecode
+
+
+class TestCodeWidths:
+    """One-byte and 32-bit (type, count) codes give the same moments and measures.
+
+    Fiber y of the parent has type y mod types and y // types hits, so every
+    (type, count) group occurs once, with empty, partial and full fibers.
+    Under one-byte ids the codes fit in a byte while types * (lifts + 1) <=
+    256; two-byte ids always take 32-bit codes.  The masses have distinct
+    prime numerators, so that the stepped measures take up to 261 types and
+    come out with one-byte and two-byte ids.
+    """
+
+    @pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1, 2)])
+    @pytest.mark.parametrize(
+        "types, lifts",
+        [(64, 3), (32, 7), (65, 3)],
+        ids=["codes-256", "codes-256-lifts-7", "codes-260"],
+    )
+    def test_byte_and_wide_codes_agree(self, types, lifts, delta):
+        qprev, qj = types * (lifts + 1), types * (lifts + 1) * lifts
+        primes = [p for p in range(23, 400) if all(p % q for q in range(2, p))][:types]
+        total = (lifts + 1) * sum(primes)
+        parent = [F(primes[y % types], total) for y in range(qprev)]
+        counts = bytes(y // types for y in range(qprev))
+        mask = bytes(z // qprev < counts[z % qprev] for z in range(qj))
+        bset = LevelSet(1, qj, mask)
+        pointwise = [parent[x % qprev] / lifts for x in range(qj)]
+        _, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
+        for typecode in "BH":
+            prev = measure_of(0, parent, typecode)
+            assert moments(prev, counts, lifts) == (m1, m2)
+            out = step_measure(prev, counts, delta, bset)
+            assert masses_of(out) == tuple(updated)
+            assert out.ids.typecode == narrowest_ids(len(out.table))
 
 
 class TestShapeMismatch:
