@@ -279,6 +279,21 @@ def _hit_flags(counts) -> bytes:
     return bytes(map(bool, counts))
 
 
+def _require_counts(counts, fibers: int, lifts: int) -> None:
+    """Raise unless there is one hit count per fiber, each from 0 to lifts.
+
+    A count past lifts would spill a one-byte code into the next type.
+    """
+    if len(counts) != fibers:
+        raise DomainError("one hit count per parent residue is required")
+    if isinstance(counts, bytes):
+        over = lifts < 255 and counts.translate(None, bytes(range(lifts + 1)))
+    else:
+        over = counts and not 0 <= min(counts) <= max(counts) <= lifts
+    if over:
+        raise DomainError(f"each hit count must lie in [0, {lifts}], the lifts of its fiber")
+
+
 def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview | list, int]:
     """Per fiber y, its group code ids[y] * base + counts[y], and base.
 
@@ -288,11 +303,11 @@ def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memory
     base and the counts added, and no byte lane can carry.  Other byte
     counts under ids of at most 2 bytes are packed into 32-bit lanes with
     base 256, read through a memoryview; other shapes take one multiply-add
-    per fiber.
+    per fiber, with base lifts + 1.  Every count is at most lifts
+    (_require_counts).
     """
-    ids = prev.ids
+    ids, base = prev.ids, lifts + 1
     if isinstance(counts, bytes):
-        base = lifts + 1
         if ids.itemsize == 1 and len(prev.table) * base <= 256:
             packed = int.from_bytes(ids, "little") * base + int.from_bytes(counts, "little")
             return packed.to_bytes(len(counts), "little"), base
@@ -307,14 +322,12 @@ def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memory
             for k in range(width):
                 lanes[first + k :: 4] = raw[k::width]
             return memoryview(lanes).cast("I"), 256
-    base = max(counts, default=0) + 1
     return list(map(int.__add__, map(base.__mul__, ids), counts)), base
 
 
 def moments(prev: FiberMeasure, counts, lifts: int) -> tuple[Fraction, Fraction]:
     """First and second moments of the hit fractions count / lifts under the parent measure."""
-    if len(counts) != prev.modulus:
-        raise DomainError("one hit count per parent residue is required")
+    _require_counts(counts, prev.modulus, lifts)
     # fibers with no hit add nothing; the rest are grouped by (type, count)
     codes, base = _fiber_codes(prev, counts, lifts)
     if isinstance(codes, bytes):
@@ -355,8 +368,7 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     if qj % qprev != 0:
         raise DomainError("level set modulus must be a multiple of the parent modulus")
     lifts = qj // qprev
-    if len(counts) != qprev:
-        raise DomainError("one hit count per parent residue is required")
+    _require_counts(counts, qprev, lifts)
     mask = bset.mask
     _check_zero_fibers(counts, mask, delta)
     # per (parent type, count) group, its (off, on) masses as reduced

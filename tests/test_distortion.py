@@ -372,8 +372,19 @@ class TestShapeMismatch:
             lambda: step_measure(
                 uniform_measure(), bytes(2), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
             ),
+            # a hit count past the lifts of its fiber, in bytes or in a list
+            lambda: moments(uniform_measure(), b"\x03", 2),
+            lambda: moments(uniform_measure(), [257], 256),
+            lambda: moments(uniform_measure(), [-1], 256),
+            lambda: step_measure(
+                uniform_measure(), b"\x03", F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
+            ),
         ],
-        ids=["hit-fractions-modulus", "moments-length", "step-modulus", "step-length"],
+        ids=[
+            "hit-fractions-modulus", "moments-length", "step-modulus", "step-length",
+            "moments-count-past-lifts", "moments-list-count-past-lifts",
+            "moments-negative-count", "step-count-past-lifts",
+        ],
     )
     def test_shape_mismatch_is_domain_error(self, call):
         with pytest.raises(DomainError):
