@@ -42,10 +42,10 @@ integers.  While a level's groups fit in a byte, types * (lifts + 1) <=
 256, each fiber's group is one byte, type * (lifts + 1) + count, so the
 fibers with no hit are dropped with one bytes.translate, and the new types
 of a measure of at most 256 types are read through two 256-byte translate
-tables; other levels group wider integer codes.  Cheap runtime checks guard the
-arithmetic: each new measure has total mass exactly 1 and no negative
-mass, and the mass it leaves on B_j is at most the level's certified term,
-and equal to it when delta_j = 0.
+tables; other levels group wider integer codes.  Cheap runtime checks
+guard the arithmetic: each new measure has total mass exactly 1 and no
+negative mass, and the mass it leaves on B_j is at most the level's
+certified term, and equal to it when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
