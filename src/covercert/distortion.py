@@ -264,11 +264,16 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: in
     if lifts > 255:
         return [mask[y::qprev].count(1) for y in range(qprev)]
     # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
-    # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot carry
-    if mask.count(0) + mask.count(1) != len(mask):
-        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
+    # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot
+    # carry.  A mask byte other than 0 or 1 has set bits that count(1) misses.
     rows = memoryview(mask)
-    total = sum(int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little") for k in range(lifts))
+    total = bits = 0
+    for k in range(lifts):
+        row = int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little")
+        total += row
+        bits += row.bit_count()
+    if bits != mask.count(1):
+        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
     return total.to_bytes(qprev, "little")
 
 
