@@ -246,7 +246,7 @@ class TestHitFractions:
 
     @pytest.mark.parametrize("byte", [2, 255])
     def test_mask_byte_past_one_is_caught(self, byte):
-        # 255 lifts of 0 or 1 fit a byte lane; a mask byte above 1 could carry
+        # up to 255 lifts of 0 or 1 fit a byte lane; a mask byte above 1 could carry
         ladder = ladder_of(2 * 3**5)
         mask = bytearray(2 * 3**5)
         mask[1] = byte
