@@ -272,7 +272,7 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
             raise _UsageError(
                 f"--deltas has {len(deltas)} entries, the system needs {depth}"
             )
-        schedule = DeltaSchedule(tuple(deltas))
+        schedule = DeltaSchedule(deltas)
     else:
         raw_constant = args.schedule_C
         if raw_constant is None:

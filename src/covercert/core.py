@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -173,10 +173,6 @@ class CongruenceSystem:
     def factorization(self) -> tuple[tuple[int, int], ...]:
         return factorize(self.lcm_modulus)
 
-    @cached_property
-    def modulus_counts(self) -> Counter:
-        return Counter(self.moduli)
-
     def sorted_by_modulus(self) -> "CongruenceSystem":
         """The classes sorted by (modulus, residue)."""
         moduli, residues = _columns(sorted(zip(self.moduli, self.residues)))
@@ -200,7 +196,7 @@ def multiplicity(sys: CongruenceSystem) -> int:
     """Largest number of classes sharing one modulus, duplicates included."""
     if not sys.moduli:
         raise DomainError("multiplicity of the empty system is undefined")
-    return max(sys.modulus_counts.values())
+    return max(Counter(sys.moduli).values())
 
 
 def deduplicated(sys: CongruenceSystem) -> CongruenceSystem:
@@ -231,27 +227,28 @@ def _repeat_for(mask: bytearray, size: int, d: int) -> None:
         mask *= (lcm(period, d) if size % d == 0 else size) // period
 
 
-def _hit_mask(size: int, progressions) -> bytearray:
+def _hit_mask(size: int, progressions, hit: bytearray | None = None) -> bytearray:
     """Byte mask of length size, 1 at start, start + d, ... for each (start, d).
 
-    Each start is below its d.  The mask grows with the moduli (_repeat_for)
-    and is repeated up to size at the end; one fill per modulus serves every
-    class of that modulus while the mask keeps its length.  A d that does not
-    divide size, as in the interval check, is written over the whole length.
+    Each start is below its d.  The starts are grouped by d, and one fill at
+    a time serves every start of its d.  A new mask grows with the moduli
+    (_repeat_for) and is repeated up to size at the end; hit, when given, is
+    a mask of length size to write into.  A d that does not divide size, as
+    in the interval check, is written over the whole length.
     """
-    hit, fills = bytearray(1), {}
+    starts = defaultdict(list)
     for start, d in progressions:
-        fill = fills.get(d)
-        if fill is None:
-            period = len(hit)
-            _repeat_for(hit, size, d)
-            if len(hit) != period:
-                fills.clear()
-            if size % d:  # the fill's length depends on start
+        starts[d].append(start)
+    hit = bytearray(1) if hit is None else hit
+    for d, group in starts.items():
+        _repeat_for(hit, size, d)
+        if size % d:  # the fill's length depends on start
+            for start in group:
                 hit[start::d] = b"\x01" * len(range(start, size, d))
-                continue
-            fill = fills[d] = b"\x01" * (len(hit) // d)
-        hit[start::d] = fill
+            continue
+        fill = b"\x01" * (len(hit) // d)
+        for start in group:
+            hit[start::d] = fill
     hit *= size // len(hit)
     return hit
 

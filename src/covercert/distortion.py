@@ -135,7 +135,6 @@ class PrimeLadder:
     """
 
     primes: tuple[int, ...]
-    exponents: tuple[int, ...]
     partials: tuple[int, ...]
 
     @property
@@ -150,31 +149,28 @@ def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
     """Build the ladder of partial prime-power products from (prime, exponent) pairs."""
     if not pairs:
         raise DomainError("a prime ladder needs at least one prime")
-    primes = tuple(p for p, _ in pairs)
-    exponents = tuple(e for _, e in pairs)
     partials = [1]
     for p, e in pairs:
         partials.append(partials[-1] * p**e)
-    return PrimeLadder(primes, exponents, tuple(partials))
+    return PrimeLadder(tuple(p for p, _ in pairs), tuple(partials))
 
 
 @dataclass(frozen=True)
 class LevelSet:
     """Residues mod Q_level covered by the classes assigned to this level.
 
-    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ.  It
-    is the bytearray the level's classes were written into, not a copy; only
-    certify writes to it again, into the last level's mask once the pipeline
-    is done with it (see _first_uncovered).
+    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ, so
+    modulus is len(mask).  It is the bytearray the level's classes were
+    written into, not a copy; only certify writes to it again, into the last
+    level's mask once the pipeline is done with it (see _first_uncovered).
     """
 
     level: int
-    modulus: int
     mask: bytearray
 
-    def __post_init__(self):
-        if len(self.mask) != self.modulus:
-            raise DomainError(f"mask has {len(self.mask)} bytes, modulus is {self.modulus}")
+    @property
+    def modulus(self) -> int:
+        return len(self.mask)
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -210,7 +206,7 @@ def level_set(
             raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
         if qj % d == 0 and qprev % d != 0:
             progressions.append((r, d))
-    return LevelSet(j, qj, _hit_mask(qj, progressions))
+    return LevelSet(j, _hit_mask(qj, progressions))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def _id_typecode(types: int) -> str:
 
 @dataclass(frozen=True)
 class FiberMeasure:
-    """A measure on Z/QZ stored by its mass on each fiber of Z/Q_levelZ.
+    """A measure on Z/QZ stored by its mass on each fiber of Z/Q_levelZ, Q_level = len(ids).
 
     Each distinct mass is stored once, in table; ids[y] is the index in
     table of the mass of fiber y.  level_mass is the mass the measure leaves
@@ -232,19 +228,21 @@ class FiberMeasure:
     step_measure did not build.
     """
 
-    level: int
-    modulus: int
     table: tuple[Fraction, ...]
     ids: array
     level_mass: Fraction | None = None
 
+    @property
+    def modulus(self) -> int:
+        return len(self.ids)
+
     def mass(self, y: int) -> Fraction:
-        return self.table[self.ids[y % self.modulus]]
+        return self.table[self.ids[y % len(self.ids)]]
 
 
 def uniform_measure() -> FiberMeasure:
     """The starting measure: total mass 1, constant on Z."""
-    return FiberMeasure(0, 1, (_ONE,), array("B", (0,)))
+    return FiberMeasure((_ONE,), array("B", (0,)))
 
 
 def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: int):
@@ -408,11 +406,17 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
         on_row = array(typecode, map(on_of.__getitem__, codes))
     table = tuple(Fraction(num, den) for num, den in weight)
     ids = _select_rows(off_row, on_row, mask, typecode)
-    return FiberMeasure(bset.level, qj, table, ids, _total(on_weight.items()))
+    return FiberMeasure(table, ids, _total(on_weight.items()))
 
 
-# residues per block of the row selection, so its big integers stay small
-_SELECT_BLOCK = 1 << 18
+# residues per block of the row passes, so their big integers stay small
+_ROW_BLOCK = 1 << 18
+
+
+def _row_blocks(mask: bytes, fibers: int):
+    """Copies of the mask in blocks of whole rows of fibers bytes: _ROW_BLOCK bytes or one row."""
+    step = fibers * max(1, _ROW_BLOCK // fibers)
+    return (mask[start : start + step] for start in range(0, len(mask), step))
 
 
 def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
@@ -422,16 +426,15 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     one-byte ids, as bytes, and are tiled over the lifts: residue z lies
     over fiber z mod len(off_row).  The selection off ^ ((off ^ on) & m),
     with m all ones on the lanes of set mask bytes, runs on big integers a
-    block of whole rows at a time.
+    block of whole rows at a time (_row_blocks).
     """
     ids = array(typecode)
     fibers, width = len(off_row), ids.itemsize
     diff_row = (int.from_bytes(off_row, "little") ^ int.from_bytes(on_row, "little")).to_bytes(
         fibers * width, "little"
     )
-    step = fibers * min(len(mask) // fibers, max(1, _SELECT_BLOCK // fibers))
-    for start in range(0, len(mask), step):
-        block = mask[start : start + step].translate(_ALL_ONES)
+    for block in _row_blocks(mask, fibers):
+        block = block.translate(_ALL_ONES)
         rows, size = len(block) // fibers, len(block) * width
         wide = block
         if width > 1:
@@ -449,15 +452,18 @@ def _check_zero_fibers(counts, mask: bytes, delta: Fraction) -> None:
 
     The update thins B_j by (a - delta) / (a (1 - delta)), which has no value
     at a = delta = 0; for delta > 0 such a fiber is emptied instead.  The
-    fibers with count 0, tiled over the lifts, must not meet the mask.
+    fibers with count 0, tiled over the lifts, must not meet the mask, one
+    block of whole rows at a time (_row_blocks).
     """
     if delta:
         return
     empty = _hit_flags(counts).translate(_NOT)
-    if 1 in empty and int.from_bytes(mask, "little") & int.from_bytes(
-        empty * (len(mask) // len(empty)), "little"
-    ):
-        raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
+    if 1 not in empty:
+        return
+    for block in _row_blocks(mask, len(empty)):
+        tiled = empty * (len(block) // len(empty))
+        if int.from_bytes(block, "little") & int.from_bytes(tiled, "little"):
+            raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
 
 
 def _fiber_masses(
@@ -487,29 +493,11 @@ def _fiber_masses(
 # delta schedules
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
-    """One distortion parameter per ladder level, each in [0, 1/2]."""
+class DeltaSchedule(tuple):
+    """One delta per ladder level: a tuple of the Fractions _as_delta makes of its input."""
 
-    deltas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(map(_as_delta, self.deltas)))
-
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-    def __iter__(self):
-        return iter(self.deltas)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.deltas[i]
-
-
-def as_schedule(value) -> DeltaSchedule:
-    if isinstance(value, DeltaSchedule):
-        return value
-    return DeltaSchedule(tuple(value))
+    def __new__(cls, deltas=()):
+        return super().__new__(cls, map(_as_delta, deltas))
 
 
 def default_delta_schedule(
@@ -527,7 +515,7 @@ def default_delta_schedule(
     if smooth_constant <= 0:
         raise DomainError(f"threshold constant must be positive, got {smooth_constant}")
     threshold = smooth_constant * mult**3
-    return DeltaSchedule(tuple(_ZERO if p <= threshold else _HALF for p in ladder.primes))
+    return DeltaSchedule(_ZERO if p <= threshold else _HALF for p in ladder.primes)
 
 
 def _pipeline_ladder(sys: CongruenceSystem, limits: Limits) -> PrimeLadder | None:
@@ -552,7 +540,7 @@ def system_default_schedule(
     """
     ladder = _pipeline_ladder(sys, limits)
     if ladder is None:
-        return DeltaSchedule(())
+        return DeltaSchedule()
     return default_delta_schedule(multiplicity(sys), ladder, smooth_constant)
 
 
@@ -653,7 +641,7 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     last is built only if its record's measure is read.
     """
     ladder = _pipeline_ladder(sys, limits)
-    schedule = as_schedule(schedule)
+    schedule = DeltaSchedule(schedule)
     if ladder is None:
         if len(schedule) != 0:
             raise DomainError("an empty system takes an empty schedule")
@@ -724,17 +712,9 @@ def _first_uncovered(sys: CongruenceSystem, last: LevelRecord) -> int:
 
     last is the record of the last level, whose mask over Z/QZ holds that
     level's classes.  Every other class has a modulus d dividing Q_(J-1),
-    the parent modulus, and is written into the mask, with one fill of Q/d
-    bytes per modulus.  The mask is changed in place, so last must not be
-    read again.
+    the parent modulus, and _hit_mask writes it into the mask.  The mask is
+    changed in place, so last must not be read again.
     """
-    mask, q, qprev = last.level_set.mask, last.level_set.modulus, last.parent.modulus
-    earlier = {}
-    for r, d in zip(sys.residues, sys.moduli):
-        if qprev % d == 0:
-            earlier.setdefault(d, []).append(r)
-    for d, residues in earlier.items():
-        fill = b"\x01" * (q // d)
-        for r in residues:
-            mask[r::d] = fill
-    return mask.find(0)
+    mask, qprev = last.level_set.mask, last.parent.modulus
+    earlier = [(r, d) for r, d in zip(sys.residues, sys.moduli) if qprev % d == 0]
+    return _hit_mask(len(mask), earlier, mask).find(0)

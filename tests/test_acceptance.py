@@ -263,11 +263,12 @@ def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):
     _check_measure_invariants(outcome, pairs, records, ladder.primes, schedule)
 
     # criterion 6: divisor-sum bound on the first moment at prefix-zero levels
+    exponents = [e for _, e in system.factorization]
     prefix_zero = True
     for record in records:
         if prefix_zero:
             outcome.prefix_zero_levels += 1
-            bound = first_moment_bound(pairs, ladder.primes, ladder.exponents, record.level, d1)
+            bound = first_moment_bound(pairs, ladder.primes, exponents, record.level, d1)
             if record.m1 > bound:
                 outcome.moment_failures.append(
                     f"{pairs} level {record.level}: m1 {record.m1} > bound {bound}"

@@ -79,9 +79,10 @@ class TestFirstMomentBound:
         system = sys_of(pairs)
         ladder = prime_ladder(system.factorization)
         d1 = min(d for _, d in pairs)
+        exponents = [e for _, e in system.factorization]
         zero = [0] * ladder.depth
         for record in run_levels(system, zero):
-            bound = first_moment_bound(pairs, ladder.primes, ladder.exponents, record.level, d1)
+            bound = first_moment_bound(pairs, ladder.primes, exponents, record.level, d1)
             assert record.m1 <= bound
 
 

@@ -2,9 +2,14 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
+import pytest
+
 import covercert
+
+ROOT = Path(__file__).parent.parent
 
 # every name README, scripts/, cli.py or perfbench/ imports from covercert,
 # and the exception classes
@@ -40,3 +45,17 @@ def test_helpers_import_nothing_from_covercert():
     assert imported and not any(
         name == "covercert" or name.startswith(("covercert.", ".")) for name in imported
     )
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # the tests run on a newer Python than the floor pyproject.toml declares;
+    # except* (3.11) must fail to parse there, or feature_version checks nothing
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor
+    version = (int(floor[1]), int(floor[2]))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
+    paths = sorted([*(ROOT / "src" / "covercert").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

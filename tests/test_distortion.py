@@ -1,6 +1,7 @@
 """The distorted-measure pipeline: ladders, level sets, measures, certificates."""
 
 import random
+import tracemalloc
 from array import array
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +31,6 @@ from covercert.distortion import (
     FiberMeasure,
     LevelSet,
     PrimeLadder,
-    as_schedule,
     hit_fractions,
     level_set,
     moments,
@@ -66,7 +66,7 @@ def narrowest_ids(types: int) -> str:
     return "B" if types <= 1 << 8 else "H" if types <= 1 << 16 else "I"
 
 
-def measure_of(level: int, masses, typecode: str = "") -> FiberMeasure:
+def measure_of(masses, typecode: str = "") -> FiberMeasure:
     """The FiberMeasure with masses[y] on fiber y.
 
     Its ids are an array of typecode, by default the narrowest of B, H and
@@ -75,14 +75,14 @@ def measure_of(level: int, masses, typecode: str = "") -> FiberMeasure:
     table = tuple(dict.fromkeys(masses))
     index = {m: i for i, m in enumerate(table)}
     typecode = typecode or narrowest_ids(len(table))
-    return FiberMeasure(level, len(masses), table, array(typecode, map(index.__getitem__, masses)))
+    return FiberMeasure(table, array(typecode, map(index.__getitem__, masses)))
 
 
 class TestPrimeLadder:
     def test_twelve(self):
         ladder = ladder_of(12)
         assert ladder.primes == (2, 3)
-        assert ladder.exponents == (2, 1)
+        assert [ladder.prime_power(j) for j in (1, 2)] == [4, 3]
         assert ladder.partials == (1, 4, 12)
 
     def test_six(self):
@@ -129,11 +129,7 @@ class TestLevelSet:
     def test_mask_field(self):
         bset = level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 2)
         assert bset.mask == b"\x01\x00\x00\x01\x00\x00"
-        assert bset == LevelSet(2, 6, bset.mask)
-
-    def test_mask_length_must_match_modulus(self):
-        with pytest.raises(DomainError):
-            LevelSet(1, 2, b"\x01")
+        assert bset == LevelSet(2, bset.mask)
 
     def test_modulus_outside_ladder(self):
         with pytest.raises(InternalConsistencyError):
@@ -220,14 +216,14 @@ class TestHitFractions:
             (ladder_of(2**8), 1),
             (ladder_of(6 * 257), 3),
             # hit_fractions reads only the partial products, so 2^8 may sit above 3
-            (PrimeLadder((3, 2), (1, 8), (1, 3, 3 * 2**8)), 2),
+            (PrimeLadder((3, 2), (1, 3, 3 * 2**8)), 2),
         ],
         ids=["lanes-243", "lanes-251", "slices-256", "slices-257", "slices-256-over-3"],
     )
     def test_counts_at_lane_boundary(self, ladder, j):
         qprev, qj = ladder.partials[j - 1], ladder.partials[j]
         lifts = qj // qprev
-        prev = measure_of(j - 1, (F(1, qprev),) * qprev)
+        prev = measure_of((F(1, qprev),) * qprev)
         rng = random.Random(qj)
         # fiber y is empty, full or partial by (y + shift) mod 3, so a single
         # fiber takes each kind once over the three shifts
@@ -240,7 +236,7 @@ class TestHitFractions:
                 mask[z] = kind == 1 or (kind == 2 and rng.random() < 0.5)
             counts = reference_hit_counts(mask, qprev)
             seen.update(0 if c == 0 else 1 if c == lifts else 2 for c in counts)
-            got = hit_fractions(prev, LevelSet(j, qj, bytes(mask)), ladder, j)
+            got = hit_fractions(prev, LevelSet(j, bytes(mask)), ladder, j)
             assert list(got) == counts
         assert seen == {0, 1, 2}
 
@@ -251,7 +247,7 @@ class TestHitFractions:
         mask = bytearray(2 * 3**5)
         mask[1] = byte
         with pytest.raises(InternalConsistencyError, match="overflowed"):
-            hit_fractions(measure_of(1, (F(1, 2), F(1, 2))), LevelSet(2, 2 * 3**5, mask), ladder, 2)
+            hit_fractions(measure_of((F(1, 2), F(1, 2))), LevelSet(2, mask), ladder, 2)
 
 
 class TestTypeTable:
@@ -268,10 +264,10 @@ class TestTypeTable:
         lifts = qj // qprev
         total = qprev * (qprev + 1) // 2
         parent = [F(y + 1, total) for y in range(qprev)]
-        prev = measure_of(j - 1, parent, typecode)
+        prev = measure_of(parent, typecode)
         rng = random.Random(qj)
         mask = bytes(qj) if empty else bytes(rng.random() < 0.5 for _ in range(qj))
-        bset = LevelSet(j, qj, mask)
+        bset = LevelSet(j, mask)
         pointwise = [parent[x % qprev] / lifts for x in range(qj)]
         alpha, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
         counts = hit_fractions(prev, bset, ladder, j)
@@ -287,10 +283,10 @@ class TestTypeTable:
         "ladder, j, typecode",
         [
             # 512 parent types: ids past one byte, in 16-bit and 32-bit arrays
-            (PrimeLadder((2, 3), (9, 1), (1, 2**9, 3 * 2**9)), 2, "H"),
-            (PrimeLadder((2, 3), (9, 1), (1, 2**9, 3 * 2**9)), 2, "I"),
+            (PrimeLadder((2, 3), (1, 2**9, 3 * 2**9)), 2, "H"),
+            (PrimeLadder((2, 3), (1, 2**9, 3 * 2**9)), 2, "I"),
             # 256 lifts: the counts are a list, not byte lanes
-            (PrimeLadder((3, 2), (1, 8), (1, 3, 3 * 2**8)), 2, ""),
+            (PrimeLadder((3, 2), (1, 3, 3 * 2**8)), 2, ""),
         ],
         ids=["types-512-H", "types-512-I", "lifts-256"],
     )
@@ -302,11 +298,11 @@ class TestTypeTable:
         "ladder, delta, empty, types, typecode",
         [
             # an empty level set at delta = 0 keeps one mass per parent type
-            (PrimeLadder((2, 3), (8, 1), (1, 2**8, 3 * 2**8)), F(0), True, 256, "B"),
-            (PrimeLadder((257, 2), (1, 1), (1, 257, 2 * 257)), F(0), True, 257, "H"),
+            (PrimeLadder((2, 3), (1, 2**8, 3 * 2**8)), F(0), True, 256, "B"),
+            (PrimeLadder((257, 2), (1, 257, 2 * 257)), F(0), True, 257, "H"),
             # 3^10 = 59049 parent types; at delta = 1/3 each half-hit fiber, about
             # half of them, splits its mass m into 3m/4 off and m/4 on
-            (PrimeLadder((3, 2), (10, 1), (1, 3**10, 2 * 3**10)), F(1, 3), False, 72813, "I"),
+            (PrimeLadder((3, 2), (1, 3**10, 2 * 3**10)), F(1, 3), False, 72813, "I"),
         ],
         ids=["types-256-B", "types-257-H", "types-72813-I"],
     )
@@ -340,11 +336,11 @@ class TestCodeWidths:
         parent = [F(primes[y % types], total) for y in range(qprev)]
         counts = bytes(y // types for y in range(qprev))
         mask = bytes(z // qprev < counts[z % qprev] for z in range(qj))
-        bset = LevelSet(1, qj, mask)
+        bset = LevelSet(1, mask)
         pointwise = [parent[x % qprev] / lifts for x in range(qj)]
         _, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
         for typecode in "BH":
-            prev = measure_of(0, parent, typecode)
+            prev = measure_of(parent, typecode)
             assert moments(prev, counts, lifts) == (m1, m2)
             out = step_measure(prev, counts, delta, bset)
             assert masses_of(out) == tuple(updated)
@@ -357,7 +353,7 @@ class TestShapeMismatch:
         [
             # hit_fractions: measure modulus is not Q_(j-1)
             lambda: hit_fractions(
-                measure_of(1, (F(1, 2), F(1, 2))),
+                measure_of((F(1, 2), F(1, 2))),
                 level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 1),
                 ladder_of(6),
                 1,
@@ -366,7 +362,7 @@ class TestShapeMismatch:
             lambda: moments(uniform_measure(), bytes(2), 2),
             # step_measure: level set modulus is not a multiple of the parent's
             lambda: step_measure(
-                measure_of(1, (F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(2, 3, bytes(3))
+                measure_of((F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(2, bytes(3))
             ),
             # step_measure: one hit count per parent residue
             lambda: step_measure(
@@ -430,12 +426,12 @@ class TestStepMeasure:
     def test_result_must_be_a_probability_measure(self, parent):
         # every fiber keeps its mass: a parent of total 1/2 leaves total 1/2,
         # one with a negative mass leaves negative masses
-        bset = LevelSet(2, 4, b"\x01\x00\x00\x01")
+        bset = LevelSet(2, b"\x01\x00\x00\x01")
         with pytest.raises(InternalConsistencyError, match="not a probability measure"):
-            step_measure(measure_of(1, parent), b"\x01\x01", F(1, 4), bset)
+            step_measure(measure_of(parent), b"\x01\x01", F(1, 4), bset)
 
     def test_member_over_zero_fraction_fiber(self):
-        bset = LevelSet(1, 2, b"\x00\x01")
+        bset = LevelSet(1, b"\x00\x01")
         with pytest.raises(InternalConsistencyError):
             step_measure(uniform_measure(), b"\x00", F(0), bset)
 
@@ -471,6 +467,64 @@ class TestStepMeasure:
             prev = record.measure
 
 
+class TestRowBlocks:
+    """The row passes of step_measure and the zero-fiber check, over several blocks.
+
+    _ROW_BLOCK is cut down to a few bytes, so that a level's mask spans
+    several blocks of whole rows, down to one row a block, and the last
+    block may hold fewer rows than the others.
+    """
+
+    @pytest.mark.parametrize("block", [1, 5, 24])
+    @given(case=pipeline_cases())
+    @settings(max_examples=30)
+    def test_measures_match_reference(self, block, case):
+        pairs, deltas = case
+        expected, _ = reference_pipeline(pairs, deltas)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distortion, "_ROW_BLOCK", block)
+            records = list(run_levels(sys_of(pairs), deltas))
+            assert len(records) == len(expected)
+            for got, want in zip(records, expected):
+                assert masses_of(got.measure) == fiber_sums(want["masses"], got.measure.modulus)
+
+    def test_wide_ids_match_reference(self, monkeypatch):
+        # 512 fibers and 3 lifts in blocks of two rows; the new ids take 2 bytes
+        monkeypatch.setattr(distortion, "_ROW_BLOCK", 1024)
+        out = TestTypeTable._level(PrimeLadder((2, 3), (1, 2**9, 3 * 2**9)), 2, F(1, 3))
+        assert out.ids.typecode == "H"
+
+    @pytest.mark.parametrize("block", [2, 4])
+    @pytest.mark.parametrize("row", [1, 3, 4])
+    def test_zero_fiber_member_in_a_later_block(self, monkeypatch, block, row):
+        # 2 fibers and 5 lifts: fiber 1 has no hit, yet a member lies above it
+        # in row `row`, past the first block of one or two rows
+        monkeypatch.setattr(distortion, "_ROW_BLOCK", block)
+        counts = b"\x01\x00"
+        mask = bytearray(10)
+        mask[0] = mask[2 * row] = 1
+        distortion._check_zero_fibers(counts, bytes(mask), F(0))
+        mask[2 * row + 1] = 1
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            distortion._check_zero_fibers(counts, bytes(mask), F(0))
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            step_measure(measure_of((F(1, 2), F(1, 2))), counts, F(0), LevelSet(1, mask))
+
+    def test_zero_fiber_check_memory(self):
+        # a 4 MiB mask over 16 fibers; fiber 0 has no hit and no member above
+        # it.  The check reads the mask a block of rows at a time, so its
+        # traced peak stays below the mask's own size
+        counts = bytes([0] + [1] * 15)
+        mask = bytearray(counts * (1 << 18))
+        tracemalloc.start()
+        try:
+            distortion._check_zero_fibers(counts, mask, F(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(mask)
+
+
 class TestFinalMeasureOnDemand:
     CASES = [
         ([(0, 2), (0, 3)], [0, 0]),
@@ -484,7 +538,7 @@ class TestFinalMeasureOnDemand:
         real = distortion.step_measure
 
         def counted(*args):
-            calls.append(args[0].level)
+            calls.append(args[3].level - 1)
             return real(*args)
 
         monkeypatch.setattr(distortion, "step_measure", counted)
@@ -550,7 +604,7 @@ class TestMoments:
 
     def test_repeated_table_masses(self):
         # two types may hold equal masses; each fiber's mass counts once
-        prev = FiberMeasure(1, 2, (F(1, 2), F(1, 2)), array("H", [0, 1]))
+        prev = FiberMeasure((F(1, 2), F(1, 2)), array("H", [0, 1]))
         assert moments(prev, b"\x01\x01", 3) == (F(1, 3), F(1, 9))
 
     @given(pipeline_cases())
@@ -568,23 +622,23 @@ class TestDeltaSchedule:
             DeltaSchedule((F(3, 5),))
 
     def test_coercion(self):
-        schedule = as_schedule(["1/2", 0, F(1, 4)])
-        assert schedule.deltas == (F(1, 2), F(0), F(1, 4))
+        schedule = DeltaSchedule(["1/2", 0, F(1, 4)])
+        assert schedule == (F(1, 2), F(0), F(1, 4))
         assert len(schedule) == 3
         assert schedule[0] == F(1, 2)
         assert list(schedule) == [F(1, 2), F(0), F(1, 4)]
 
     def test_default_schedule_threshold(self):
         ladder = ladder_of(2 * 3 * 7)
-        assert default_delta_schedule(1, ladder, F(5)).deltas == (F(0), F(0), F(1, 2))
+        assert default_delta_schedule(1, ladder, F(5)) == (F(0), F(0), F(1, 2))
 
     def test_default_schedule_all_smooth(self):
         ladder = ladder_of(6)
-        assert default_delta_schedule(2, ladder).deltas == (F(0), F(0))
+        assert default_delta_schedule(2, ladder) == (F(0), F(0))
 
     def test_default_schedule_tiny_constant(self):
         ladder = ladder_of(6)
-        assert default_delta_schedule(1, ladder, F(1, 100)).deltas == (F(1, 2), F(1, 2))
+        assert default_delta_schedule(1, ladder, F(1, 100)) == (F(1, 2), F(1, 2))
 
     def test_default_schedule_validation(self):
         ladder = ladder_of(6)
@@ -789,26 +843,26 @@ class TestApMassBound:
     """The test suite's reference progression check, on the pipeline's measures."""
 
     def test_uniform_start_clean(self):
-        schedule = as_schedule([0, F(1, 2)])
+        schedule = DeltaSchedule([0, F(1, 2)])
         assert ap_mass_bound_check(masses_of(uniform_measure()), (2, 3), schedule) == []
 
     def test_boundary_equality_clean(self):
         system = sys_of([(0, 2)])
-        schedule = as_schedule([F(1, 2)])
+        schedule = DeltaSchedule([F(1, 2)])
         record = next(iter(run_levels(system, schedule)))
         assert masses_of(record.measure) == (F(0), F(1))
         assert ap_mass_bound_check(masses_of(record.measure), (2,), schedule) == []
 
     def test_pipeline_levels_clean(self):
         system = sys_of([(0, 2), (0, 3), (1, 4), (5, 6), (7, 12)])
-        schedule = as_schedule([F(1, 4), F(1, 3)])
+        schedule = DeltaSchedule([F(1, 4), F(1, 3)])
         ladder = prime_ladder(system.factorization)
         for record in run_levels(system, schedule):
             assert ap_mass_bound_check(masses_of(record.measure), ladder.primes, schedule) == []
 
     def test_tampered_measure_detected(self):
-        bad = measure_of(2, (F(1, 3), F(1, 3), F(0), F(1, 3), F(0), F(0)))
-        violations = ap_mass_bound_check(masses_of(bad), (2, 3), as_schedule([0, 0]))
+        bad = measure_of((F(1, 3), F(1, 3), F(0), F(1, 3), F(0), F(0)))
+        violations = ap_mass_bound_check(masses_of(bad), (2, 3), DeltaSchedule([0, 0]))
         assert [(v.modulus, v.residue, v.mass, v.bound) for v in violations] == [
             (2, 1, F(2, 3), F(1, 2)),
             (3, 0, F(2, 3), F(1, 3)),
@@ -823,6 +877,6 @@ class TestApMassBound:
         pairs, deltas = case
         system = sys_of(pairs)
         ladder = prime_ladder(system.factorization)
-        schedule = as_schedule(deltas)
+        schedule = DeltaSchedule(deltas)
         for record in run_levels(system, schedule):
             assert ap_mass_bound_check(masses_of(record.measure), ladder.primes, schedule) == []
