@@ -376,12 +376,8 @@ _COMMANDS = (
 )
 
 
-def _command_names() -> list[str]:
-    return [name for name, _, _ in _COMMANDS]
-
-
 def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> None:
-    """Give the subparser of command name its flags, in the order of its usage line."""
+    """Give the parser of command name its flags, in the order of its usage line."""
     _opt(p, "--format", choices=("text", "json"), default="text", help="output format")
     _opt(p, "--limit-residue-space", type=int, default=DEFAULT_LIMITS.residue_space,
          help="largest residue space Z/QZ that may be scanned")
@@ -414,33 +410,41 @@ def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> Non
             _opt(p, "--cap", type=int, required=True, help="sum runs over d <= cap")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The covercert parser, with every subcommand, or with only the one named command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full covercert parser: the command list and every subcommand."""
     parser = argparse.ArgumentParser(
         prog="covercert",
         description="verify, build, expand and certify systems of congruences",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the usage line of a top-level error still lists every command.  The
-        # full build keeps the default, which names the missing-command error
-        metavar = "{" + ",".join(_command_names()) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, reads_system in _COMMANDS:
-        if command in (None, name):
-            _add_flags(sub.add_parser(name, help=help_text), name, reads_system)
+        _add_flags(sub.add_parser(name, help=help_text), name, reads_system)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv as build_parser() reads it; a named command builds only its own parser.
+
+    What that parser leaves over, and any call that does not start with a
+    command name (-h, no argument, a misspelt name), goes to the full parser.
+    """
+    for name, _, reads_system in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"covercert {name}")
+            _add_flags(parser, name, reads_system)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command = name
+                return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one covercert call on argv (sys.argv[1:] by default); return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # a call that starts with a command builds only that command's parser;
-    # anything else (-h, no argument, a misspelt name) needs the command list
-    command = argv[0] if argv and argv[0] in _command_names() else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

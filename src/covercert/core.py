@@ -15,6 +15,7 @@ from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import mod
 
@@ -74,12 +75,17 @@ class Limits:
         limit = getattr(self, name)
         if required > limit:
             raise ResourceLimitError(
-                f"{what}, over the limit {limit}", required=required, limit=limit
+                f"{what}, over the limit {_size(limit)}", required=required, limit=limit
             )
 
     def require_residue_space(self, q: int, what: str) -> None:
         """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
-        self.require("residue_space", q, f"{what} needs a residue space of size {q}")
+        self.require("residue_space", q, f"{what} needs a residue space of size {_size(q)}")
+
+
+def _size(n: int) -> str:
+    """n in digits; past 80 digits "at least 10^k", k from bit_length (0.30102 < log10 2)."""
+    return str(n) if n < 10**80 else f"at least 10^{(n.bit_length() - 1) * 30102 // 100000}"
 
 
 DEFAULT_LIMITS = Limits()
@@ -230,11 +236,11 @@ def _repeat_for(mask: bytearray, size: int, d: int) -> None:
 def _hit_mask(size: int, progressions, hit: bytearray | None = None) -> bytearray:
     """Byte mask of length size, 1 at start, start + d, ... for each (start, d).
 
-    Each start is below its d.  The starts are grouped by d, and one fill at
-    a time serves every start of its d.  A new mask grows with the moduli
-    (_repeat_for) and is repeated up to size at the end; hit, when given, is
-    a mask of length size to write into.  A d that does not divide size, as
-    in the interval check, is written over the whole length.
+    Each start is below its d.  The starts are grouped by d; one fill serves
+    every start of its d, or one byte where the grown mask has length d.  A
+    new mask grows with the moduli (_repeat_for) and is repeated up to size;
+    hit, when given, is a mask of length size to write into.  A d that does
+    not divide size, as in the interval check, is written over all of size.
     """
     starts = defaultdict(list)
     for start, d in progressions:
@@ -245,6 +251,10 @@ def _hit_mask(size: int, progressions, hit: bytearray | None = None) -> bytearra
         if size % d:  # the fill's length depends on start
             for start in group:
                 hit[start::d] = b"\x01" * len(range(start, size, d))
+            continue
+        if len(hit) == d:  # one byte per start
+            for start in group:
+                hit[start] = 1
             continue
         fill = b"\x01" * (len(hit) // d)
         for start in group:
@@ -276,7 +286,8 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
     """
     n = len(sys)
     size = 2**n
-    limits.require("interval", size, f"interval check needs {size} integers")
+    shown = size if size < 10**80 else f"2^{n}"  # as _size would, but exact
+    limits.require("interval", size, f"interval check needs {shown} integers")
     # index i stands for the integer i + 1, so r mod d starts at (r - 1) mod d
     hit = _hit_mask(size, (((r - 1) % d, d) for r, d in zip(sys.residues, sys.moduli)))
     return 0 not in hit
@@ -411,9 +422,9 @@ def _require_printable(largest_modulus: int) -> None:
 
 
 def emit_system(sys: CongruenceSystem) -> str:
-    """Render a system in the line format, one "R mod D" per line."""
+    """Render a system in the line format, one "R mod D" per line, by one % format."""
     _require_printable(max(sys.moduli, default=0))
-    return "".join(map("{} mod {}\n".format, sys.residues, sys.moduli))
+    return ("%d mod %d\n" * len(sys)) % tuple(chain.from_iterable(zip(sys.residues, sys.moduli)))
 
 
 def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:

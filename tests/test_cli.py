@@ -721,6 +721,38 @@ class TestUsageAndExitCodes:
         code, _, err = run(capsys, "bounds", "--j", "1", "--c", f"10e-{exponent}")
         assert code == 1 and err.startswith("error: bad constant")
 
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness"],
+            ["density"],
+            ["minimal"],
+            ["verify", "--method", "oracle"],
+            ["certify"],
+            ["certify", "--deltas", "0,0"],
+        ],
+        ids=["witness", "density", "minimal", "verify-oracle", "certify", "certify-deltas"],
+    )
+    def test_residue_space_past_digit_limit_is_one_line(self, capsys, argv):
+        # each modulus is printable, but Q, their product, has more digits than the limit
+        big = 10 ** (DIGIT_LIMIT // 2 + 50)
+        with time_limit(30):
+            code, out, err = run(capsys, *argv, "--system", f"0 mod {big + 1}, 1 mod {big + 3}")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) <= 201
+        assert err.startswith("error: ") and "needs a residue space of size at least 10^" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("classes", [3000, int(DIGIT_LIMIT / 0.30103) + 20])
+    def test_interval_past_digit_limit_is_one_line(self, capsys, classes):
+        # 2^3000 has 904 digits, and 2^n passes the digit limit from n = 14285
+        system = ", ".join(["0 mod 2"] * classes)
+        with time_limit(30):
+            code, out, err = run(capsys, "verify", "--method", "interval", "--system", system)
+        assert (code, out) == (2, "")
+        assert err == f"error: interval check needs 2^{classes} integers, over the limit 16777216\n"
+
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_internal_error_is_one_line(self, capsys):
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
@@ -734,29 +766,29 @@ SUBCOMMANDS = list(subcommand_help(build_parser()))
 class TestParserBuild:
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_single_command_parser_parses_as_the_full_one(self, name, capsys, monkeypatch):
+        # main with its own parsing against main reading argv with the full parser
         tails = [
             ["-h"],
             [],  # a missing required flag, where the command has one
             ["--bogus"],
             ["extra"],
+            ["--format", "json", "extra"],  # left over after a valid flag
             ["--syst", TWO_THREE],
             ["--format", "xml"],
             ["--limit-interval", "abc"],
         ]
+        parses = (cli._parse, lambda argv: build_parser().parse_args(argv))
         for env in ({}, {"COVERCERT_FORMAT": "json", "COVERCERT_J": "5"}):
             for key, value in env.items():
                 monkeypatch.setenv(key, value)
             for tail in tails:
                 outcomes = []
-                for parser in (build_parser(name), build_parser()):
-                    try:
-                        outcome = (0, vars(parser.parse_args([name, *tail])))
-                    except SystemExit as exc:
-                        outcome = (exc.code, None)
-                    outcomes.append((*outcome, *capsys.readouterr()))
+                for parse in parses:
+                    monkeypatch.setattr(cli, "_parse", parse)
+                    outcomes.append(run(capsys, name, *tail))
                 assert outcomes[0] == outcomes[1], tail
                 if tail == ["-h"]:
-                    assert outcomes[0][0] == 0 and f"usage: covercert {name}" in outcomes[0][2]
+                    assert outcomes[0][0] == 0 and f"usage: covercert {name}" in outcomes[0][1]
 
     def test_a_named_command_builds_only_its_parser(self, capsys, monkeypatch):
         built = []
@@ -769,7 +801,7 @@ class TestParserBuild:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         full = 1 + len(SUBCOMMANDS)
         for argv, parsers in [
-            (["witness", "--system", "0 mod 2"], 2),
+            (["witness", "--system", "0 mod 2"], 1),
             (["-h"], full),
             (["verif"], full),
         ]:

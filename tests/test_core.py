@@ -26,7 +26,7 @@ from covercert import (
     rational_str,
 )
 from covercert.constructions import construct_minimal_family, shift_expand
-from covercert.core import _TOO_LONG, DEFAULT_LIMITS, ResidueClass, factorize
+from covercert.core import _TOO_LONG, DEFAULT_LIMITS, ResidueClass, _hit_mask, factorize
 
 from helpers import (
     DIGIT_LIMIT,
@@ -178,6 +178,61 @@ class TestCoversInterval:
         assert covers_interval(sys_of(pairs)) == brute_covers_initial_segment(
             pairs, 2 ** len(pairs)
         )
+
+
+def brute_mask(size: int, progressions) -> bytearray:
+    hit = bytearray(size)
+    for start, d in progressions:
+        for x in range(start, size, d):
+            hit[x] = 1
+    return hit
+
+
+class TestHitMask:
+    """_hit_mask against a fill of one byte at a time."""
+
+    @pytest.mark.parametrize(
+        "size, progressions",
+        [
+            # each modulus grows the mask to its own length: one byte per start
+            (60, [(1, 2), (0, 4), (3, 4), (5, 12), (11, 12), (7, 60), (59, 60), (0, 60)]),
+            # one-byte groups (4, 12, 24) between wider fills (6, 8, 16), each
+            # with a byte no other progression hits
+            (48, [(1, 4), (5, 6), (7, 12), (2, 8), (23, 24), (3, 16), (0, 4)]),
+            # a group of modulus 1 and a repeated start
+            (6, [(0, 1), (2, 3), (2, 3)]),
+            # d not dividing size, as in the interval check
+            (16, [(0, 3), (2, 5), (1, 2), (4, 7)]),
+        ],
+        ids=["one-byte", "mixed", "modulus-1", "interval"],
+    )
+    def test_matches_brute_fill(self, size, progressions):
+        assert _hit_mask(size, progressions) == brute_mask(size, progressions)
+
+    def test_writes_into_a_given_mask(self):
+        first, second = [(1, 4), (2, 6)], [(3, 12), (0, 8), (5, 24)]
+        hit = _hit_mask(24, first)
+        assert _hit_mask(24, second, hit) is hit
+        assert hit == brute_mask(24, first + second)
+
+    @given(system_pairs(max_classes=12))
+    def test_matches_brute_fill_on_drawn_systems(self, pairs):
+        progressions = [(r % d, d) for r, d in pairs]
+        size = brute_lcm(d for _, d in pairs)
+        assert _hit_mask(size, progressions) == brute_mask(size, progressions)
+
+    def test_shift_expanded_family(self):
+        # 8 moduli, 16 shifts each: one-byte groups (32 to 256) and wider fills (384, 768)
+        system = shift_expand(construct_minimal_family(12), 5)
+        pairs = list(zip(system.residues, system.moduli))
+        q = system.lcm_modulus
+        assert _hit_mask(q, pairs) == brute_mask(q, pairs)
+        report = covers_oracle(system)
+        assert (report.covers, report.witness, report.uncovered_count) == brute_covers(pairs)
+        smaller = system.without(0)
+        report = covers_oracle(smaller)
+        expected = brute_covers(list(zip(smaller.residues, smaller.moduli)))
+        assert (report.covers, report.witness, report.uncovered_count) == expected
 
 
 class TestMultiplicity:
@@ -364,6 +419,27 @@ class TestParseEmit:
             assert str(err.value) == message
         assert parse_system("\u0661 mod \u0662\n-1\xa0mod 4") == sys_of([(1, 2), (3, 4)])
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            construct_minimal_family(300),
+            CongruenceSystem(),
+            sys_of([(0, 1), (5, 7), (-1, 10**30), (10**30, 10**31)]),
+        ],
+        ids=["j300", "empty", "small"],
+    )
+    def test_emit_matches_str_format(self, system):
+        assert emit_system(system) == "".join(
+            map("{} mod {}\n".format, system.residues, system.moduli)
+        )
+
+    @given(system_pairs(max_classes=20))
+    def test_emit_matches_str_format_on_drawn_systems(self, pairs):
+        system = sys_of(pairs)
+        assert emit_system(system) == "".join(
+            map("{} mod {}\n".format, system.residues, system.moduli)
+        )
+
     @given(system_pairs())
     def test_text_roundtrip(self, pairs):
         system = sys_of(pairs)
@@ -499,6 +575,35 @@ class TestLimitsAndMisc:
             with pytest.raises(DomainError):
                 Limits(**{field: bad})
         assert getattr(Limits(**{field: 1}), field) == 1
+
+    @pytest.mark.parametrize(
+        "q",
+        [10**80 - 1, 10**80, 2**300 - 1, 2**300, 10**4400 + 10**2200, 2**20000 + 1],
+        ids=["80-digits", "81-digits", "2^300-1", "2^300", "4401-digits", "2^20000+1"],
+    )
+    def test_size_past_80_digits_is_a_lower_bound(self, q):
+        # the int/str digit limit (4300 by default) does not bound the message
+        with pytest.raises(ResourceLimitError) as err:
+            Limits(residue_space=1).require_residue_space(q, "scan")
+        assert (err.value.required, err.value.limit) == (q, 1)
+        prefix, suffix = "scan needs a residue space of size ", ", over the limit 1"
+        message = str(err.value)
+        assert message.startswith(prefix) and message.endswith(suffix)
+        shown = message[len(prefix) : -len(suffix)]
+        if q < 10**80:
+            assert shown == str(q)
+        else:
+            assert shown.startswith("at least 10^") and len(shown) <= 20
+            k = int(shown.removeprefix("at least 10^"))
+            assert 10**k <= q < 10 ** (k + 2)
+
+    @pytest.mark.parametrize("n", [265, 266, 3000, 20000])
+    def test_interval_size_past_80_digits_is_a_power_of_two(self, n):
+        with pytest.raises(ResourceLimitError) as err:
+            covers_interval(sys_of([(0, 2)] * n))
+        shown = str(2**n) if n == 265 else f"2^{n}"
+        assert str(err.value) == f"interval check needs {shown} integers, over the limit 16777216"
+        assert (err.value.required, err.value.limit) == (2**n, 2**24)
 
     def test_rational_str(self):
         assert rational_str(Fraction(5, 6)) == "5/6"
