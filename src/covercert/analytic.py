@@ -13,7 +13,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, getcontext, 
 from fractions import Fraction
 from math import lcm, log10
 
-from .core import DomainError
+from .core import DomainError, _shown
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -39,9 +39,11 @@ def smooth_reciprocal_sum(y, threshold: int, cap: int) -> Fraction:
     """
     bound = Fraction(y)
     if bound < 2:
-        raise DomainError(f"smoothness bound must be at least 2, got {y}")
+        raise DomainError(f"smoothness bound must be at least 2, got {_shown(y)}")
     if threshold < 1 or cap < threshold:
-        raise DomainError(f"invalid range: need 1 <= threshold <= cap, got ({threshold}, {cap})")
+        raise DomainError(
+            f"invalid range: need 1 <= threshold <= cap, got ({_shown(threshold)}, {_shown(cap)})"
+        )
     primes = _primes_up_to(min(int(bound), cap))
     terms = []
     stack = [(1, 0)] if primes else []
@@ -85,7 +87,7 @@ def _exp_bound(c, dps: int, exponent) -> Decimal:
     """
     value = Fraction(c)
     if value <= 0:
-        raise DomainError(f"constant must be positive, got {c}")
+        raise DomainError(f"constant must be positive, got {_shown(value)}")
     try:
         with localcontext(Context(prec=9, Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
             magnitude = exponent(_decimal(value)).adjusted()
@@ -103,7 +105,7 @@ def jth_modulus_bound(j: int, c, dps: int = 50) -> Decimal:
     Evaluated with decimal at dps significant digits, for an exact constant c > 0.
     """
     if j < 1:
-        raise DomainError(f"index must be at least 1, got {j}")
+        raise DomainError(f"index must be at least 1, got {_shown(j)}")
     return _exp_bound(c, dps, lambda cc: cc * j * j / Decimal(j + 1).ln())
 
 
@@ -112,6 +114,6 @@ def multiplicity_modulus_bound(mult: int, c, dps: int = 50) -> Decimal:
     modulus forced by multiplicity at most s, evaluated like jth_modulus_bound.
     """
     if mult < 1:
-        raise DomainError(f"multiplicity must be at least 1, got {mult}")
+        raise DomainError(f"multiplicity must be at least 1, got {_shown(mult)}")
     s1, s2 = Decimal(mult + 1), Decimal(mult + 2)
     return _exp_bound(c, dps, lambda cc: cc * s1.ln() ** 2 / s2.ln().ln())

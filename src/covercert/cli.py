@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -43,6 +43,7 @@ from .core import (
     parse_system,
     rational_str,
     _require_printable,
+    _shown,
     _TOO_LONG,
 )
 from .distortion import DeltaSchedule, certify, system_default_schedule
@@ -55,22 +56,18 @@ class _UsageError(Exception):
 _JSON_INDENT = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "output_format limits")):
     """Resolved per-invocation configuration shared by the subcommands."""
 
-    output_format: str
-    limits: Limits
+    __slots__ = ()
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         try:
-            limits = Limits(
-                residue_space=args.limit_residue_space, interval=args.limit_interval
-            )
+            limits = Limits(args.limit_residue_space, args.limit_interval)
         except DomainError as exc:
             raise _UsageError("limits must be positive") from exc
-        return cls(output_format=args.format, limits=limits)
+        return cls(args.format, limits)
 
     def emit(self, text: str, payload: dict) -> str:
         if self.output_format == "json":
@@ -117,6 +114,11 @@ def _read_input(path: str) -> str:
     except UnicodeDecodeError as exc:
         source = "stdin" if path == "-" else path
         raise ParseError(f"{source} is not {exc.encoding} text: {exc.reason}") from exc
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # OSError's own text quotes the whole path
+        raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}") from exc
 
 
 def _bool(value: bool) -> str:
@@ -223,17 +225,6 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-# longest stretch of a flag value quoted in an error line
-_QUOTE_LIMIT = 80
-
-
-def _quote(value: str) -> str:
-    """repr of value, cut after _QUOTE_LIMIT characters and marked with an ellipsis."""
-    if len(value) <= _QUOTE_LIMIT:
-        return repr(value)
-    return repr(value[:_QUOTE_LIMIT]) + "…"
-
-
 def _fraction_reason(exc: Exception, value: str) -> str:
     """Why _fraction(value) raised exc, in words of bounded length."""
     if isinstance(exc, ZeroDivisionError):
@@ -250,7 +241,7 @@ def _parse_deltas(raw: str) -> list[Fraction]:
             deltas.append(_fraction(piece))
         except (ValueError, ZeroDivisionError) as exc:
             reason = _fraction_reason(exc, piece)
-            raise _UsageError(f"bad delta list {_quote(raw)}: entry {entry}: {reason}") from exc
+            raise _UsageError(f"bad delta list {_shown(raw)}: entry {entry}: {reason}") from exc
     return deltas
 
 
@@ -258,7 +249,7 @@ def _parse_fraction(raw: str, what: str) -> Fraction:
     try:
         return _fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad {what} {_quote(raw)}: {_fraction_reason(exc, raw)}") from exc
+        raise _UsageError(f"bad {what} {_shown(raw)}: {_fraction_reason(exc, raw)}") from exc
 
 
 def _cmd_certify(args, cfg: RunConfig) -> str:
@@ -319,12 +310,12 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
         raise _UsageError("give --j, --s, or both")
     digits = args.precision
     if digits < 1:
-        raise _UsageError(f"--precision must be positive, got {digits}")
+        raise _UsageError(f"--precision must be positive, got {_shown(digits)}")
     # the digit limit parse_system and _fraction apply also bounds the decimal work
     limit = _digit_limit()
     if limit and digits > limit:
         raise ResourceLimitError(
-            f"--precision {digits} is over Python's int/str digit limit {limit}"
+            f"--precision {_shown(digits)} is over Python's int/str digit limit {limit}"
             " (PYTHONINTMAXSTRDIGITS)",
             required=digits,
             limit=limit,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .core import DEFAULT_LIMITS, CongruenceSystem, DomainError, Limits, is_minimal
+from .core import DEFAULT_LIMITS, CongruenceSystem, DomainError, Limits, _shown, is_minimal
 
 
 def construct_minimal_family(j: int) -> CongruenceSystem:
@@ -26,7 +26,7 @@ def construct_minimal_family(j: int) -> CongruenceSystem:
     moduli are distinct, so the multiset multiplicity is 1.
     """
     if j < 5:
-        raise DomainError(f"the minimal covering family needs j >= 5, got {j}")
+        raise DomainError(f"the minimal covering family needs j >= 5, got {_shown(j)}")
     residues = [2 ** (i - 1) for i in range(1, j - 2)]
     moduli = [2**i for i in range(1, j - 2)]
     for k in range(3):
@@ -58,7 +58,7 @@ def shift_expand(
     """
     n = len(sys)
     if not 1 <= ell <= n:
-        raise DomainError(f"shift level must satisfy 1 <= ell <= {n}, got {ell}")
+        raise DomainError(f"shift level must satisfy 1 <= ell <= {n}, got {_shown(ell)}")
     if sys.lcm_modulus <= limits.residue_space:
         minimal, _ = is_minimal(sys, limits=limits)
         if not minimal:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -53,18 +52,26 @@ class InternalConsistencyError(CovercertError):
     """A structural invariant that should hold by construction failed."""
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Caps on the finite enumerations behind the decision procedures."""
+class Limits(namedtuple("Limits", "residue_space interval")):
+    """Caps on the finite enumerations behind the decision procedures.
 
-    residue_space: int = 10_000_000  # largest Z/QZ that may be scanned
-    interval: int = 2**24            # longest initial segment {1..2^n} scanned
+    residue_space is the largest Z/QZ that may be scanned, interval the
+    longest initial segment {1..2^n}; both positive, on every construction path.
+    """
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+    __slots__ = ()
+
+    def __new__(cls, residue_space: int = 10_000_000, interval: int = 2**24):
+        limits = super().__new__(cls, residue_space, interval)
+        for name, value in zip(cls._fields, limits):
             if value < 1:
-                raise DomainError(f"limit {field.name} must be positive, got {value}")
+                raise DomainError(f"limit {name} must be positive, got {_shown(value)}")
+        return limits
+
+    @classmethod
+    def _make(cls, iterable) -> "Limits":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def require(self, name: str, required: int, what: str) -> None:
         """Raise ResourceLimitError when required is over the limit called name.
@@ -75,17 +82,28 @@ class Limits:
         limit = getattr(self, name)
         if required > limit:
             raise ResourceLimitError(
-                f"{what}, over the limit {_size(limit)}", required=required, limit=limit
+                f"{what}, over the limit {_shown(limit)}", required=required, limit=limit
             )
 
     def require_residue_space(self, q: int, what: str) -> None:
         """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
-        self.require("residue_space", q, f"{what} needs a residue space of size {_size(q)}")
+        self.require("residue_space", q, f"{what} needs a residue space of size {_shown(q)}")
 
 
-def _size(n: int) -> str:
-    """n in digits; past 80 digits "at least 10^k", k from bit_length (0.30102 < log10 2)."""
-    return str(n) if n < 10**80 else f"at least 10^{(n.bit_length() - 1) * 30102 // 100000}"
+def _shown(value) -> str:
+    """value as an error line shows it: a string as its repr, cut after 80
+    characters and marked with an ellipsis; an int of more than 80 digits as
+    "at least 10^k" or "at most -10^k", k from bit_length (0.30102 < log10 2),
+    with no str() of it built; a Fraction by its numerator and denominator.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 80 else repr(value[:80]) + "…"
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
+    if not isinstance(value, (int, Fraction)) or -(10**80) < value < 10**80:
+        return str(value)
+    k = (abs(value.numerator).bit_length() - 1) * 30102 // 100000
+    return f"at least 10^{k}" if value > 0 else f"at most -10^{k}"
 
 
 DEFAULT_LIMITS = Limits()
@@ -109,7 +127,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     Returns the (prime, exponent) pairs in increasing order of the prime.
     """
     if m < 1:
-        raise DomainError(f"cannot factor non-positive integer {m}")
+        raise DomainError(f"cannot factor non-positive integer {_shown(m)}")
     pairs = []
     d = 2
     while d * d <= m:
@@ -129,8 +147,19 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 # congruence systems
 
 
-@dataclass(frozen=True, init=False)
-class CongruenceSystem:
+class _ReadOnly:
+    """Refuses to set or delete attributes; a cached_property still writes __dict__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CongruenceSystem(_ReadOnly):
     """An ordered multiset of residue classes.
 
     Duplicate classes are preserved: multiplicity counts are taken over the
@@ -139,11 +168,8 @@ class CongruenceSystem:
     The classes are stored as two int columns of equal length, residues
     (reduced, 0 <= r < d) and moduli, so that scans and transforms run over
     the columns without a Python object per class.  The (residue, modulus)
-    tuples of .classes are built only when it is read.
+    tuples of .classes are built only when it is read.  Systems compare by the columns.
     """
-
-    residues: tuple[int, ...]
-    moduli: tuple[int, ...]
 
     def __init__(self, residues=(), moduli=()):
         """A system from a list or tuple of residues and one of moduli >= 1."""
@@ -151,7 +177,7 @@ class CongruenceSystem:
             raise DomainError(f"{len(residues)} residues but {len(moduli)} moduli")
         if moduli and min(moduli) < 1:  # report the first one
             bad = next(d for d in moduli if d < 1)
-            raise InvalidModulusError(f"modulus must be >= 1, got {bad}")
+            raise InvalidModulusError(f"modulus must be >= 1, got {_shown(bad)}")
         # Each tuple is made from a list, whose length is known.  tuple() of
         # an iterator builds its result at a guessed length and resizes it;
         # freed, it joins the free list of its final length, which that
@@ -163,6 +189,17 @@ class CongruenceSystem:
     @classmethod
     def from_pairs(cls, pairs) -> "CongruenceSystem":
         return cls(*_columns(pairs))
+
+    def __repr__(self) -> str:
+        return f"CongruenceSystem(residues={self.residues!r}, moduli={self.moduli!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.residues, self.moduli) == (other.residues, other.moduli)
+
+    def __hash__(self) -> int:
+        return hash((self.residues, self.moduli))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -211,13 +248,8 @@ def deduplicated(sys: CongruenceSystem) -> CongruenceSystem:
     return CongruenceSystem(residues, moduli)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Outcome of the exhaustive coverage check over Z/QZ."""
-
-    covers: bool
-    witness: int | None
-    uncovered_count: int
+# outcome of the exhaustive coverage check over Z/QZ
+CoverageReport = namedtuple("CoverageReport", "covers witness uncovered_count")
 
 
 def _repeat_for(mask: bytearray, size: int, d: int) -> None:
@@ -286,7 +318,7 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
     """
     n = len(sys)
     size = 2**n
-    shown = size if size < 10**80 else f"2^{n}"  # as _size would, but exact
+    shown = size if size < 10**80 else f"2^{n}"  # as _shown would, but exact
     limits.require("interval", size, f"interval check needs {shown} integers")
     # index i stands for the integer i + 1, so r mod d starts at (r - 1) mod d
     hit = _hit_mask(size, (((r - 1) % d, d) for r, d in zip(sys.residues, sys.moduli)))
@@ -373,14 +405,14 @@ def _parse_lines(text: str) -> CongruenceSystem:
         if m is None:
             if not line or line[0] == "#":
                 continue
-            raise ParseError(f"line {lineno}: expected 'R mod D', got {line!r}", line=lineno)
+            raise ParseError(f"line {lineno}: expected 'R mod D', got {_shown(line)}", lineno)
         r, d = m.groups()
         try:
             r, d = int(r), int(d)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {_TOO_LONG}", line=lineno) from exc
         if d < 1:
-            raise ParseError(f"line {lineno}: invalid modulus {d}", line=lineno)
+            raise ParseError(f"line {lineno}: invalid modulus {_shown(d)}", line=lineno)
         residues.append(r)
         moduli.append(d)
     return CongruenceSystem(residues, moduli)
@@ -402,7 +434,7 @@ def _parse_json_system(text: str) -> CongruenceSystem:
         if type(r) is not int or type(d) is not int:
             raise ParseError(f"class {i}: residue and modulus must be integers")
         if d < 1:
-            raise ParseError(f"class {i}: invalid modulus {d}")
+            raise ParseError(f"class {i}: invalid modulus {_shown(d)}")
         residues.append(r)
         moduli.append(d)
     return CongruenceSystem(residues, moduli)

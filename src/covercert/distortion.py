@@ -57,9 +57,8 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Collection
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -71,6 +70,8 @@ from .core import (
     InternalConsistencyError,
     Limits,
     _hit_mask,
+    _ReadOnly,
+    _shown,
     multiplicity,
     rational_str,
 )
@@ -113,7 +114,7 @@ def _as_delta(delta) -> Fraction:
     if not isinstance(delta, Fraction):
         delta = Fraction(delta)
     if delta.numerator < 0 or 2 * delta.numerator > delta.denominator:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta}")
+        raise DomainError(f"delta must lie in [0, 1/2], got {_shown(delta)}")
     return delta
 
 
@@ -126,16 +127,14 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 # prime ladder and level sets
 
 
-@dataclass(frozen=True)
-class PrimeLadder:
+class PrimeLadder(namedtuple("PrimeLadder", "primes partials")):
     """The primes of Q in increasing order, with partial prime-power products.
 
     partials[0] is 1 and partials[j] is the product of the first j full prime
     powers of Q, so partials[depth] == Q.
     """
 
-    primes: tuple[int, ...]
-    partials: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
@@ -155,8 +154,7 @@ def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
     return PrimeLadder(tuple(p for p, _ in pairs), tuple(partials))
 
 
-@dataclass(frozen=True)
-class LevelSet:
+class LevelSet(namedtuple("LevelSet", "level mask")):
     """Residues mod Q_level covered by the classes assigned to this level.
 
     mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ, so
@@ -165,14 +163,13 @@ class LevelSet:
     level's mask once the pipeline is done with it (see _first_uncovered).
     """
 
-    level: int
-    mask: bytearray
+    __slots__ = ()
 
     @property
     def modulus(self) -> int:
         return len(self.mask)
 
-    @cached_property
+    @property
     def members(self) -> frozenset[int]:
         return frozenset(itertools.compress(range(self.modulus), self.mask))
 
@@ -195,7 +192,7 @@ def level_set(
     Q_j but not Q_(j-1), so the classes are picked without factoring.
     """
     if not 1 <= j <= ladder.depth:
-        raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {j}")
+        raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {_shown(j)}")
     _reject_modulus_one(sys)
     qj = ladder.partials[j]
     limits.require_residue_space(qj, f"level set at level {j}")
@@ -218,8 +215,7 @@ def _id_typecode(types: int) -> str:
     return "B" if types <= 1 << 8 else "H" if types <= 1 << 16 else "I"
 
 
-@dataclass(frozen=True)
-class FiberMeasure:
+class FiberMeasure(namedtuple("FiberMeasure", "table ids level_mass", defaults=(None,))):
     """A measure on Z/QZ stored by its mass on each fiber of Z/Q_levelZ, Q_level = len(ids).
 
     Each distinct mass is stored once, in table; ids[y] is the index in
@@ -228,9 +224,7 @@ class FiberMeasure:
     step_measure did not build.
     """
 
-    table: tuple[Fraction, ...]
-    ids: array
-    level_mass: Fraction | None = None
+    __slots__ = ()
 
     @property
     def modulus(self) -> int:
@@ -510,10 +504,10 @@ def default_delta_schedule(
     where the second-moment branch with delta = 1/2 takes over.
     """
     if mult < 1:
-        raise DomainError(f"multiplicity must be at least 1, got {mult}")
+        raise DomainError(f"multiplicity must be at least 1, got {_shown(mult)}")
     smooth_constant = Fraction(smooth_constant)
     if smooth_constant <= 0:
-        raise DomainError(f"threshold constant must be positive, got {smooth_constant}")
+        raise DomainError(f"threshold constant must be positive, got {_shown(smooth_constant)}")
     threshold = smooth_constant * mult**3
     return DeltaSchedule(_ZERO if p <= threshold else _HALF for p in ladder.primes)
 
@@ -548,26 +542,14 @@ def system_default_schedule(
 # the certificate pipeline
 
 
-@dataclass(frozen=True)
-class CertificateTerm:
-    """Moment summary for one ladder level."""
-
-    prime: int
-    delta: Fraction
-    m1: Fraction
-    m2: Fraction
-    term: Fraction
-    branch: str
+# moment summary for one ladder level
+CertificateTerm = namedtuple("CertificateTerm", "prime delta m1 m2 term branch")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "terms eta verdict witness")):
     """The outcome of the pipeline: per-level terms, their sum, a verdict."""
 
-    terms: tuple[CertificateTerm, ...]
-    eta: Fraction
-    verdict: str
-    witness: int | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -588,27 +570,19 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(
+    _ReadOnly,
+    namedtuple("LevelRecord", "level prime delta level_set counts m1 m2 term branch parent"),
+):
     """Everything the pipeline computed at one level.
 
     parent is the measure the level started from and counts are the hit
     counts of its fibers (see hit_fractions).  The measure the level leaves
-    is built by step_measure on first access to measure, then kept.  The
-    mass it leaves on the level set is checked against the term: at most
-    term, and equal to it when delta = 0, where nothing is moved.
+    is built by step_measure on first access to measure, then kept; a copy
+    made by _replace builds its own.  The mass it leaves on the level set is
+    checked against the term: at most term, and equal to it when delta = 0,
+    where nothing is moved.
     """
-
-    level: int
-    prime: int
-    delta: Fraction
-    level_set: LevelSet
-    counts: bytes | list[int]
-    m1: Fraction
-    m2: Fraction
-    term: Fraction
-    branch: str
-    parent: FiberMeasure
 
     @cached_property
     def measure(self) -> FiberMeasure:

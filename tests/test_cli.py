@@ -1,7 +1,9 @@
 """The command line: outputs, formats, exit codes, environment mirroring."""
 
 import argparse
+import errno
 import io
+import os
 import json
 import subprocess
 import sys
@@ -27,6 +29,7 @@ from helpers import (
 TWO_THREE = "0 mod 2, 0 mod 3"
 NOTICE = "notice: no --deltas given; using the default schedule with C = 1\n"
 FAMILY_5 = "1 mod 2, 0 mod 3, 2 mod 4, 4 mod 6, 8 mod 12"
+NINES = "9" * 4000
 
 CERT_SCHEMA = {
     "type": "object",
@@ -170,6 +173,12 @@ class TestSystemSources:
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.txt"))
         assert code == 1
         assert "error:" in err
+        # a long path is cut, as every value in an error line is
+        path = str(tmp_path.joinpath(*["p" * 100] * 3))
+        code, out, err = run(capsys, "witness", "--input", path)
+        assert (code, out) == (1, "")
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+        assert err == f"error: {reason}: {path[:80]!r}…\n"
 
     def test_both_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "system.txt"
@@ -753,6 +762,93 @@ class TestUsageAndExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: interval check needs 2^{classes} integers, over the limit 16777216\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ["witness", "--system", "x" * 5000],
+                1,
+                f"line 1: expected 'R mod D', got {'x' * 80!r}…",
+            ),
+            (
+                ["witness", "--system", f"0 mod -{NINES}"],
+                1,
+                "line 1: invalid modulus at most -10^3999",
+            ),
+            (
+                ["reduce", "--ell", NINES, "--system", "0 mod 2, 1 mod 2"],
+                3,
+                "shift level must satisfy 1 <= ell <= 2, got at least 10^3999",
+            ),
+            (
+                ["construct", "--j", f"-{NINES}"],
+                3,
+                "the minimal covering family needs j >= 5, got at most -10^3999",
+            ),
+            (
+                ["bounds", "--precision", f"-{NINES}", "--j", "5", "--c", "1"],
+                1,
+                "--precision must be positive, got at most -10^3999",
+            ),
+            pytest.param(
+                ["bounds", "--precision", NINES, "--j", "5", "--c", "1"],
+                2,
+                f"--precision at least 10^3999 is over Python's int/str digit limit {DIGIT_LIMIT}"
+                " (PYTHONINTMAXSTRDIGITS)",
+                marks=needs_digit_limit,
+            ),
+            (
+                ["bounds", "--j", f"-{NINES}", "--c", "1"],
+                3,
+                "index must be at least 1, got at most -10^3999",
+            ),
+            (
+                ["bounds", "--s", f"-{NINES}", "--c", "1"],
+                3,
+                "multiplicity must be at least 1, got at most -10^3999",
+            ),
+            (
+                ["bounds", "--j", "5", "--c", f"-{NINES}"],
+                3,
+                "constant must be positive, got at most -10^3999",
+            ),
+            (
+                ["smoothsum", "--y", f"-{NINES}", "--threshold", "1", "--cap", "5"],
+                3,
+                "smoothness bound must be at least 2, got at most -10^3999",
+            ),
+            (
+                ["smoothsum", "--y", "5", "--threshold", f"-{NINES}", "--cap", "5"],
+                3,
+                "invalid range: need 1 <= threshold <= cap, got (at most -10^3999, 5)",
+            ),
+            (
+                ["certify", "--deltas", f"-{NINES[:3000]}", "--system", "0 mod 2"],
+                3,
+                "delta must lie in [0, 1/2], got at most -10^2999",
+            ),
+            (
+                ["certify", f"--deltas=-1/{NINES[:3000]},0", "--system", TWO_THREE],
+                3,
+                "delta must lie in [0, 1/2], got -1/at least 10^2999",
+            ),
+            (
+                ["certify", "--schedule-C", f"-{NINES[:3000]}", "--system", TWO_THREE],
+                3,
+                "threshold constant must be positive, got at most -10^2999",
+            ),
+        ],
+        ids=[
+            "system-text", "system-modulus", "reduce-ell", "construct-j", "bounds-precision",
+            "bounds-precision-over-limit", "bounds-j", "bounds-s", "bounds-c", "smoothsum-y",
+            "smoothsum-threshold", "certify-deltas", "certify-deltas-fraction",
+            "certify-schedule-C",
+        ],
+    )
+    def test_long_value_error_line_is_bounded(self, capsys, argv, code, message):
+        # a value of thousands of digits or characters is shown in at most 80
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_internal_error_is_one_line(self, capsys):
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
@@ -825,6 +921,17 @@ def test_import_needs_only_the_standard_library():
         text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_import_loads_no_dataclasses():
+    # a one-shot call pays for no dataclasses, nor for the modules it imports
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (
+        "import sys; before = set(sys.modules); import covercert.cli;"
+        f" print(sorted(set(sys.modules) - before & set({heavy!r})))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_module_entry_point():

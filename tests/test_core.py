@@ -25,8 +25,10 @@ from covercert import (
     parse_system,
     rational_str,
 )
+from covercert.cli import RunConfig
 from covercert.constructions import construct_minimal_family, shift_expand
 from covercert.core import _TOO_LONG, DEFAULT_LIMITS, ResidueClass, _hit_mask, factorize
+from covercert.distortion import certify, prime_ladder, run_levels
 
 from helpers import (
     DIGIT_LIMIT,
@@ -42,6 +44,51 @@ from helpers import (
 )
 
 C5 = [(1, 2), (2, 4), (0, 3), (4, 6), (8, 12)]
+
+
+def records() -> dict:
+    """One instance of each result record, by class name, with its repr."""
+    system = CongruenceSystem([0, 0], [2, 3])
+    record = next(run_levels(system, [Fraction(1, 4), 0]))
+    cert = certify(system, [0, 0])
+    level_set = "LevelSet(level=1, mask=bytearray(b'\\x01\\x00'))"
+    uniform = "FiberMeasure(table=(Fraction(1, 1),), ids=array('B', [0]), level_mass=None)"
+    term = (
+        "CertificateTerm(prime={}, delta=Fraction(0, 1), m1=Fraction(1, {}),"
+        " m2=Fraction(1, {}), term=Fraction(1, {}), branch='first-moment')"
+    )
+    terms = f"({term.format(2, 2, 4, 2)}, {term.format(3, 3, 9, 3)})"
+    return {
+        "Limits": (Limits(), "Limits(residue_space=10000000, interval=16777216)"),
+        "CongruenceSystem": (system, "CongruenceSystem(residues=(0, 0), moduli=(2, 3))"),
+        "CoverageReport": (
+            covers_oracle(system), "CoverageReport(covers=False, witness=1, uncovered_count=2)"
+        ),
+        "PrimeLadder": (
+            prime_ladder(system.factorization), "PrimeLadder(primes=(2, 3), partials=(1, 2, 6))"
+        ),
+        "LevelSet": (record.level_set, level_set),
+        "FiberMeasure": (
+            record.measure,
+            "FiberMeasure(table=(Fraction(2, 3), Fraction(1, 3)), ids=array('B', [1, 0]),"
+            " level_mass=Fraction(1, 3))",
+        ),
+        "CertificateTerm": (cert.terms[0], term.format(2, 2, 4, 2)),
+        "Certificate": (
+            cert,
+            f"Certificate(terms={terms}, eta=Fraction(5, 6), verdict='NotCovering', witness=1)",
+        ),
+        "LevelRecord": (
+            record,
+            f"LevelRecord(level=1, prime=2, delta=Fraction(1, 4), level_set={level_set},"
+            " counts=b'\\x01', m1=Fraction(1, 2), m2=Fraction(1, 4), term=Fraction(1, 3),"
+            f" branch='second-moment', parent={uniform})",
+        ),
+        "RunConfig": (
+            RunConfig("text", Limits(5, 6)),
+            "RunConfig(output_format='text', limits=Limits(residue_space=5, interval=6))",
+        ),
+    }
 
 # per guard in this module: a call over its limit, and the error's message,
 # required and limit
@@ -479,6 +526,9 @@ class TestColumns:
             assert hash(left) == hash(right)
         same = self.from_objects(self.objects(a))
         assert same == left and hash(same) == hash(left) and len({same, left}) == 1
+        # a system is not a tuple: it equals no pair of columns, and hashes as its columns do
+        columns = (left.residues, left.moduli)
+        assert left != columns and hash(left) == hash(columns)
 
     @given(system_pairs(), st.integers(-8, 8))
     def test_without(self, pairs, index):
@@ -524,9 +574,16 @@ class TestColumns:
         assert kept < 50_000
 
     def test_immutable(self):
-        system = sys_of(C5)
-        with pytest.raises(AttributeError):
-            system.moduli = ()
+        # every result record: its repr, and no field or cached value set or deleted
+        for name, (record, text) in records().items():
+            assert (type(record).__name__, repr(record)) == (name, text)
+            fields = getattr(record, "_fields", ("residues", "moduli"))
+            for attr in (*fields, "classes", "lcm_modulus", "measure", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, attr, None)
+                with pytest.raises(AttributeError):
+                    delattr(record, attr)
+            assert repr(record) == text
 
     def test_from_pairs_rejects_a_modulus_below_one(self):
         with pytest.raises(InvalidModulusError, match="got -2"):
@@ -571,10 +628,19 @@ class TestLimitsAndMisc:
 
     @pytest.mark.parametrize("field", ["residue_space", "interval"])
     def test_nonpositive_limit_rejected(self, field):
-        for bad in (0, -1):
-            with pytest.raises(DomainError):
-                Limits(**{field: bad})
+        # on every path that builds limits: the constructor, _replace and _make
+        for bad, shown in ((0, "0"), (-1, "-1"), (-(10**4000), "at most -10^3999")):
+            values = {**Limits()._asdict(), field: bad}
+            for build in (
+                lambda: Limits(**{field: bad}),
+                lambda: Limits()._replace(**{field: bad}),
+                lambda: Limits._make(values.values()),
+            ):
+                with pytest.raises(DomainError) as err:
+                    build()
+                assert str(err.value) == f"limit {field} must be positive, got {shown}"
         assert getattr(Limits(**{field: 1}), field) == 1
+        assert getattr(Limits()._replace(**{field: 1}), field) == 1
 
     @pytest.mark.parametrize(
         "q",

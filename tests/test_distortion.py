@@ -3,7 +3,6 @@
 import random
 import tracemalloc
 from array import array
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -566,13 +565,13 @@ class TestFinalMeasureOnDemand:
         system = sys_of([(0, 2), (0, 3)])
         record = next(run_levels(system, [F(1, 4), 0]))
         assert (record.term, record.measure.level_mass) == (F(1, 3), F(1, 3))
-        assert replace(record, term=F(1, 2)).measure.level_mass == F(1, 3)
+        assert record._replace(term=F(1, 2)).measure.level_mass == F(1, 3)
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/3"):
-            replace(record, term=F(1, 4)).measure
+            record._replace(term=F(1, 4)).measure
         record = next(run_levels(system, [0, 0]))
         assert (record.term, record.measure.level_mass) == (F(1, 2), F(1, 2))
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
-            replace(record, term=F(3, 4)).measure
+            record._replace(term=F(3, 4)).measure
 
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_certify_checks_the_last_level(self):
