@@ -53,18 +53,17 @@ def main():
     for name, schedule in candidate_schedules(system):
         cert = certify(system, schedule)
         branches = "".join("1" if t.branch == "first-moment" else "2" for t in cert.terms)
-        rows.append((cert.eta, name, schedule, cert.verdict, branches))
+        rows.append((name, cert))
         deltas = ", ".join(rational_str(d) for d in schedule)
         print(f"{name:22s} deltas = ({deltas})")
         print(f"{'':22s} eta = {rational_str(cert.eta)} = {float(cert.eta):.4f}"
               f"  verdict = {cert.verdict}  branches = {branches}")
 
-    best = min(rows, key=lambda row: row[0])
+    best_name, best = min(rows, key=lambda row: row[1].eta)
     print()
-    print(f"best schedule: {best[1]} with eta = {rational_str(best[0])}")
-    if best[3] == "NotCovering":
-        cert = certify(system, best[2])
-        print(f"witness: {cert.witness} mod {system.lcm_modulus} is uncovered")
+    print(f"best schedule: {best_name} with eta = {rational_str(best.eta)}")
+    if best.verdict == "NotCovering":
+        print(f"witness: {best.witness} mod {system.lcm_modulus} is uncovered")
     else:
         print("no schedule here certifies non-covering; the system may cover")
 

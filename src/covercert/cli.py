@@ -69,10 +69,11 @@ class RunConfig(namedtuple("RunConfig", "output_format limits")):
             raise _UsageError("limits must be positive") from exc
         return cls(args.format, limits)
 
-    def emit(self, text: str, payload: dict) -> str:
+    def emit(self, payload: dict, text: str | None = None) -> str:
+        """payload as JSON, or as text: the text given, else _lines(payload)."""
         if self.output_format == "json":
             return json.dumps(payload, indent=_JSON_INDENT)
-        return text
+        return _lines(payload) if text is None else text
 
     def emit_system(self, system: CongruenceSystem) -> str:
         """Render a system in the chosen format, building only that format."""
@@ -81,13 +82,18 @@ class RunConfig(namedtuple("RunConfig", "output_format limits")):
         return emit_system(system).rstrip("\n")
 
 
-def _env(name: str):
-    return os.environ.get(f"COVERCERT_{name}")
+def _lines(fields: dict) -> str:
+    """One "key: value" line per field; true, false and lists as JSON writes them, null as none."""
+    return "\n".join(
+        f"{key}: "
+        + ("none" if value is None else json.dumps(value) if isinstance(value, (bool, list))
+           else str(value))
+        for key, value in fields.items()
+    )
 
 
 def _opt(parser, flag: str, *, required: bool = False, **kwargs):
-    env_name = flag.lstrip("-").replace("-", "_").upper()
-    env_value = _env(env_name)
+    env_value = os.environ.get("COVERCERT_" + flag.lstrip("-").replace("-", "_").upper())
     if env_value is not None:
         kwargs["default"] = env_value
         required = False
@@ -112,17 +118,13 @@ def _read_input(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        source = "stdin" if path == "-" else path
+        source = "stdin" if path == "-" else _shown(path)
         raise ParseError(f"{source} is not {exc.encoding} text: {exc.reason}") from exc
     except OSError as exc:
         if exc.filename is None:
             raise
         # OSError's own text quotes the whole path
         raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}") from exc
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # ---------------------------------------------------------------------------
@@ -134,55 +136,34 @@ def _cmd_verify(args, cfg: RunConfig) -> str:
     method = args.method
     if method == "auto":
         method = "oracle" if system.lcm_modulus <= 2 ** len(system) else "interval"
-    if method == "oracle":
-        report = covers_oracle(system, limits=cfg.limits)
-        witness = "none" if report.witness is None else str(report.witness)
-        text = (
-            f"covers: {_bool(report.covers)}\n"
-            f"method: oracle\n"
-            f"witness: {witness}\n"
-            f"uncovered: {report.uncovered_count}"
-        )
-        payload = {
-            "covers": report.covers,
-            "method": "oracle",
-            "witness": report.witness,
-            "uncovered_count": report.uncovered_count,
-        }
-        return cfg.emit(text, payload)
-    covered = covers_interval(system, limits=cfg.limits)
-    text = f"covers: {_bool(covered)}\nmethod: interval"
-    return cfg.emit(text, {"covers": covered, "method": "interval"})
+    if method != "oracle":
+        covered = covers_interval(system, limits=cfg.limits)
+        return cfg.emit({"covers": covered, "method": "interval"})
+    report = covers_oracle(system, limits=cfg.limits)
+    fields = {"covers": report.covers, "method": "oracle", "witness": report.witness}
+    return cfg.emit(
+        {**fields, "uncovered_count": report.uncovered_count},
+        _lines({**fields, "uncovered": report.uncovered_count}),
+    )
 
 
 def _cmd_witness(args, cfg: RunConfig) -> str:
-    system = _load_system(args)
-    report = covers_oracle(system, limits=cfg.limits)
-    witness = "none" if report.witness is None else str(report.witness)
-    text = f"covers: {_bool(report.covers)}\nwitness: {witness}"
-    return cfg.emit(text, {"covers": report.covers, "witness": report.witness})
+    report = covers_oracle(_load_system(args), limits=cfg.limits)
+    return cfg.emit({"covers": report.covers, "witness": report.witness})
 
 
 def _cmd_minimal(args, cfg: RunConfig) -> str:
-    system = _load_system(args)
-    minimal, redundant = is_minimal(system, limits=cfg.limits)
-    text = f"minimal: {_bool(minimal)}\nredundant: {json.dumps(redundant)}"
-    return cfg.emit(text, {"minimal": minimal, "redundant": redundant})
+    minimal, redundant = is_minimal(_load_system(args), limits=cfg.limits)
+    return cfg.emit({"minimal": minimal, "redundant": redundant})
 
 
 def _cmd_multiplicity(args, cfg: RunConfig) -> str:
-    system = _load_system(args)
-    value = multiplicity(system)
-    return cfg.emit(f"multiplicity: {value}", {"multiplicity": value})
+    return cfg.emit({"multiplicity": multiplicity(_load_system(args))})
 
 
 def _cmd_density(args, cfg: RunConfig) -> str:
-    system = _load_system(args)
-    value = density_uncovered(system, limits=cfg.limits)
-    return cfg.emit(
-        f"density_uncovered: {rational_str(value)}",
-        {"density_uncovered": rational_str(value)},
-    )
+    value = density_uncovered(_load_system(args), limits=cfg.limits)
+    return cfg.emit({"density_uncovered": rational_str(value)})
 
 
 def _cmd_construct(args, cfg: RunConfig) -> str:
@@ -208,48 +189,29 @@ def _digit_limit() -> int:
 _EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
-def _fraction(text: str) -> Fraction:
-    """Fraction(text), with a decimal exponent bounded before it is applied.
+def _parse_fraction(raw: str, what: str) -> Fraction:
+    """Fraction(raw), else a usage error "bad <what>: <reason>" of bounded length.
 
     Fraction builds 10**exponent exactly.  The digits written plus the
     exponent bound the digits of the numerator and the denominator, and when
     that passes Python's int/str digit limit, the limit parse_system applies
     to moduli, the text is rejected before anything is built.
     """
-    match = re.search(_EXPONENT, text)
-    limit = _digit_limit()
-    if match and limit:
-        digits = sum(map(str.isdigit, text[: match.start()]))
-        if digits + abs(int(match.group(1))) > limit:
-            raise ValueError(_TOO_LONG)
-    return Fraction(text)
-
-
-def _fraction_reason(exc: Exception, value: str) -> str:
-    """Why _fraction(value) raised exc, in words of bounded length."""
-    if isinstance(exc, ZeroDivisionError):
-        return "zero denominator"
-    # Fraction's own message repeats the whole value
-    return "not a fraction" if repr(value) in str(exc) else str(exc)
-
-
-def _parse_deltas(raw: str) -> list[Fraction]:
-    parts = [piece.strip() for piece in raw.split(",")] if raw.strip() else []
-    deltas = []
-    for entry, piece in enumerate(parts, 1):
-        try:
-            deltas.append(_fraction(piece))
-        except (ValueError, ZeroDivisionError) as exc:
-            reason = _fraction_reason(exc, piece)
-            raise _UsageError(f"bad delta list {_shown(raw)}: entry {entry}: {reason}") from exc
-    return deltas
-
-
-def _parse_fraction(raw: str, what: str) -> Fraction:
     try:
-        return _fraction(raw)
+        match = re.search(_EXPONENT, raw)
+        limit = _digit_limit()
+        if match and limit:
+            digits = sum(map(str.isdigit, raw[: match.start()]))
+            if digits + abs(int(match.group(1))) > limit:
+                raise ValueError(_TOO_LONG)
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad {what} {_shown(raw)}: {_fraction_reason(exc, raw)}") from exc
+        # Fraction's own message repeats the whole value
+        reason = (
+            "zero denominator" if isinstance(exc, ZeroDivisionError)
+            else "not a fraction" if repr(raw) in str(exc) else str(exc)
+        )
+        raise _UsageError(f"bad {what}: {reason}") from exc
 
 
 def _cmd_certify(args, cfg: RunConfig) -> str:
@@ -258,36 +220,27 @@ def _cmd_certify(args, cfg: RunConfig) -> str:
     cfg.limits.require_residue_space(system.lcm_modulus, "pipeline")
     if args.deltas is not None:
         depth = len(system.factorization)
-        deltas = _parse_deltas(args.deltas)
+        pieces = args.deltas.split(",") if args.deltas.strip() else []
+        deltas = [
+            _parse_fraction(piece.strip(), f"delta list {_shown(args.deltas)}: entry {entry}")
+            for entry, piece in enumerate(pieces, 1)
+        ]
         if len(deltas) != depth:
-            raise _UsageError(
-                f"--deltas has {len(deltas)} entries, the system needs {depth}"
-            )
+            raise _UsageError(f"--deltas has {len(deltas)} entries, the system needs {depth}")
         schedule = DeltaSchedule(deltas)
     else:
-        raw_constant = args.schedule_C
-        if raw_constant is None:
-            raw_constant = "1"
-            print(
-                "notice: no --deltas given; using the default schedule with C = 1",
-                file=sys.stderr,
-            )
-        constant = _parse_fraction(raw_constant, "schedule constant")
+        raw = args.schedule_C
+        if raw is None:
+            raw = "1"
+            print("notice: no --deltas given; using the default schedule with C = 1",
+                  file=sys.stderr)
+        constant = _parse_fraction(raw, f"schedule constant {_shown(raw)}")
         schedule = system_default_schedule(system, constant, limits=cfg.limits)
-    cert = certify(system, schedule, limits=cfg.limits)
-    witness = "none" if cert.witness is None else str(cert.witness)
-    lines = [
-        f"eta: {rational_str(cert.eta)}",
-        f"verdict: {cert.verdict}",
-        f"witness: {witness}",
-    ]
-    for t in cert.terms:
-        lines.append(
-            f"term p={t.prime} delta={rational_str(t.delta)}"
-            f" m1={rational_str(t.m1)} m2={rational_str(t.m2)}"
-            f" term={rational_str(t.term)} branch={t.branch}"
-        )
-    return cfg.emit("\n".join(lines), cert.to_json_dict())
+    payload = certify(system, schedule, limits=cfg.limits).to_json_dict()
+    lines = [_lines({key: payload[key] for key in ("eta", "verdict", "witness")})]
+    for term in payload["terms"]:
+        lines.append("term " + " ".join(f"{key}={value}" for key, value in term.items()))
+    return cfg.emit(payload, "\n".join(lines))
 
 
 def _significant(value: Decimal, digits: int) -> str:
@@ -311,7 +264,7 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
     digits = args.precision
     if digits < 1:
         raise _UsageError(f"--precision must be positive, got {_shown(digits)}")
-    # the digit limit parse_system and _fraction apply also bounds the decimal work
+    # the digit limit parse_system and _parse_fraction apply also bounds the decimal work
     limit = _digit_limit()
     if limit and digits > limit:
         raise ResourceLimitError(
@@ -320,7 +273,7 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
             required=digits,
             limit=limit,
         )
-    constant = _parse_fraction(args.c, "constant")
+    constant = _parse_fraction(args.c, f"constant {_shown(args.c)}")
     working = digits + 10
     payload: dict = {"c": args.c, "precision": digits}
     if args.j is not None:
@@ -331,23 +284,32 @@ def _cmd_bounds(args, cfg: RunConfig) -> str:
         payload["s"] = args.s
         value = multiplicity_modulus_bound(args.s, constant, dps=working)
         payload["multiplicity_modulus_bound"] = _significant(value, digits)
-    return cfg.emit("\n".join(f"{key}: {entry}" for key, entry in payload.items()), payload)
+    return cfg.emit(payload)
 
 
 def _cmd_smoothsum(args, cfg: RunConfig) -> str:
-    value = smooth_reciprocal_sum(args.y, args.threshold, args.cap)
-    text = f"smooth_reciprocal_sum: {rational_str(value)}"
-    payload = {
-        "y": args.y,
-        "threshold": args.threshold,
-        "cap": args.cap,
-        "sum": rational_str(value),
-    }
-    return cfg.emit(text, payload)
+    total = rational_str(smooth_reciprocal_sum(args.y, args.threshold, args.cap))
+    payload = {"y": args.y, "threshold": args.threshold, "cap": args.cap, "sum": total}
+    return cfg.emit(payload, _lines({"smooth_reciprocal_sum": total}))
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _int(text: str) -> int:
+    """int(text) for argparse, whose own error would quote the whole text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
+class _Choice(str):
+    """A --format or --method value; argparse's invalid-choice error shows its cut repr."""
+
+    def __repr__(self) -> str:
+        return _shown(str(self))
 
 
 # the subcommands in the order of the command list: name, help line, and
@@ -369,36 +331,37 @@ _COMMANDS = (
 
 def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> None:
     """Give the parser of command name its flags, in the order of its usage line."""
-    _opt(p, "--format", choices=("text", "json"), default="text", help="output format")
-    _opt(p, "--limit-residue-space", type=int, default=DEFAULT_LIMITS.residue_space,
+    _opt(p, "--format", type=_Choice, choices=("text", "json"), default="text",
+         help="output format")
+    _opt(p, "--limit-residue-space", type=_int, default=DEFAULT_LIMITS.residue_space,
          help="largest residue space Z/QZ that may be scanned")
-    _opt(p, "--limit-interval", type=int, default=DEFAULT_LIMITS.interval,
+    _opt(p, "--limit-interval", type=_int, default=DEFAULT_LIMITS.interval,
          help="longest initial segment that may be scanned")
     if reads_system:
         _opt(p, "--system", help="inline system, classes separated by commas")
         _opt(p, "--input", help="path to a system file, or - for stdin")
     match name:
         case "verify":
-            _opt(p, "--method", choices=("auto", "oracle", "interval"), default="auto",
-                 help="decision procedure; auto picks the smaller enumeration")
+            _opt(p, "--method", type=_Choice, choices=("auto", "oracle", "interval"),
+                 default="auto", help="decision procedure; auto picks the smaller enumeration")
         case "construct":
-            _opt(p, "--j", type=int, required=True, help="number of distinct moduli, at least 5")
+            _opt(p, "--j", type=_int, required=True, help="number of distinct moduli, at least 5")
         case "reduce":
-            _opt(p, "--ell", type=int, required=True,
+            _opt(p, "--ell", type=_int, required=True,
                  help="block level: multiset multiplicity becomes 2^(ell-1)")
         case "certify":
             _opt(p, "--deltas", help="comma separated deltas in [0,1/2], one per prime of Q")
             _opt(p, "--schedule-C", default=None,
                  help="threshold constant for the default schedule (when --deltas is absent)")
         case "bounds":
-            _opt(p, "--j", type=int, help="index for the j-th smallest modulus bound")
-            _opt(p, "--s", type=int, help="multiplicity for the largest modulus bound")
+            _opt(p, "--j", type=_int, help="index for the j-th smallest modulus bound")
+            _opt(p, "--s", type=_int, help="multiplicity for the largest modulus bound")
             _opt(p, "--c", required=True, help="positive constant in the exponent, no default")
-            _opt(p, "--precision", type=int, default=30, help="significant decimal digits")
+            _opt(p, "--precision", type=_int, default=30, help="significant decimal digits")
         case "smoothsum":
-            _opt(p, "--y", type=int, required=True, help="smoothness bound, at least 2")
-            _opt(p, "--threshold", type=int, required=True, help="sum runs over d > threshold")
-            _opt(p, "--cap", type=int, required=True, help="sum runs over d <= cap")
+            _opt(p, "--y", type=_int, required=True, help="smoothness bound, at least 2")
+            _opt(p, "--threshold", type=_int, required=True, help="sum runs over d > threshold")
+            _opt(p, "--cap", type=_int, required=True, help="sum runs over d <= cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

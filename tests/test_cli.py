@@ -148,7 +148,7 @@ class TestSystemSources:
         assert out == "covers: false\nwitness: 1\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("source", ["file", "long-name", "stdin"])
     @pytest.mark.parametrize("command", ["verify", "witness"])
     def test_input_not_utf8_is_parse_error(
         self, capsys, monkeypatch, tmp_path, command, source, fmt
@@ -156,18 +156,19 @@ class TestSystemSources:
         # a strict decoder, as for a file; a real stdin may decode with
         # surrogateescape and then fail in the parser instead
         data = b"\xff0 mod 2\n1 mod 2\n"
-        if source == "file":
-            path = tmp_path / "system.txt"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            where, shown = "-", "stdin"
+        else:
+            path = tmp_path / ("system.txt" if source == "file" else "s" * 200)
             path.write_bytes(data)
             where = str(path)
-        else:
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-            where = "-"
+            # the path is cut, as every value in an error line is
+            shown = repr(where) if len(where) <= 80 else f"{where[:80]!r}…"
         code, out, err = run(capsys, command, "--input", where, "--format", fmt)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "utf-8" in err
+        assert (code, out) == (1, "")
+        assert err == f"error: {shown} is not utf-8 text: invalid start byte\n"
+        assert len(err) < 140
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.txt"))
@@ -249,6 +250,106 @@ class TestSimpleQueries:
         )
         assert code == 3
         assert "error:" in err
+
+
+# the exact stdout of each command in both formats: a key order, an indent or
+# a rendering slip fails here, where a json.loads comparison would pass
+EXACT_OUTPUTS = [
+    (
+        "verify-oracle",
+        ["verify", "--method", "oracle", "--system", TWO_THREE],
+        "covers: false\nmethod: oracle\nwitness: 1\nuncovered: 2\n",
+        '{\n  "covers": false,\n  "method": "oracle",\n  "witness": 1,\n'
+        '  "uncovered_count": 2\n}\n',
+    ),
+    (
+        "verify-oracle-covering",
+        ["verify", "--method", "oracle", "--system", FAMILY_5],
+        "covers: true\nmethod: oracle\nwitness: none\nuncovered: 0\n",
+        '{\n  "covers": true,\n  "method": "oracle",\n  "witness": null,\n'
+        '  "uncovered_count": 0\n}\n',
+    ),
+    (
+        "verify-interval",
+        ["verify", "--method", "interval", "--system", TWO_THREE],
+        "covers: false\nmethod: interval\n",
+        '{\n  "covers": false,\n  "method": "interval"\n}\n',
+    ),
+    (
+        "witness",
+        ["witness", "--system", TWO_THREE],
+        "covers: false\nwitness: 1\n",
+        '{\n  "covers": false,\n  "witness": 1\n}\n',
+    ),
+    (
+        "minimal",
+        ["minimal", "--system", "0 mod 2, 1 mod 2, 0 mod 3"],
+        "minimal: false\nredundant: [2]\n",
+        '{\n  "minimal": false,\n  "redundant": [\n    2\n  ]\n}\n',
+    ),
+    (
+        "multiplicity",
+        ["multiplicity", "--system", "1 mod 2, 3 mod 2, 0 mod 3"],
+        "multiplicity: 2\n",
+        '{\n  "multiplicity": 2\n}\n',
+    ),
+    (
+        "density",
+        ["density", "--system", TWO_THREE],
+        "density_uncovered: 1/3\n",
+        '{\n  "density_uncovered": "1/3"\n}\n',
+    ),
+    (
+        "certify",
+        ["certify", "--deltas", "0,1/2", "--system", TWO_THREE],
+        "eta: 11/18\nverdict: NotCovering\nwitness: 1\n"
+        "term p=2 delta=0/1 m1=1/2 m2=1/4 term=1/2 branch=first-moment\n"
+        "term p=3 delta=1/2 m1=1/3 m2=1/9 term=1/9 branch=second-moment\n",
+        '{\n  "eta": "11/18",\n  "verdict": "NotCovering",\n  "terms": [\n'
+        '    {\n      "p": 2,\n      "delta": "0/1",\n      "m1": "1/2",\n'
+        '      "m2": "1/4",\n      "term": "1/2",\n      "branch": "first-moment"\n    },\n'
+        '    {\n      "p": 3,\n      "delta": "1/2",\n      "m1": "1/3",\n'
+        '      "m2": "1/9",\n      "term": "1/9",\n      "branch": "second-moment"\n    }\n'
+        '  ],\n  "witness": 1\n}\n',
+    ),
+    (
+        "certify-inconclusive",
+        ["certify", "--deltas", "0", "--system", "0 mod 2, 1 mod 2"],
+        "eta: 1/1\nverdict: Inconclusive\nwitness: none\n"
+        "term p=2 delta=0/1 m1=1/1 m2=1/1 term=1/1 branch=first-moment\n",
+        '{\n  "eta": "1/1",\n  "verdict": "Inconclusive",\n  "terms": [\n'
+        '    {\n      "p": 2,\n      "delta": "0/1",\n      "m1": "1/1",\n'
+        '      "m2": "1/1",\n      "term": "1/1",\n      "branch": "first-moment"\n    }\n'
+        '  ],\n  "witness": null\n}\n',
+    ),
+    (
+        "smoothsum",
+        ["smoothsum", "--y", "3", "--threshold", "1", "--cap", "6"],
+        "smooth_reciprocal_sum: 5/4\n",
+        '{\n  "y": 3,\n  "threshold": 1,\n  "cap": 6,\n  "sum": "5/4"\n}\n',
+    ),
+    (
+        "bounds",
+        ["bounds", "--j", "2", "--s", "3", "--c", "1/2", "--precision", "12"],
+        "c: 1/2\nprecision: 12\nj: 2\njth_modulus_bound: 6.17481210218\n"
+        "s: 3\nmultiplicity_modulus_bound: 7.53228157394\n",
+        '{\n  "c": "1/2",\n  "precision": 12,\n  "j": 2,\n'
+        '  "jth_modulus_bound": "6.17481210218",\n  "s": 3,\n'
+        '  "multiplicity_modulus_bound": "7.53228157394"\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, text, json_text",
+    [case[1:] for case in EXACT_OUTPUTS],
+    ids=[case[0] for case in EXACT_OUTPUTS],
+)
+def test_exact_output(capsys, monkeypatch, argv, text, json_text, fmt):
+    monkeypatch.delenv("COVERCERT_FORMAT", raising=False)
+    expected = text if fmt == "text" else json_text
+    assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
 
 
 class TestConstructReduce:
@@ -848,6 +949,29 @@ class TestUsageAndExitCodes:
     def test_long_value_error_line_is_bounded(self, capsys, argv, code, message):
         # a value of thousands of digits or characters is shown in at most 80
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["construct", "--j", "9" * 5000],
+                f"argument --j: invalid int value: {'9' * 80!r}…",
+                marks=needs_digit_limit,
+            ),
+            (
+                ["witness", "--format", "x" * 3000],
+                f"argument --format: invalid choice: {'x' * 80!r}… (choose from 'text', 'json')",
+            ),
+        ],
+        ids=["construct-j", "witness-format"],
+    )
+    def test_argparse_error_line_is_bounded(self, capsys, argv, message):
+        # argparse's own error quotes the value; the flag's type cuts it
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: covercert {argv[0]} ")
+        assert err.endswith(f"\ncovercert {argv[0]}: error: {message}\n")
+        assert max(map(len, err.splitlines())) < 200
 
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_internal_error_is_one_line(self, capsys):

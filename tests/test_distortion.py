@@ -40,6 +40,7 @@ from covercert.distortion import (
 from helpers import (
     ap_mass_bound_check,
     brute_covers,
+    brute_largest_prime,
     fiber_sums,
     masses_of,
     pipeline_cases,
@@ -160,21 +161,10 @@ class TestLevelSet:
                 z
                 for z in range(qj)
                 for (r, d) in pairs
-                if _largest_prime(d) == p and (z - r) % d == 0
+                if brute_largest_prime(d) == p and (z - r) % d == 0
             }
             assert got.members == expected
             assert got.modulus == qj
-
-
-def _largest_prime(n: int) -> int:
-    best = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            best = d
-            n //= d
-        d += 1
-    return n if n > 1 else best
 
 
 class TestHitFractions:
