@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every value-taking flag can also be supplied through an environment variable
-named COVERCERT_<FLAG> (dashes become underscores, upper case).  Exit codes:
+named COVERCERT_<FLAG> (dashes become underscores, upper case), and is then
+checked as a value given on the command line would be.  Exit codes:
 0 for success, including an inconclusive certificate; 1 for usage or parse
 problems; 2 for an enumeration over a configured limit; 3 for inputs outside
 an operation's domain; 4 for a failed internal consistency check, which is a
@@ -11,6 +12,7 @@ bug in covercert, reported as one "error: internal:" line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -97,6 +99,10 @@ def _opt(parser, flag: str, *, required: bool = False, **kwargs):
     if env_value is not None:
         kwargs["default"] = env_value
         required = False
+    if "choices" in kwargs:
+        # argparse checks a value given on the command line against choices,
+        # but a string default, as from the environment, only goes through type
+        kwargs["type"] = functools.partial(_one_of, kwargs["choices"])
     parser.add_argument(flag, required=required, **kwargs)
 
 
@@ -305,8 +311,17 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
+def _one_of(choices: tuple[str, ...], text: str) -> str:
+    """text, if it is one of choices; else argparse's invalid-choice error text, cut by _shown."""
+    if text not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {_shown(text)} (choose from {', '.join(map(repr, choices))})"
+        )
+    return text
+
+
 class _Choice(str):
-    """A --format or --method value; argparse's invalid-choice error shows its cut repr."""
+    """A command name; argparse's invalid-choice error shows its cut repr."""
 
     def __repr__(self) -> str:
         return _shown(str(self))
@@ -331,8 +346,7 @@ _COMMANDS = (
 
 def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> None:
     """Give the parser of command name its flags, in the order of its usage line."""
-    _opt(p, "--format", type=_Choice, choices=("text", "json"), default="text",
-         help="output format")
+    _opt(p, "--format", choices=("text", "json"), default="text", help="output format")
     _opt(p, "--limit-residue-space", type=_int, default=DEFAULT_LIMITS.residue_space,
          help="largest residue space Z/QZ that may be scanned")
     _opt(p, "--limit-interval", type=_int, default=DEFAULT_LIMITS.interval,
@@ -342,8 +356,8 @@ def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> Non
         _opt(p, "--input", help="path to a system file, or - for stdin")
     match name:
         case "verify":
-            _opt(p, "--method", type=_Choice, choices=("auto", "oracle", "interval"),
-                 default="auto", help="decision procedure; auto picks the smaller enumeration")
+            _opt(p, "--method", choices=("auto", "oracle", "interval"), default="auto",
+                 help="decision procedure; auto picks the smaller enumeration")
         case "construct":
             _opt(p, "--j", type=_int, required=True, help="number of distinct moduli, at least 5")
         case "reduce":
@@ -371,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify, build, expand and certify systems of congruences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.type = _Choice
     for name, help_text, reads_system in _COMMANDS:
         _add_flags(sub.add_parser(name, help=help_text), name, reads_system)
     return parser
@@ -390,7 +405,14 @@ def _parse(argv) -> argparse.Namespace:
             if not rest:
                 args.command = name
                 return args
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if rest:
+        # as parse_args, but an argument past 80 characters is cut.  The
+        # subparsers action passes every argument through _Choice, hence str()
+        shown = (arg if len(arg) <= 80 else _shown(str(arg)) for arg in rest)
+        parser.error(f"unrecognized arguments: {' '.join(shown)}")
+    return args
 
 
 def main(argv=None) -> int:

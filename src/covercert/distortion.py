@@ -22,15 +22,14 @@ any decision.
 
 A measure takes few distinct values, so a FiberMeasure stores each distinct
 exact mass once, in a table, and one small integer per residue, its type:
-the index of its mass in the table, in the narrowest of array('B'),
-array('H') and array('I') that indexes the table, so 1 byte per residue
-while there are at most 256 types.  Hit counts stay integers; the hit
-fraction of a fiber is its count over the p_j^(nu_j) lifts, and no
-per-fiber Fraction is made.  Counts are summed in byte lanes: the rows of
-the level-set mask, read as little-endian integers, add up to an integer
-whose byte y is the hit count of fiber y, as long as a fiber has at most
-255 lifts and every mask byte is 0 or 1; wider fibers are counted one slice
-each.
+the index of its mass in the table, in the narrowest of array('B'), 'H',
+'I' and 'Q' that indexes the table, so 1 byte per residue while there are
+at most 256 types.  Hit counts stay integers; the hit fraction of a fiber
+is its count over the p_j^(nu_j) lifts, and no per-fiber Fraction is made.
+Counts are summed in byte lanes: the rows of the level-set mask, read as
+little-endian integers, add up to an integer whose byte y is the hit count
+of fiber y, as long as a fiber has at most 255 lifts and every mask byte is
+0 or 1; wider fibers are counted one slice each.
 
 Inside a parent fiber the new measure takes only two values, on B_j and off
 it, which depend only on the fiber's (type, count) group.  So the moments
@@ -38,14 +37,15 @@ and the update do their exact arithmetic once per distinct group, over
 integer numerators, and leave the per-fiber and per-residue work to C:
 counting the groups, mapping groups to new types, and choosing each
 residue's on or off type by its mask bit with bitwise operations on big
-integers.  While a level's groups fit in a byte, types * (lifts + 1) <=
-256, each fiber's group is one byte, type * (lifts + 1) + count, so the
-fibers with no hit are dropped with one bytes.translate, and the new types
-of a measure of at most 256 types are read through two 256-byte translate
-tables; other levels group wider integer codes.  Cheap runtime checks
-guard the arithmetic: each new measure has total mass exactly 1 and no
-negative mass, and the mass it leaves on B_j is at most the level's
-certified term, and equal to it when delta_j = 0.
+integers.  A fiber's group is its code type * (lifts + 1) + count, in a
+lane of the narrowest of 1, 2, 4 and 8 bytes that holds every code, and one
+big-integer multiply-add makes the codes of all fibers.  The moments drop
+fibers with no hit by one bytes.translate while the codes fit in a byte,
+types * (lifts + 1) <= 256, else by itertools.compress; the new types of a
+measure of at most 256 types are read through two 256-byte translate
+tables.  Cheap runtime checks guard the arithmetic: each new measure has
+total mass exactly 1 and no negative mass, and the mass it leaves on B_j is
+at most the level's certified term, and equal to it when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -86,10 +86,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
-# bytes.translate tables: count to hit flag, flag to its negation, flag to a
-# byte of all ones
-_NONZERO = bytes([0] + [1] * 255)
-_NOT = bytes([1, 0] + [0] * 254)
+# bytes.translate tables: a count to 1 where it is 0, else 0; a mask byte to
+# 255 where it is 1, else 0
+_EMPTY = bytes([1] + [0] * 255)
 _ALL_ONES = bytes([0, 255] + [0] * 254)
 
 
@@ -211,8 +210,10 @@ def level_set(
 
 
 def _id_typecode(types: int) -> str:
-    """The narrowest array typecode whose ids index a table of this many masses."""
-    return "B" if types <= 1 << 8 else "H" if types <= 1 << 16 else "I"
+    """The narrowest of array typecodes B, H, I and Q whose values index this many entries."""
+    if types > 1 << 64:
+        raise DomainError(f"{_shown(types)} entries cannot be indexed in 8 bytes")
+    return "B" if types <= 256 else "H" if types <= 1 << 16 else "I" if types <= 1 << 32 else "Q"
 
 
 class FiberMeasure(namedtuple("FiberMeasure", "table ids level_mass", defaults=(None,))):
@@ -269,17 +270,10 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: in
     return total.to_bytes(qprev, "little")
 
 
-def _hit_flags(counts) -> bytes:
-    """One byte per fiber: 1 where its hit count is nonzero, else 0."""
-    if isinstance(counts, bytes):
-        return counts.translate(_NONZERO)
-    return bytes(map(bool, counts))
+def _require_counts(counts, fibers: int, lifts: int) -> bytes | array:
+    """counts as bytes or an array, after checking one count per fiber, each from 0 to lifts.
 
-
-def _require_counts(counts, fibers: int, lifts: int) -> None:
-    """Raise unless there is one hit count per fiber, each from 0 to lifts.
-
-    A count past lifts would spill a one-byte code into the next type.
+    A count past lifts would spill its code into the next type's.
     """
     if len(counts) != fibers:
         raise DomainError("one hit count per parent residue is required")
@@ -289,53 +283,63 @@ def _require_counts(counts, fibers: int, lifts: int) -> None:
         over = counts and not 0 <= min(counts) <= max(counts) <= lifts
     if over:
         raise DomainError(f"each hit count must lie in [0, {lifts}], the lifts of its fiber")
+    return counts if isinstance(counts, bytes) else array(_id_typecode(lifts + 1), counts)
 
 
-def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview | list, int]:
-    """Per fiber y, its group code ids[y] * base + counts[y], and base.
+def _lanes(values, width: int) -> bytes | array:
+    """values, bytes or an array of unsigned ints, one to a lane of width bytes.
 
-    When the counts and the ids are bytes and every code fits in a byte,
-    types * (lifts + 1) <= 256, the codes are one bytes object with base
-    lifts + 1: the ids, read as one little-endian integer, are multiplied by
-    base and the counts added, and no byte lane can carry.  Other byte
-    counts under ids of at most 2 bytes are packed into 32-bit lanes with
-    base 256, read through a memoryview; other shapes take one multiply-add
-    per fiber, with base lifts + 1.  Every count is at most lifts
-    (_require_counts).
+    Each value keeps its bytes, in native order, at the low end of its lane
+    and the lane's other bytes are 0, so the lanes read in sys.byteorder
+    hold the values.  The copy is one strided byte slice per byte of a
+    value; values already width bytes wide are returned as they are.
     """
+    size = memoryview(values).itemsize
+    if size == width:
+        return values
+    lanes = bytearray(len(values) * width)
+    low = 0 if sys.byteorder == "little" else width - size
+    for k in range(size):
+        lanes[low + k :: width] = memoryview(values).cast("B")[k::size]
+    # int.from_bytes would copy a bytearray and hold both while it builds the int
+    return bytes(lanes)
+
+
+def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview, int]:
+    """Per fiber y, its group code ids[y] * base + counts[y], and base = lifts + 1.
+
+    The counts are checked first (_require_counts).  Each code takes a lane
+    of the narrowest of 1, 2, 4 and 8 bytes that holds types * base codes,
+    and never narrower than the ids.  The ids and the counts, widened into
+    those lanes (_lanes) and read as integers in sys.byteorder, give every
+    code in one multiply-add: a carry runs toward its lane's high byte, and
+    a code below types * base never carries out of its lane.  The codes are
+    bytes for one-byte lanes, else a memoryview of the lane typecode.
+    """
+    counts = _require_counts(counts, prev.modulus, lifts)
     ids, base = prev.ids, lifts + 1
-    if isinstance(counts, bytes):
-        if ids.itemsize == 1 and len(prev.table) * base <= 256:
-            packed = int.from_bytes(ids, "little") * base + int.from_bytes(counts, "little")
-            return packed.to_bytes(len(counts), "little"), base
-        if ids.itemsize <= 2:
-            width = ids.itemsize
-            little = sys.byteorder == "little"
-            lanes = bytearray(4 * len(counts))
-            lanes[0 if little else 3 :: 4] = counts
-            # the id's bytes, in native order, fill the lane's bytes above the count
-            raw = ids.tobytes()
-            first = 1 if little else 3 - width
-            for k in range(width):
-                lanes[first + k :: 4] = raw[k::width]
-            return memoryview(lanes).cast("I"), 256
-    return list(map(int.__add__, map(base.__mul__, ids), counts)), base
+    # 1 << 8 * itemsize codes take exactly the ids' width
+    typecode = _id_typecode(max(len(prev.table) * base, 1 << 8 * ids.itemsize))
+    width, order = array(typecode).itemsize, sys.byteorder
+    packed = int.from_bytes(_lanes(ids, width), order) * base
+    packed += int.from_bytes(_lanes(counts, width), order)
+    codes = packed.to_bytes(len(ids) * width, order)
+    return (codes if width == 1 else memoryview(codes).cast(typecode)), base
 
 
 def moments(prev: FiberMeasure, counts, lifts: int) -> tuple[Fraction, Fraction]:
     """First and second moments of the hit fractions count / lifts under the parent measure."""
-    _require_counts(counts, prev.modulus, lifts)
     # fibers with no hit add nothing; the rest are grouped by (type, count)
     codes, base = _fiber_codes(prev, counts, lifts)
     if isinstance(codes, bytes):
         # a code with count 0 is a multiple of base
-        groups = Counter(codes.translate(None, bytes(range(0, 256, base))))
+        codes = codes.translate(None, bytes(range(0, 256, base)))
     else:
-        groups = Counter(itertools.compress(codes, _hit_flags(counts)))
+        codes = itertools.compress(codes, counts)
     # per parent type, the sums of n c and n c^2 over its groups
     first = {}
     second = {}
-    for code, n in groups.items():
+    for code, n in Counter(codes).items():
         t, c = divmod(code, base)
         first[t] = first.get(t, 0) + n * c
         second[t] = second.get(t, 0) + n * c * c
@@ -365,7 +369,7 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     if qj % qprev != 0:
         raise DomainError("level set modulus must be a multiple of the parent modulus")
     lifts = qj // qprev
-    _require_counts(counts, qprev, lifts)
+    codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
     _check_zero_fibers(counts, mask, delta)
     # per (parent type, count) group, its (off, on) masses as reduced
@@ -374,7 +378,6 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     pair_of = {}
     weight = Counter()
     on_weight = Counter()
-    codes, base = _fiber_codes(prev, counts, lifts)
     for code, n in Counter(codes).items():
         c = code % base
         pair_of[code] = off, on = _fiber_masses(prev.table[code // base], c, lifts, delta)
@@ -420,24 +423,21 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     one-byte ids, as bytes, and are tiled over the lifts: residue z lies
     over fiber z mod len(off_row).  The selection off ^ ((off ^ on) & m),
     with m all ones on the lanes of set mask bytes, runs on big integers a
-    block of whole rows at a time (_row_blocks).
+    block of whole rows at a time (_row_blocks).  m is 255 per set mask byte,
+    widened into lanes (_lanes), times 0x01...01 to fill every byte of a lane.
     """
     ids = array(typecode)
-    fibers, width = len(off_row), ids.itemsize
-    diff_row = (int.from_bytes(off_row, "little") ^ int.from_bytes(on_row, "little")).to_bytes(
-        fibers * width, "little"
+    fibers, width, order = len(off_row), ids.itemsize, sys.byteorder
+    diff_row = (int.from_bytes(off_row, order) ^ int.from_bytes(on_row, order)).to_bytes(
+        fibers * width, order
     )
+    spread = ((1 << 8 * width) - 1) // 255
     for block in _row_blocks(mask, fibers):
-        block = block.translate(_ALL_ONES)
         rows, size = len(block) // fibers, len(block) * width
-        wide = block
-        if width > 1:
-            wide = bytearray(size)
-            for lane in range(width):
-                wide[lane::width] = block
-        off = int.from_bytes(off_row * rows, "little")
-        diff = int.from_bytes(diff_row * rows, "little") & int.from_bytes(wide, "little")
-        ids.frombytes((off ^ diff).to_bytes(size, "little"))
+        ones = int.from_bytes(_lanes(block.translate(_ALL_ONES), width), order) * spread
+        off = int.from_bytes(off_row * rows, order)
+        diff = int.from_bytes(diff_row * rows, order) & ones
+        ids.frombytes((off ^ diff).to_bytes(size, order))
     return ids
 
 
@@ -451,7 +451,7 @@ def _check_zero_fibers(counts, mask: bytes, delta: Fraction) -> None:
     """
     if delta:
         return
-    empty = _hit_flags(counts).translate(_NOT)
+    empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     if 1 not in empty:
         return
     for block in _row_blocks(mask, len(empty)):

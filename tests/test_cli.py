@@ -686,6 +686,28 @@ class TestEnvironmentMirroring:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--format", "xml"), ("--method", "bogus"), ("--format", "x" * 3000)],
+        ids=["format", "method", "format-3000"],
+    )
+    def test_env_value_outside_choices(self, capsys, monkeypatch, flag, value):
+        # the same usage error as the value given as the flag, value cut
+        given = run(capsys, "verify", flag, value, "--system", TWO_THREE)
+        monkeypatch.setenv("COVERCERT_" + flag[2:].upper(), value)
+        code, out, err = run(capsys, "verify", "--system", TWO_THREE)
+        assert (code, out, err) == given
+        assert code == 1 and f"error: argument {flag}: invalid choice: " in err
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_env_value_outside_choices_only_where_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("COVERCERT_METHOD", "bogus")
+        code, out, err = run(capsys, "witness", "--system", TWO_THREE)
+        assert (code, out, err) == (0, "covers: false\nwitness: 1\n", "")
+        monkeypatch.setenv("COVERCERT_FORMAT", "xml")
+        code, out, _ = run(capsys, "multiplicity", "--format", "text", "--system", TWO_THREE)
+        assert (code, out) == (0, "multiplicity: 1\n")
+
 
 class TestUsageAndExitCodes:
     def test_unknown_command(self, capsys):
@@ -972,6 +994,34 @@ class TestUsageAndExitCodes:
         assert err.startswith(f"usage: covercert {argv[0]} ")
         assert err.endswith(f"\ncovercert {argv[0]}: error: {message}\n")
         assert max(map(len, err.splitlines())) < 200
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["x" * 3000],
+                f"argument command: invalid choice: {'x' * 80!r}… (choose from "
+                + ", ".join(repr(name) for name, _, _ in cli._COMMANDS) + ")",
+            ),
+            (
+                ["witness", "--system", "0 mod 2", "y" * 3000],
+                f"unrecognized arguments: {'y' * 80!r}…",
+            ),
+            (
+                ["witness", "--sys" + "t" * 3000, "0 mod 2"],
+                f"unrecognized arguments: {'--sys' + 't' * 75!r}… 0 mod 2",
+            ),
+        ],
+        ids=["command", "extra-argument", "unknown-option"],
+    )
+    def test_argument_error_line_is_bounded(self, capsys, argv, message):
+        # a long argument is cut as a flag value is; the command list alone
+        # takes 114 characters of the misspelt command's error line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: covercert ")
+        assert err.endswith(f"\ncovercert: error: {message}\n")
+        assert max(map(len, err.splitlines())) < 300
 
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_internal_error_is_one_line(self, capsys):

@@ -302,14 +302,14 @@ class TestTypeTable:
 
 
 class TestCodeWidths:
-    """One-byte and 32-bit (type, count) codes give the same moments and measures.
+    """One-byte and two-byte (type, count) codes give the same moments and measures.
 
     Fiber y of the parent has type y mod types and y // types hits, so every
     (type, count) group occurs once, with empty, partial and full fibers.
     Under one-byte ids the codes fit in a byte while types * (lifts + 1) <=
-    256; two-byte ids always take 32-bit codes.  The masses have distinct
-    prime numerators, so that the stepped measures take up to 261 types and
-    come out with one-byte and two-byte ids.
+    256; two-byte ids always take codes of two bytes, as wide as the ids.
+    The masses have distinct prime numerators, so that the stepped measures
+    take up to 261 types and come out with one-byte and two-byte ids.
     """
 
     @pytest.mark.parametrize("delta", [F(0), F(1, 3), F(1, 2)])
@@ -334,6 +334,48 @@ class TestCodeWidths:
             out = step_measure(prev, counts, delta, bset)
             assert masses_of(out) == tuple(updated)
             assert out.ids.typecode == narrowest_ids(len(out.table))
+
+
+class TestFiberCodes:
+    """_fiber_codes against the table ids[y] * (lifts + 1) + counts[y], fiber by fiber.
+
+    The lane is the narrowest of 1, 2, 4 and 8 bytes that holds types *
+    (lifts + 1) codes, and never narrower than the ids.  The ids count up
+    from 0 over at most 600 fibers, and one more fiber takes the largest id
+    with the largest count the counts can hold, the top code of the range.
+    """
+
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "list"])
+    @pytest.mark.parametrize(
+        "types, lifts, typecode, width",
+        [
+            (64, 3, "B", 1),
+            (129, 1, "B", 2),
+            (64, 3, "H", 2),
+            (32769, 1, "H", 4),
+            (300, 1, "I", 4),
+            (65537, 65535, "I", 8),
+        ],
+        ids=["codes-256", "codes-258", "codes-256-H-ids", "codes-65538", "codes-600-I-ids",
+             "codes-past-2^32"],
+    )
+    def test_codes_match_table(self, types, lifts, typecode, width, as_bytes):
+        top = min(lifts, 255) if as_bytes else lifts
+        fibers = min(types, 600)
+        ids = [y % types for y in range(fibers)] + [types - 1]
+        counts = [y * 7 % (top + 1) for y in range(fibers)] + [top]
+        prev = FiberMeasure((F(1),) * types, array(typecode, ids))
+        codes, base = distortion._fiber_codes(prev, bytes(counts) if as_bytes else counts, lifts)
+        assert base == lifts + 1
+        assert isinstance(codes, bytes) == (width == 1)
+        assert memoryview(codes).itemsize == width
+        assert list(codes) == [t * (lifts + 1) + c for t, c in zip(ids, counts)]
+
+    def test_typecode_widths(self):
+        sizes = [256, 257, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1, 1 << 64]
+        assert "".join(map(distortion._id_typecode, sizes)) == "BHHIIQQ"
+        with pytest.raises(DomainError):
+            distortion._id_typecode((1 << 64) + 1)
 
 
 class TestShapeMismatch:
