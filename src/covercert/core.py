@@ -423,7 +423,7 @@ def _parse_json_system(text: str) -> CongruenceSystem:
         data = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an int past the digit limit
         raise ParseError(f"invalid JSON system: {exc}") from exc
-    if not isinstance(data, dict) or "classes" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("classes"), list):
         raise ParseError('JSON system must be an object with a "classes" array')
     residues, moduli = [], []
     for i, entry in enumerate(data["classes"]):

@@ -26,10 +26,11 @@ the index of its mass in the table, in the narrowest of array('B'), 'H',
 'I' and 'Q' that indexes the table, so 1 byte per residue while there are
 at most 256 types.  Hit counts stay integers; the hit fraction of a fiber
 is its count over the p_j^(nu_j) lifts, and no per-fiber Fraction is made.
-Counts are summed in byte lanes: the rows of the level-set mask, read as
-little-endian integers, add up to an integer whose byte y is the hit count
-of fiber y, as long as a fiber has at most 255 lifts and every mask byte is
-0 or 1; wider fibers are counted one slice each.
+A level reads its lifts, Q_j / Q_(j-1), from the moduli of its level set
+and parent measure.  Counts are summed in byte lanes: the rows of the mask,
+read as little-endian integers, add up to an integer whose byte y is the hit
+count of fiber y, as long as a fiber has at most 255 lifts and every mask
+byte is 0 or 1, which is checked first; wider fibers are counted by slices.
 
 Inside a parent fiber the new measure takes only two values, on B_j and off
 it, which depend only on the fiber's (type, count) group.  So the moments
@@ -87,9 +88,10 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 # bytes.translate tables: a count to 1 where it is 0, else 0; a mask byte to
-# 255 where it is 1, else 0
+# 255 where it is 1, else 0; a mask byte to 1 where it is neither 0 nor 1
 _EMPTY = bytes([1] + [0] * 255)
 _ALL_ONES = bytes([0, 255] + [0] * 254)
+_NOT_BIT = bytes([0, 0] + [1] * 254)
 
 
 def _scaled_sum(weighted: Collection[tuple[tuple[int, int], int]]) -> tuple[int, int]:
@@ -139,9 +141,6 @@ class PrimeLadder(namedtuple("PrimeLadder", "primes partials")):
     def depth(self) -> int:
         return len(self.primes)
 
-    def prime_power(self, j: int) -> int:
-        return self.partials[j] // self.partials[j - 1]
-
 
 def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
     """Build the ladder of partial prime-power products from (prime, exponent) pairs."""
@@ -153,13 +152,14 @@ def prime_ladder(pairs: tuple[tuple[int, int], ...]) -> PrimeLadder:
     return PrimeLadder(tuple(p for p, _ in pairs), tuple(partials))
 
 
-class LevelSet(namedtuple("LevelSet", "level mask")):
-    """Residues mod Q_level covered by the classes assigned to this level.
+class LevelSet(namedtuple("LevelSet", "mask")):
+    """Residues mod Q_j covered by the classes assigned to level j.
 
-    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_levelZ, so
-    modulus is len(mask).  It is the bytearray the level's classes were
-    written into, not a copy; only certify writes to it again, into the last
-    level's mask once the pipeline is done with it (see _first_uncovered).
+    mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_jZ, so
+    modulus is len(mask); LevelRecord.level names the level.  It is the
+    bytearray the level's classes were written into, not a copy; only
+    certify writes to it again, into the last level's mask once the pipeline
+    is done with it (see _first_uncovered).
     """
 
     __slots__ = ()
@@ -202,7 +202,7 @@ def level_set(
             raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
         if qj % d == 0 and qprev % d != 0:
             progressions.append((r, d))
-    return LevelSet(j, _hit_mask(qj, progressions))
+    return LevelSet(_hit_mask(qj, progressions))
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +240,35 @@ def uniform_measure() -> FiberMeasure:
     return FiberMeasure((_ONE,), array("B", (0,)))
 
 
-def hit_fractions(prev: FiberMeasure, bset: LevelSet, ladder: PrimeLadder, j: int):
+def _lifts(prev: FiberMeasure, bset: LevelSet) -> int:
+    """The lifts of each parent fiber in the level set: Q_j / Q_(j-1), checked to be whole."""
+    if bset.modulus % prev.modulus != 0:
+        raise DomainError("level set modulus must be a multiple of the parent modulus")
+    return bset.modulus // prev.modulus
+
+
+def hit_fractions(prev: FiberMeasure, bset: LevelSet):
     """Per parent residue y, the number of its lifts that land in the level set.
 
-    The result is indexed by y in Z/Q_(j-1)Z; the hit fraction of fiber y is
-    its count over the p_j^(nu_j) lifts, and depends only on the fiber.  It
-    is bytes while a fiber has at most 255 lifts, else a list of ints.
+    The result is indexed by y in Z/Q_(j-1)Z, Q_(j-1) = prev.modulus; the
+    hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts
+    (_lifts).  It is bytes while a fiber has at most 255 lifts, else a list
+    of ints.  Every mask byte must be 0 or 1, which is checked first, in
+    blocks of _ROW_BLOCK bytes (rows of one byte) so that the copies stay small.
     """
-    if bset.level != j:
-        raise DomainError(f"level set is at level {bset.level}, expected {j}")
-    qprev = ladder.partials[j - 1]
-    if prev.modulus != qprev:
-        raise DomainError(f"measure modulus {prev.modulus} is not Q_(j-1) = {qprev}")
-    lifts = ladder.prime_power(j)
-    mask = bset.mask
+    lifts, qprev, mask = _lifts(prev, bset), prev.modulus, bset.mask
+    for block in _row_blocks(mask, 1):
+        bad = block.translate(_NOT_BIT).find(1)
+        if bad >= 0:
+            raise InternalConsistencyError(f"level set mask byte {block[bad]} is not 0 or 1")
     if lifts > 255:
         return [mask[y::qprev].count(1) for y in range(qprev)]
     # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
-    # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot
-    # carry.  A mask byte other than 0 or 1 has set bits that count(1) misses.
+    # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot carry
     rows = memoryview(mask)
-    total = bits = 0
+    total = 0
     for k in range(lifts):
-        row = int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little")
-        total += row
-        bits += row.bit_count()
-    if bits != mask.count(1):
-        raise InternalConsistencyError("a byte lane of the hit counts overflowed")
+        total += int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little")
     return total.to_bytes(qprev, "little")
 
 
@@ -364,11 +366,7 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     operations on whole rows of lifts.
     """
     delta = _as_delta(delta)
-    qprev = prev.modulus
-    qj = bset.modulus
-    if qj % qprev != 0:
-        raise DomainError("level set modulus must be a multiple of the parent modulus")
-    lifts = qj // qprev
+    lifts = _lifts(prev, bset)
     codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
     _check_zero_fibers(counts, mask, delta)
@@ -386,7 +384,7 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
         on_weight[on] += n * c
     total, common = _scaled_sum(weight.items())
     if total != common or min(num for num, _ in weight) < 0:
-        raise InternalConsistencyError(f"level {bset.level} measure is not a probability measure")
+        raise InternalConsistencyError(f"measure mod {bset.modulus} is not a probability measure")
     # the types are the distinct masses, in order of first use
     type_of = {mass: i for i, mass in enumerate(weight)}
     typecode = _id_typecode(len(weight))
@@ -630,8 +628,8 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
         bset = level_set(sys, ladder, j, limits=limits)
-        counts = hit_fractions(prev, bset, ladder, j)
-        m1, m2 = moments(prev, counts, ladder.prime_power(j))
+        counts = hit_fractions(prev, bset)
+        m1, m2 = moments(prev, counts, _lifts(prev, bset))
         delta = schedule[j - 1]
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(

@@ -27,13 +27,22 @@ def zeroed_last_hit(monkeypatch):
     """
     from covercert import distortion
 
-    real = distortion.hit_fractions
+    real_level_set, real_hit_fractions = distortion.level_set, distortion.hit_fractions
+    # the level sets of the last level that level_set built, one per run
+    last = []
 
-    def zeroed(prev, bset, ladder, j):
-        counts = real(prev, bset, ladder, j)
-        if j < ladder.depth:
+    def level_set(sys, ladder, j, **kwargs):
+        bset = real_level_set(sys, ladder, j, **kwargs)
+        if j == ladder.depth:
+            last.append(bset)
+        return bset
+
+    def zeroed(prev, bset):
+        counts = real_hit_fractions(prev, bset)
+        if not any(bset is b for b in last):
             return counts
         y = next(y for y, c in enumerate(counts) if c)
         return counts[:y] + bytes(1) + counts[y + 1 :]
 
+    monkeypatch.setattr(distortion, "level_set", level_set)
     monkeypatch.setattr(distortion, "hit_fractions", zeroed)

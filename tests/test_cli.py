@@ -13,7 +13,7 @@ import jsonschema
 import mpmath
 import pytest
 
-from covercert import Limits, cli
+from covercert import Limits, cli, distortion
 from covercert.cli import RunConfig, _significant, build_parser, main
 from covercert.core import _TOO_LONG
 
@@ -140,6 +140,13 @@ class TestSystemSources:
         code, out, err = run(capsys, "witness", "--input", str(path), "--format", fmt)
         assert (code, out) == (1, "")
         assert err == "error: class 1: residue and modulus must be integers\n"
+
+    def test_json_classes_not_a_list_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"classes": 5}')
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == 'error: JSON system must be an object with a "classes" array\n'
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("0 mod 2\n0 mod 3\n"))
@@ -1028,6 +1035,13 @@ class TestUsageAndExitCodes:
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         assert (code, out) == (4, "")
         assert err == "error: internal: level set member above a fiber with hit fraction 0\n"
+
+    def test_eta_below_one_for_a_covering_system_is_internal(self, capsys, monkeypatch):
+        # every term 0 would certify a system that covers: certify must notice
+        monkeypatch.setattr(distortion, "_level_term", lambda m1, m2, delta: (0, "first-moment"))
+        code, out, err = run(capsys, "certify", "--deltas", "0", "--system", "0 mod 2, 1 mod 2")
+        assert (code, out) == (4, "")
+        assert err == "error: internal: eta below 1 for a system that covers\n"
 
 
 SUBCOMMANDS = list(subcommand_help(build_parser()))

@@ -51,7 +51,7 @@ def records() -> dict:
     system = CongruenceSystem([0, 0], [2, 3])
     record = next(run_levels(system, [Fraction(1, 4), 0]))
     cert = certify(system, [0, 0])
-    level_set = "LevelSet(level=1, mask=bytearray(b'\\x01\\x00'))"
+    level_set = "LevelSet(mask=bytearray(b'\\x01\\x00'))"
     uniform = "FiberMeasure(table=(Fraction(1, 1),), ids=array('B', [0]), level_mass=None)"
     term = (
         "CertificateTerm(prime={}, delta=Fraction(0, 1), m1=Fraction(1, {}),"
@@ -413,6 +413,9 @@ class TestParseEmit:
     def test_json_errors(self):
         with pytest.raises(ParseError):
             parse_system("{not json")
+        for text in ['{"classes": 5}', '{"classes": null}', '{"classes": true}', '{"x": 1}']:
+            with pytest.raises(ParseError, match='must be an object with a "classes" array'):
+                parse_system(text)
         with pytest.raises(ParseError):
             parse_system('{"classes": [{"r": 1}]}')
         with pytest.raises(ParseError):

@@ -25,6 +25,7 @@ from covercert import (
 )
 from covercert.core import factorize
 from covercert.distortion import (
+    FIRST_MOMENT,
     INCONCLUSIVE,
     NOT_COVERING,
     FiberMeasure,
@@ -82,7 +83,6 @@ class TestPrimeLadder:
     def test_twelve(self):
         ladder = ladder_of(12)
         assert ladder.primes == (2, 3)
-        assert [ladder.prime_power(j) for j in (1, 2)] == [4, 3]
         assert ladder.partials == (1, 4, 12)
 
     def test_six(self):
@@ -92,7 +92,6 @@ class TestPrimeLadder:
         ladder = ladder_of(8)
         assert ladder.primes == (2,)
         assert ladder.partials == (1, 8)
-        assert ladder.prime_power(1) == 8
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -129,7 +128,7 @@ class TestLevelSet:
     def test_mask_field(self):
         bset = level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 2)
         assert bset.mask == b"\x01\x00\x00\x01\x00\x00"
-        assert bset == LevelSet(2, bset.mask)
+        assert bset == LevelSet(bset.mask)
 
     def test_modulus_outside_ladder(self):
         with pytest.raises(InternalConsistencyError):
@@ -172,7 +171,7 @@ class TestHitFractions:
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
         # one of the two lifts of the single fiber is hit: fraction 1/2
-        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1))
         assert list(counts) == [1]
 
     def test_second_level_constant(self):
@@ -180,20 +179,21 @@ class TestHitFractions:
         ladder = ladder_of(6)
         prev = step_measure(uniform_measure(), b"\x01", F(0), level_set(system, ladder, 1))
         # one of three lifts per fiber: fraction 1/3
-        counts = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
+        counts = hit_fractions(prev, level_set(system, ladder, 2))
         assert list(counts) == [1, 1]
 
     def test_empty_level_set_is_zero(self):
         system = sys_of([(0, 6)])
         ladder = ladder_of(6)
-        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1))
         assert list(counts) == [0]
 
     def test_level_mismatch_rejected(self):
+        # a measure on Z/4Z has no lifts in a level set mod 6
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
-        with pytest.raises(DomainError):
-            hit_fractions(uniform_measure(), level_set(system, ladder, 2), ladder, 2)
+        with pytest.raises(DomainError, match="must be a multiple"):
+            hit_fractions(measure_of((F(1, 4),) * 4), level_set(system, ladder, 2))
 
     @pytest.mark.parametrize(
         "ladder, j",
@@ -204,7 +204,7 @@ class TestHitFractions:
             # 256 and 257 lifts would overflow a lane and are counted by slices
             (ladder_of(2**8), 1),
             (ladder_of(6 * 257), 3),
-            # hit_fractions reads only the partial products, so 2^8 may sit above 3
+            # hit_fractions reads only the moduli, so 2^8 may sit above 3
             (PrimeLadder((3, 2), (1, 3, 3 * 2**8)), 2),
         ],
         ids=["lanes-243", "lanes-251", "slices-256", "slices-257", "slices-256-over-3"],
@@ -225,18 +225,20 @@ class TestHitFractions:
                 mask[z] = kind == 1 or (kind == 2 and rng.random() < 0.5)
             counts = reference_hit_counts(mask, qprev)
             seen.update(0 if c == 0 else 1 if c == lifts else 2 for c in counts)
-            got = hit_fractions(prev, LevelSet(j, bytes(mask)), ladder, j)
+            got = hit_fractions(prev, LevelSet(bytes(mask)))
             assert list(got) == counts
         assert seen == {0, 1, 2}
 
     @pytest.mark.parametrize("byte", [2, 255])
-    def test_mask_byte_past_one_is_caught(self, byte):
-        # up to 255 lifts of 0 or 1 fit a byte lane; a mask byte above 1 could carry
-        ladder = ladder_of(2 * 3**5)
-        mask = bytearray(2 * 3**5)
+    @pytest.mark.parametrize("fibers, q", [(2, 2 * 3**5), (1, 2**9)], ids=["lanes", "slices"])
+    def test_mask_byte_past_one_is_caught(self, fibers, q, byte):
+        # up to 255 lifts of 0 or 1 fit a byte lane, where a mask byte above 1
+        # could carry; one fiber of 512 lifts is counted by slices, whose
+        # count(1) would miss it.  Both are checked before any count
+        mask = bytearray(q)
         mask[1] = byte
-        with pytest.raises(InternalConsistencyError, match="overflowed"):
-            hit_fractions(measure_of((F(1, 2), F(1, 2))), LevelSet(2, mask), ladder, 2)
+        with pytest.raises(InternalConsistencyError, match=f"mask byte {byte} is not 0 or 1"):
+            hit_fractions(measure_of((F(1, fibers),) * fibers), LevelSet(mask))
 
 
 class TestTypeTable:
@@ -256,10 +258,10 @@ class TestTypeTable:
         prev = measure_of(parent, typecode)
         rng = random.Random(qj)
         mask = bytes(qj) if empty else bytes(rng.random() < 0.5 for _ in range(qj))
-        bset = LevelSet(j, mask)
+        bset = LevelSet(mask)
         pointwise = [parent[x % qprev] / lifts for x in range(qj)]
         alpha, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
-        counts = hit_fractions(prev, bset, ladder, j)
+        counts = hit_fractions(prev, bset)
         assert [F(c, lifts) for c in counts] == alpha
         assert moments(prev, counts, lifts) == (m1, m2)
         out = step_measure(prev, counts, delta, bset)
@@ -325,7 +327,7 @@ class TestCodeWidths:
         parent = [F(primes[y % types], total) for y in range(qprev)]
         counts = bytes(y // types for y in range(qprev))
         mask = bytes(z // qprev < counts[z % qprev] for z in range(qj))
-        bset = LevelSet(1, mask)
+        bset = LevelSet(mask)
         pointwise = [parent[x % qprev] / lifts for x in range(qj)]
         _, m1, m2, updated = reference_level(pointwise, mask, qprev, delta)
         for typecode in "BH":
@@ -382,18 +384,13 @@ class TestShapeMismatch:
     @pytest.mark.parametrize(
         "call",
         [
-            # hit_fractions: measure modulus is not Q_(j-1)
-            lambda: hit_fractions(
-                measure_of((F(1, 2), F(1, 2))),
-                level_set(sys_of([(0, 2), (0, 3)]), ladder_of(6), 1),
-                ladder_of(6),
-                1,
-            ),
+            # hit_fractions: level set modulus is not a multiple of the parent's
+            lambda: hit_fractions(measure_of((F(1, 2), F(1, 2))), LevelSet(bytes(3))),
             # moments: one hit count per parent residue
             lambda: moments(uniform_measure(), bytes(2), 2),
             # step_measure: level set modulus is not a multiple of the parent's
             lambda: step_measure(
-                measure_of((F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(2, bytes(3))
+                measure_of((F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(bytes(3))
             ),
             # step_measure: one hit count per parent residue
             lambda: step_measure(
@@ -457,12 +454,12 @@ class TestStepMeasure:
     def test_result_must_be_a_probability_measure(self, parent):
         # every fiber keeps its mass: a parent of total 1/2 leaves total 1/2,
         # one with a negative mass leaves negative masses
-        bset = LevelSet(2, b"\x01\x00\x00\x01")
+        bset = LevelSet(b"\x01\x00\x00\x01")
         with pytest.raises(InternalConsistencyError, match="not a probability measure"):
             step_measure(measure_of(parent), b"\x01\x01", F(1, 4), bset)
 
     def test_member_over_zero_fraction_fiber(self):
-        bset = LevelSet(1, b"\x00\x01")
+        bset = LevelSet(b"\x00\x01")
         with pytest.raises(InternalConsistencyError):
             step_measure(uniform_measure(), b"\x00", F(0), bset)
 
@@ -539,7 +536,7 @@ class TestRowBlocks:
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             distortion._check_zero_fibers(counts, bytes(mask), F(0))
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            step_measure(measure_of((F(1, 2), F(1, 2))), counts, F(0), LevelSet(1, mask))
+            step_measure(measure_of((F(1, 2), F(1, 2))), counts, F(0), LevelSet(mask))
 
     def test_zero_fiber_check_memory(self):
         # a 4 MiB mask over 16 fibers; fiber 0 has no hit and no member above
@@ -565,11 +562,12 @@ class TestFinalMeasureOnDemand:
 
     @staticmethod
     def _count_steps(monkeypatch) -> list:
+        """The modulus Q_j of the level set of each step_measure call, in call order."""
         calls = []
         real = distortion.step_measure
 
         def counted(*args):
-            calls.append(args[3].level - 1)
+            calls.append(args[3].modulus)
             return real(*args)
 
         monkeypatch.setattr(distortion, "step_measure", counted)
@@ -579,17 +577,19 @@ class TestFinalMeasureOnDemand:
     def test_certify_skips_the_last_step(self, monkeypatch, pairs, deltas):
         calls = self._count_steps(monkeypatch)
         certify(sys_of(pairs), deltas)
-        assert calls == list(range(len(deltas) - 1))
+        # Q_1, ..., Q_(J-1): every level but the last
+        assert calls == list(ladder_of(sys_of(pairs).lcm_modulus).partials[1:-1])
 
     @pytest.mark.parametrize("pairs, deltas", CASES)
     def test_every_measure_is_built_once_when_read(self, monkeypatch, pairs, deltas):
         calls = self._count_steps(monkeypatch)
         records = list(run_levels(sys_of(pairs), deltas))
-        assert len(calls) == len(deltas) - 1
+        partials = list(ladder_of(sys_of(pairs).lcm_modulus).partials)
+        assert calls == partials[1:-1]
         final = records[-1].measure
         assert records[-1].measure is final
         assert final.modulus == sys_of(pairs).lcm_modulus
-        assert calls == list(range(len(deltas)))
+        assert calls == partials[1:]
 
     def test_measure_checks_the_mass_left_on_the_level_set(self):
         # delta 1/4: the one fiber, half hit, leaves 1/3 on B_1, equal to its
@@ -617,20 +617,20 @@ class TestMoments:
     def test_single_class(self):
         system = sys_of([(0, 2)])
         ladder = ladder_of(2)
-        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1))
         assert moments(uniform_measure(), counts, 2) == (F(1, 2), F(1, 4))
 
     def test_second_level(self):
         system = sys_of([(0, 2), (0, 3)])
         ladder = ladder_of(6)
         prev = step_measure(uniform_measure(), b"\x01", F(0), level_set(system, ladder, 1))
-        counts = hit_fractions(prev, level_set(system, ladder, 2), ladder, 2)
+        counts = hit_fractions(prev, level_set(system, ladder, 2))
         assert moments(prev, counts, 3) == (F(1, 3), F(1, 9))
 
     def test_empty_level(self):
         system = sys_of([(0, 6)])
         ladder = ladder_of(6)
-        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1), ladder, 1)
+        counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1))
         assert moments(uniform_measure(), counts, 2) == (F(0), F(0))
 
     def test_repeated_table_masses(self):
@@ -701,6 +701,13 @@ class TestCertify:
         assert cert.eta == F(1)
         assert cert.verdict == INCONCLUSIVE
         assert cert.witness is None
+
+    def test_eta_below_one_for_a_covering_system_is_caught(self, monkeypatch):
+        # a term of 0 would certify the parity split, which covers; the
+        # masks then hold no uncovered residue to report as the witness
+        monkeypatch.setattr(distortion, "_level_term", lambda m1, m2, delta: (0, FIRST_MOMENT))
+        with pytest.raises(InternalConsistencyError, match="eta below 1 for a system that covers"):
+            certify(sys_of([(0, 2), (1, 2)]), [0])
 
     def test_default_schedule_two_class(self):
         cert = certify(sys_of([(0, 2), (0, 3)]))

@@ -1,10 +1,13 @@
 """The benchmark harness runs end to end at tiny sizes, with every output check."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +23,32 @@ def test_smoke_run_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["certify-primorial", "certify-dyadic", "cli-session"])
+def test_traced_smoke_pass(workload):
+    # the tracer hooks level_set(...).members, the result of hit_fractions
+    # and step_measure(...).modulus, so a change to the kernels' shapes that
+    # breaks a hook fails here rather than in a traced benchmark run
+    proc = subprocess.run(
+        [
+            sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "0",
+            "--check", "1", "--smoke", "--trace", "1", "--seconds", "0.01",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["errors"] == []
+    layer = result["per_layer"]
+    if workload == "cli-session":
+        assert layer["cli.main.calls"] == 13
+    else:
+        assert layer["distortion.level_set.members"] > 0
+        assert layer["distortion.levels"] > 0
 
 
 def test_cli_session_script_in_process(monkeypatch):
