@@ -221,6 +221,8 @@ def _parse_fraction(raw: str, what: str) -> Fraction:
 
 
 def _cmd_certify(args, cfg: RunConfig) -> str:
+    if args.deltas is not None and args.schedule_C is not None:
+        raise _UsageError("give either --deltas or --schedule-C, not both")
     system = _load_system(args)
     # Q is checked before it is factored: trial division of a huge Q hangs
     cfg.limits.require_residue_space(system.lcm_modulus, "pipeline")

@@ -44,9 +44,13 @@ big-integer multiply-add makes the codes of all fibers.  The moments drop
 fibers with no hit by one bytes.translate while the codes fit in a byte,
 types * (lifts + 1) <= 256, else by itertools.compress; the new types of a
 measure of at most 256 types are read through two 256-byte translate
-tables.  Cheap runtime checks guard the arithmetic: each new measure has
-total mass exactly 1 and no negative mass, and the mass it leaves on B_j is
-at most the level's certified term, and equal to it when delta_j = 0.
+tables.  A parent of one type, a uniform measure, has every id 0, so its
+codes are its counts, and at delta_j = 0, where no mass moves, it lifts to
+the uniform measure mod Q_j with no grouping: from the uniform start, the
+default schedule's delta-0 prefix stays uniform.  Cheap runtime checks
+guard the arithmetic: each new measure has total mass exactly 1 and no
+negative mass, and the mass it leaves on B_j is at most the level's
+certified term, and equal to it when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -316,10 +320,14 @@ def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memory
     those lanes (_lanes) and read as integers in sys.byteorder, give every
     code in one multiply-add: a carry runs toward its lane's high byte, and
     a code below types * base never carries out of its lane.  The codes are
-    bytes for one-byte lanes, else a memoryview of the lane typecode.
+    bytes for one-byte lanes, else a memoryview of the lane typecode; for a
+    parent of one type, whose every id is 0, they are the checked counts
+    themselves (bytes or array).
     """
     counts = _require_counts(counts, prev.modulus, lifts)
     ids, base = prev.ids, lifts + 1
+    if len(prev.table) == 1:
+        return counts, base
     # 1 << 8 * itemsize codes take exactly the ids' width
     typecode = _id_typecode(max(len(prev.table) * base, 1 << 8 * ids.itemsize))
     width, order = array(typecode).itemsize, sys.byteorder
@@ -364,12 +372,25 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     group and stored once per distinct value; every residue of Z/Q_jZ then
     takes the type of its group's on or off mass by its mask bit, in bitwise
     operations on whole rows of lifts.
+
+    At delta = 0 nothing moves, so a parent of one type, a uniform measure,
+    lifts to the uniform measure of mass m / lifts on every residue, after
+    the same checks of the counts and the zero fibers; its mass on the level
+    set is read from the mask.
     """
     delta = _as_delta(delta)
     lifts = _lifts(prev, bset)
     codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
     _check_zero_fibers(counts, mask, delta)
+    if not delta and len(prev.table) == 1:
+        m = prev.table[0]
+        lifted = Fraction(m.numerator, m.denominator * lifts)
+        if lifted * bset.modulus != 1:
+            raise InternalConsistencyError(
+                f"measure mod {bset.modulus} is not a probability measure"
+            )
+        return FiberMeasure((lifted,), array("B", bytes(bset.modulus)), lifted * mask.count(1))
     # per (parent type, count) group, its (off, on) masses as reduced
     # (num, den) pairs; per distinct mass, the residues that take it in all
     # of Z/Q_jZ and in the level set

@@ -418,6 +418,80 @@ def system_text(draw, max_lines: int = 8):
     return text if draw(st.booleans()) else text.rstrip(_LINE_BREAKS)
 
 
+# digit sets of decimal numbers: ASCII, Arabic-Indic, Devanagari, fullwidth
+_DIGIT_SETS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def structured_line(draw, plain: bool, fault: bool):
+    """One line built from tokens: a class "R mod D", a blank or, outside
+    plain text, a comment; a faulty line is a class with one fault.
+
+    Numbers take leading zeros and a digit set, and a residue may take the
+    sign "-"; tokens are joined by runs of spaces and tabs, and outside
+    plain text also by other Unicode spaces.  A plain line keeps to ASCII
+    digits, "-", spaces and tabs.  The faults: a token missing or one too
+    many, two classes on the line, a sign other than one "-", a modulus 0 or
+    negative, and a carriage return before a token, which ends the line there.
+    """
+    digits = draw(st.sampled_from(_DIGIT_SETS[:1] if plain else _DIGIT_SETS))
+    spaces = (" ", "\t") if plain else (" ", "\t", "\xa0", "\u3000", "\x1f")
+
+    def number() -> str:
+        value = str(draw(st.integers(1, 999)))
+        return digits[0] * draw(st.integers(0, 2)) + "".join(digits[int(c)] for c in value)
+
+    def a_class() -> list[str]:
+        return [draw(st.sampled_from(("", "-"))) + number(), "mod", number()]
+
+    def gap(least: int = 1) -> str:
+        return "".join(draw(st.lists(st.sampled_from(spaces), min_size=least, max_size=2)))
+
+    if fault:
+        kinds = ("missing", "extra", "two", "sign", "modulus", "break")
+    else:
+        kinds = ("class", "class", "blank") + (() if plain else ("comment",))
+    kind = draw(st.sampled_from(kinds))
+    tokens = a_class()
+    if kind == "missing":
+        del tokens[draw(st.integers(0, 2))]
+    elif kind == "extra":
+        tokens.insert(draw(st.integers(0, 3)), draw(st.sampled_from((number(), "mod", "#", "x"))))
+    elif kind == "two":
+        tokens[2] += draw(st.sampled_from(("", ",")))
+        tokens += a_class()
+    elif kind == "sign":
+        i = draw(st.sampled_from((0, 2)))
+        tokens[i] = draw(st.sampled_from(("+", "--", "-+", "\u2212"))) + tokens[i]
+    elif kind == "modulus":
+        zero = digits[0] * draw(st.integers(1, 3))
+        tokens[2] = draw(st.sampled_from((zero, "-" + zero, "-" + number())))
+    elif kind == "break":
+        i = draw(st.integers(1, 2))
+        tokens[i] = "\r" + tokens[i]
+    elif kind == "comment":
+        tokens = ["#" + draw(st.text(alphabet="ab mod12#\t", max_size=8))]
+    elif kind == "blank":
+        tokens = []
+    return gap(0) + "".join(token + gap() for token in tokens)
+
+
+@st.composite
+def structured_system_text(draw, max_lines: int = 8):
+    """Line-format text of structured_line lines, plain or not: plain text
+    joined by "\n", the rest by "\n", "\r\n" and "\r".  In half the
+    texts one line is faulty, in the rest none is."""
+    plain, faulty = draw(st.booleans()), draw(st.booleans())
+    count = draw(st.integers(1 if faulty else 0, max_lines))
+    bad = draw(st.integers(0, count - 1)) if faulty else -1
+    lines = [draw(structured_line(plain, i == bad)) for i in range(count)]
+    breaks = st.just("\n") if plain else st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip(_LINE_BREAKS)
+
+
 _DELTA_POOL = (
     Fraction(0),
     Fraction(1, 2),

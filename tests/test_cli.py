@@ -530,6 +530,16 @@ class TestCertify:
         assert (code, out) == (1, "")
         assert err.startswith("error: bad schedule constant 'zebra'")
 
+    def test_deltas_and_schedule_constant_rejected_together(self, capsys, monkeypatch):
+        message = "error: give either --deltas or --schedule-C, not both\n"
+        code, out, err = run(
+            capsys, "certify", "--system", "0 mod 2", "--deltas", "1/2", "--schedule-C", "garbage"
+        )
+        assert (code, out, err) == (1, "", message)
+        # a value from the environment counts as given, as for --system and --input
+        monkeypatch.setenv("COVERCERT_SCHEDULE_C", "2")
+        assert run(capsys, "certify", "--system", "0 mod 2", "--deltas", "1/2") == (1, "", message)
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         second = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)

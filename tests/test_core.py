@@ -27,7 +27,14 @@ from covercert import (
 )
 from covercert.cli import RunConfig
 from covercert.constructions import construct_minimal_family, shift_expand
-from covercert.core import _TOO_LONG, DEFAULT_LIMITS, ResidueClass, _hit_mask, factorize
+from covercert.core import (
+    _TOO_LONG,
+    DEFAULT_LIMITS,
+    ResidueClass,
+    _hit_mask,
+    _parse_lines,
+    factorize,
+)
 from covercert.distortion import certify, prime_ladder, run_levels
 
 from helpers import (
@@ -39,6 +46,7 @@ from helpers import (
     brute_multiplicity,
     needs_digit_limit,
     reference_parse_lines,
+    structured_system_text,
     system_pairs,
     system_text,
 )
@@ -455,6 +463,21 @@ class TestParseEmit:
             got = parse_system(text)
             assert list(zip(got.residues, got.moduli)) == expected
             assert [(c.residue, c.modulus) for c in got.classes] == expected
+
+    @given(structured_system_text())
+    @settings(max_examples=300)
+    def test_line_shapes_match_reference_line_parser(self, text):
+        # parse_system, plain fast path included, and the line loop alone
+        # give the same columns, or the same error message and line
+        expected = reference_parse_lines(text)
+        for parse in (parse_system, _parse_lines):
+            if isinstance(expected, tuple):
+                with pytest.raises(ParseError) as err:
+                    parse(text)
+                assert (str(err.value), err.value.line) == expected
+            else:
+                got = parse(text)
+                assert list(zip(got.residues, got.moduli)) == expected
 
     def test_fast_path_falls_back_with_the_line_number(self):
         cases = {

@@ -8,6 +8,7 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercert import (
     CongruenceSystem,
@@ -380,6 +381,47 @@ class TestFiberCodes:
             distortion._id_typecode((1 << 64) + 1)
 
 
+@st.composite
+def uniform_levels(draw):
+    """(fibers, lifts, mask) of a level over a uniform parent.
+
+    Each fiber is empty, full or hit at a random share of its lifts.
+    """
+    fibers, lifts = draw(st.integers(1, 4)), draw(st.integers(2, 300))
+    rnd = draw(st.randoms(use_true_random=False))
+    mask = bytearray(fibers * lifts)
+    for y in range(fibers):
+        share = draw(st.sampled_from((0, 1, rnd.random())))
+        mask[y::fibers] = bytes(rnd.random() < share for _ in range(lifts))
+    return fibers, lifts, mask
+
+
+class TestUniformLift:
+    """A parent of one type takes the general path's codes and, at delta 0, its measure.
+
+    The general path gets the same uniform measure through a parent with a
+    second, unused table entry.  Lifts past 255 take the list counts.
+    """
+
+    @given(uniform_levels())
+    @settings(max_examples=60)
+    def test_matches_the_general_path(self, level):
+        fibers, lifts, mask = level
+        bset, ids = LevelSet(mask), array("B", bytes(fibers))
+        uniform = FiberMeasure((F(1, fibers),), ids)
+        general = FiberMeasure((F(1, fibers), F(0)), ids)
+        counts = hit_fractions(uniform, bset)
+        codes, base = distortion._fiber_codes(uniform, counts, lifts)
+        assert base == lifts + 1
+        assert list(codes) == list(distortion._fiber_codes(general, counts, lifts)[0])
+        assert list(codes) == [i * base + c for i, c in zip(ids, counts)]
+        assert moments(uniform, counts, lifts) == moments(general, counts, lifts)
+        fast, slow = (step_measure(prev, counts, F(0), bset) for prev in (uniform, general))
+        assert (fast.table, bytes(fast.ids), fast.ids.typecode, fast.level_mass) == (
+            slow.table, bytes(slow.ids), slow.ids.typecode, slow.level_mass
+        )
+
+
 class TestShapeMismatch:
     @pytest.mark.parametrize(
         "call",
@@ -453,10 +495,12 @@ class TestStepMeasure:
     )
     def test_result_must_be_a_probability_measure(self, parent):
         # every fiber keeps its mass: a parent of total 1/2 leaves total 1/2,
-        # one with a negative mass leaves negative masses
+        # one with a negative mass leaves negative masses; at delta 0 the
+        # total-half parent, of one type, is lifted whole
         bset = LevelSet(b"\x01\x00\x00\x01")
-        with pytest.raises(InternalConsistencyError, match="not a probability measure"):
-            step_measure(measure_of(parent), b"\x01\x01", F(1, 4), bset)
+        for delta in (F(1, 4), F(0)):
+            with pytest.raises(InternalConsistencyError, match="not a probability measure"):
+                step_measure(measure_of(parent), b"\x01\x01", delta, bset)
 
     def test_member_over_zero_fraction_fiber(self):
         bset = LevelSet(b"\x00\x01")
@@ -604,6 +648,20 @@ class TestFinalMeasureOnDemand:
         assert (record.term, record.measure.level_mass) == (F(1, 2), F(1, 2))
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record._replace(term=F(3, 4)).measure
+
+    def test_level_mass_of_a_uniform_level_is_read_from_the_mask(self, monkeypatch):
+        # a hit count lowered on a uniform delta-0 level lowers the term to
+        # 1/4, while B_1 = {0, 1} mod 4 still holds mass 1/2
+        real = distortion.hit_fractions
+        monkeypatch.setattr(
+            distortion,
+            "hit_fractions",
+            lambda prev, bset: b"\x01" if bset.modulus == 4 else real(prev, bset),
+        )
+        record = next(run_levels(sys_of([(0, 4), (1, 4), (0, 3)]), [0, 0]))
+        assert record.term == F(1, 4)
+        with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
+            record.measure
 
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_certify_checks_the_last_level(self):
