@@ -48,9 +48,9 @@ tables.  A parent of one type, a uniform measure, has every id 0, so its
 codes are its counts, and at delta_j = 0, where no mass moves, it lifts to
 the uniform measure mod Q_j with no grouping: from the uniform start, the
 default schedule's delta-0 prefix stays uniform.  Cheap runtime checks
-guard the arithmetic: each new measure has total mass exactly 1 and no
-negative mass, and the mass it leaves on B_j is at most the level's
-certified term, and equal to it when delta_j = 0.
+guard the arithmetic: at delta_j = 0, run_levels checks every level's counts
+against its mask; each new measure has total mass 1, no negative mass, and
+at most the level's term on B_j, exactly the term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -374,15 +374,14 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     operations on whole rows of lifts.
 
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
-    lifts to the uniform measure of mass m / lifts on every residue, after
-    the same checks of the counts and the zero fibers; its mass on the level
-    set is read from the mask.
+    lifts to the uniform measure of mass m / lifts on every residue; its
+    mass on the level set is read from the mask.  run_levels, not this,
+    checks the counts against the mask.
     """
     delta = _as_delta(delta)
     lifts = _lifts(prev, bset)
     codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
-    _check_zero_fibers(counts, mask, delta)
     if not delta and len(prev.table) == 1:
         m = prev.table[0]
         lifted = Fraction(m.numerator, m.denominator * lifts)
@@ -460,16 +459,14 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     return ids
 
 
-def _check_zero_fibers(counts, mask: bytes, delta: Fraction) -> None:
-    """Raise if, at delta = 0, a level-set member lies above a fiber with no hit.
+def _check_zero_fibers(counts, mask: bytes) -> None:
+    """Raise if a level-set member lies above a fiber with hit count 0.
 
-    The update thins B_j by (a - delta) / (a (1 - delta)), which has no value
-    at a = delta = 0; for delta > 0 such a fiber is emptied instead.  The
-    fibers with count 0, tiled over the lifts, must not meet the mask, one
-    block of whole rows at a time (_row_blocks).
+    A check of the counts against the mask: the update itself never
+    evaluates (a - delta) / (a (1 - delta)) at a = 0.  The fibers with count
+    0, tiled over the lifts, must not meet the mask, one block of whole rows
+    at a time (_row_blocks).
     """
-    if delta:
-        return
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     if 1 not in empty:
         return
@@ -596,11 +593,11 @@ class LevelRecord(
     """Everything the pipeline computed at one level.
 
     parent is the measure the level started from and counts are the hit
-    counts of its fibers (see hit_fractions).  The measure the level leaves
-    is built by step_measure on first access to measure, then kept; a copy
-    made by _replace builds its own.  The mass it leaves on the level set is
-    checked against the term: at most term, and equal to it when delta = 0,
-    where nothing is moved.
+    counts of its fibers (see hit_fractions), checked against the mask at
+    delta = 0.  The measure the level leaves is built by step_measure on
+    first access to measure, then kept; a copy made by _replace builds its
+    own.  The mass it leaves on the level set is checked against the term:
+    at most term, and equal to it when delta = 0, where nothing is moved.
     """
 
     @cached_property
@@ -631,7 +628,8 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     The schedule must supply one delta per distinct prime of Q.  An empty
     system yields nothing.  Each level starts from the measure of the
     record before it, so every level's measure but the last is built; the
-    last is built only if its record's measure is read.
+    last is built only if its record's measure is read.  A level's counts
+    are checked against its mask at delta = 0 before its record is yielded.
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -652,6 +650,8 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         counts = hit_fractions(prev, bset)
         m1, m2 = moments(prev, counts, _lifts(prev, bset))
         delta = schedule[j - 1]
+        if not delta:
+            _check_zero_fibers(counts, bset.mask)
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(
             j, ladder.primes[j - 1], delta, bset, counts, m1, m2, term, branch, prev
@@ -676,7 +676,8 @@ def certify(
     multiplicity is used.
 
     Only the terms are kept, so the final measure is never built and each
-    level's record, with its measures, is dropped after the next level.
+    level's record, with its measures, is dropped after the next level;
+    run_levels checks every level, the last included.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)
@@ -686,9 +687,6 @@ def certify(
         terms.append(
             CertificateTerm(last.prime, last.delta, last.m1, last.m2, last.term, last.branch)
         )
-    if last is not None:
-        # step_measure checks every other level as it builds its measure
-        _check_zero_fibers(last.counts, last.level_set.mask, last.delta)
     terms = tuple(terms)
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covercert import (
@@ -465,6 +465,7 @@ class TestParseEmit:
             assert [(c.residue, c.modulus) for c in got.classes] == expected
 
     @given(structured_system_text())
+    @example("1 mod 2 3 mod 4\n")
     @settings(max_examples=300)
     def test_line_shapes_match_reference_line_parser(self, text):
         # parse_system, plain fast path included, and the line loop alone

@@ -502,10 +502,11 @@ class TestStepMeasure:
             with pytest.raises(InternalConsistencyError, match="not a probability measure"):
                 step_measure(measure_of(parent), b"\x01\x01", delta, bset)
 
+    @pytest.mark.usefixtures("zeroed_last_hit")
     def test_member_over_zero_fraction_fiber(self):
-        bset = LevelSet(b"\x00\x01")
-        with pytest.raises(InternalConsistencyError):
-            step_measure(uniform_measure(), b"\x00", F(0), bset)
+        # B_1 = {1} mod 2 over the one fiber, whose count reads 0
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            list(run_levels(sys_of([(1, 2)]), [0]))
 
     @given(pipeline_cases())
     def test_mass_conserved_and_nonnegative(self, case):
@@ -575,12 +576,24 @@ class TestRowBlocks:
         counts = b"\x01\x00"
         mask = bytearray(10)
         mask[0] = mask[2 * row] = 1
-        distortion._check_zero_fibers(counts, bytes(mask), F(0))
+        distortion._check_zero_fibers(counts, bytes(mask))
+        # the same mask is level 2's of a run mod 10, where every count but
+        # fiber 0's reads 0
+        pairs = [(0, 10), (2 * row, 10)]
+        real = distortion.hit_fractions
+        monkeypatch.setattr(
+            distortion,
+            "hit_fractions",
+            lambda prev, bset: real(prev, bset)[:1].ljust(prev.modulus, b"\x00"),
+        )
+        last = list(run_levels(sys_of(pairs), [0, 0]))[-1]
+        assert (last.level_set.mask, last.counts[1]) == (mask, 0)
+        last.measure
         mask[2 * row + 1] = 1
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            distortion._check_zero_fibers(counts, bytes(mask), F(0))
+            distortion._check_zero_fibers(counts, bytes(mask))
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            step_measure(measure_of((F(1, 2), F(1, 2))), counts, F(0), LevelSet(mask))
+            list(run_levels(sys_of(pairs + [(2 * row + 1, 10)]), [0, 0]))
 
     def test_zero_fiber_check_memory(self):
         # a 4 MiB mask over 16 fibers; fiber 0 has no hit and no member above
@@ -590,7 +603,7 @@ class TestRowBlocks:
         mask = bytearray(counts * (1 << 18))
         tracemalloc.start()
         try:
-            distortion._check_zero_fibers(counts, mask, F(0))
+            distortion._check_zero_fibers(counts, mask)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -662,6 +675,13 @@ class TestFinalMeasureOnDemand:
         assert record.term == F(1, 4)
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record.measure
+
+    @pytest.mark.usefixtures("zeroed_last_hit")
+    def test_run_levels_checks_the_last_level(self):
+        # no measure is read: the last level's counts are checked all the same
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            list(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0]))
+        list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
 
     @pytest.mark.usefixtures("zeroed_last_hit")
     def test_certify_checks_the_last_level(self):
