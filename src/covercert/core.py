@@ -87,6 +87,8 @@ class Limits(namedtuple("Limits", "residue_space interval")):
 
     def require_residue_space(self, q: int, what: str) -> None:
         """Raise ResourceLimitError when Z/qZ is over the residue-space cap."""
+        if q <= self.residue_space:  # before the message is built
+            return
         self.require("residue_space", q, f"{what} needs a residue space of size {_shown(q)}")
 
 
@@ -265,19 +267,19 @@ def _repeat_for(mask: bytearray, size: int, d: int) -> None:
         mask *= (lcm(period, d) if size % d == 0 else size) // period
 
 
-def _hit_mask(size: int, progressions, hit: bytearray | None = None) -> bytearray:
+def _hit_mask(size: int, progressions) -> bytearray:
     """Byte mask of length size, 1 at start, start + d, ... for each (start, d).
 
     Each start is below its d.  The starts are grouped by d; one fill serves
-    every start of its d, or one byte where the grown mask has length d.  A
-    new mask grows with the moduli (_repeat_for) and is repeated up to size;
-    hit, when given, is a mask of length size to write into.  A d that does
-    not divide size, as in the interval check, is written over all of size.
+    every start of its d, or one byte where the grown mask has length d.  The
+    mask grows with the moduli (_repeat_for) and is repeated up to size.  A d
+    that does not divide size, as in the interval check, is written over all
+    of size.
     """
     starts = defaultdict(list)
     for start, d in progressions:
         starts[d].append(start)
-    hit = bytearray(1) if hit is None else hit
+    hit = bytearray(1)
     for d, group in starts.items():
         _repeat_for(hit, size, d)
         if size % d:  # the fill's length depends on start

@@ -161,9 +161,8 @@ class LevelSet(namedtuple("LevelSet", "mask")):
 
     mask[z] is 1 when z is covered and 0 otherwise, for z in Z/Q_jZ, so
     modulus is len(mask); LevelRecord.level names the level.  It is the
-    bytearray the level's classes were written into, not a copy; only
-    certify writes to it again, into the last level's mask once the pipeline
-    is done with it (see _first_uncovered).
+    bytearray the level's classes were written into, not a copy, and nothing
+    writes to it after level_set returns.
     """
 
     __slots__ = ()
@@ -667,8 +666,8 @@ def certify(
     The per-level terms bound the mass that the final measure leaves on each
     level set, so when their sum eta is below 1 some residue mod Q avoids
     every class and the verdict is NotCovering; the witness is then the
-    smallest such residue, read from the last level's mask once the classes
-    of the earlier levels are written into it (see _first_uncovered).
+    smallest such residue, the first zero of one fresh mask over Z/QZ with
+    every class written in.
     Otherwise the verdict is Inconclusive: eta >= 1 says nothing about
     coverage.
 
@@ -676,36 +675,20 @@ def certify(
     multiplicity is used.
 
     Only the terms are kept, so the final measure is never built and each
-    level's record, with its measures, is dropped after the next level;
-    run_levels checks every level, the last included.
+    level's record, with its measures, is dropped after the next level, the
+    last one before the witness mask is built; run_levels checks every
+    level, the last included.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)
-    terms = []
-    last = None
-    for last in run_levels(sys, schedule, limits=limits):
-        terms.append(
-            CertificateTerm(last.prime, last.delta, last.m1, last.m2, last.term, last.branch)
-        )
-    terms = tuple(terms)
+    terms = tuple(
+        CertificateTerm(rec.prime, rec.delta, rec.m1, rec.m2, rec.term, rec.branch)
+        for rec in run_levels(sys, schedule, limits=limits)
+    )
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
-        # the empty system covers nothing, so 0 is its smallest uncovered residue
-        witness = 0 if last is None else _first_uncovered(sys, last)
+        witness = _hit_mask(sys.lcm_modulus, zip(sys.residues, sys.moduli)).find(0)
         if witness < 0:
             raise InternalConsistencyError("eta below 1 for a system that covers")
         return Certificate(terms, eta, NOT_COVERING, witness)
     return Certificate(terms, eta, INCONCLUSIVE, None)
-
-
-def _first_uncovered(sys: CongruenceSystem, last: LevelRecord) -> int:
-    """The smallest residue mod Q that no class covers, or -1 when there is none.
-
-    last is the record of the last level, whose mask over Z/QZ holds that
-    level's classes.  Every other class has a modulus d dividing Q_(J-1),
-    the parent modulus, and _hit_mask writes it into the mask.  The mask is
-    changed in place, so last must not be read again.
-    """
-    mask, qprev = last.level_set.mask, last.parent.modulus
-    earlier = [(r, d) for r, d in zip(sys.residues, sys.moduli) if qprev % d == 0]
-    return _hit_mask(len(mask), earlier, mask).find(0)

@@ -264,12 +264,6 @@ class TestHitMask:
     def test_matches_brute_fill(self, size, progressions):
         assert _hit_mask(size, progressions) == brute_mask(size, progressions)
 
-    def test_writes_into_a_given_mask(self):
-        first, second = [(1, 4), (2, 6)], [(3, 12), (0, 8), (5, 24)]
-        hit = _hit_mask(24, first)
-        assert _hit_mask(24, second, hit) is hit
-        assert hit == brute_mask(24, first + second)
-
     @given(system_pairs(max_classes=12))
     def test_matches_brute_fill_on_drawn_systems(self, pairs):
         progressions = [(r % d, d) for r, d in pairs]

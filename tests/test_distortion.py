@@ -687,7 +687,7 @@ class TestFinalMeasureOnDemand:
     def test_certify_checks_the_last_level(self):
         with pytest.raises(InternalConsistencyError):
             certify(sys_of([(0, 2), (0, 3)]), [0, 0])
-        # with delta > 0 the fiber is emptied, which is well defined
+        # the zero-fiber check does not run at delta > 0 (ROADMAP item 13)
         certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
 
@@ -782,7 +782,7 @@ class TestCertify:
 
     def test_eta_below_one_for_a_covering_system_is_caught(self, monkeypatch):
         # a term of 0 would certify the parity split, which covers; the
-        # masks then hold no uncovered residue to report as the witness
+        # witness mask, a fresh fill of every class, then holds no zero
         monkeypatch.setattr(distortion, "_level_term", lambda m1, m2, delta: (0, FIRST_MOMENT))
         with pytest.raises(InternalConsistencyError, match="eta below 1 for a system that covers"):
             certify(sys_of([(0, 2), (1, 2)]), [0])
@@ -805,8 +805,9 @@ class TestCertify:
         assert cert.terms == ()
 
     def test_witness_without_the_oracle(self, monkeypatch):
-        # the witness is read from the level masks; the oracle and the
-        # brute-force scan stay independent checks of it
+        # the witness comes from a fresh fill of every class, not from
+        # covers_oracle; the oracle and the brute-force scan stay
+        # independent checks of it
         rng = random.Random(12)
         cases = [((), []), (((0, 2), (0, 3)), [0, 0]), (((1, 2), (0, 4)), [0])]
         for _ in range(60):
@@ -830,6 +831,22 @@ class TestCertify:
         for (pairs, _), cert in zip(cases, got):
             if cert.verdict == NOT_COVERING:
                 assert cert.witness == brute_covers(pairs)[1]
+
+    def test_level_masks_are_not_written_after_level_set(self, monkeypatch):
+        real = distortion.level_set
+        built = []  # (level set, a copy of its mask when level_set returned)
+
+        def level_set(sys, ladder, j, **kwargs):
+            bset = real(sys, ladder, j, **kwargs)
+            built.append((bset, bytes(bset.mask)))
+            return bset
+
+        monkeypatch.setattr(distortion, "level_set", level_set)
+        cert = certify(sys_of([(0, 2), (0, 3)]), [0, 0])
+        assert (cert.verdict, cert.witness) == (NOT_COVERING, 1)
+        assert len(built) == 2
+        for bset, mask in built:
+            assert bset.mask == mask
 
     def test_schedule_length_mismatch(self):
         with pytest.raises(DomainError):
