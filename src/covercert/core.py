@@ -365,14 +365,9 @@ def density_uncovered(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS)
 # text and JSON formats
 
 _LINE_RE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
-# one line of plain line-format text and its end: "R mod D" in ASCII digits,
-# or blank, with spaces and tabs only, ended by "\n" or the end of the text.
-# Plain text is checked line by line, by the first line's match and a search
-# for a later line that fails; one fullmatch over all lines would keep
-# backtracking state for each line, about 0.8 kB
-_PLAIN_LINE = r"[ \t]*(?:-?[0-9]+[ \t]+mod[ \t]+[0-9]+[ \t]*)?(?:\n|\Z)"
-_PLAIN_FIRST_LINE = re.compile(_PLAIN_LINE)
-_NOT_PLAIN_LATER_LINE = re.compile(rf"\n(?!{_PLAIN_LINE})")
+# the bytes of plain line-format text, and those of its numbers and spaces
+_PLAIN_BYTES = b"0123456789-mod \t\n"
+_NUMBER_BYTES = b"0123456789- "
 _TOO_LONG = "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
 
 
@@ -387,14 +382,43 @@ def parse_system(text: str) -> CongruenceSystem:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json_system(text)
-    if _PLAIN_FIRST_LINE.match(text) and not _NOT_PLAIN_LATER_LINE.search(text):
-        # every line holds three tokens or none, so the columns are strided
-        tokens = text.split()
-        try:
-            return CongruenceSystem(list(map(int, tokens[0::3])), list(map(int, tokens[2::3])))
-        except (ValueError, InvalidModulusError):
-            pass  # a number past the digit limit or a modulus 0: the line loop names its line
-    return _parse_lines(text)
+    system = _parse_plain(text)
+    return _parse_lines(text) if system is None else system
+
+
+def _parse_plain(text: str) -> CongruenceSystem | None:
+    """The system of plain line-format text, or None for any other text.
+
+    Plain text holds only _PLAIN_BYTES, and each of its lines is blank or
+    one class "R mod D".  It is read by passes over the whole text, with no
+    object per line unless it has blank lines.  Each " mod " becomes a
+    comma, and what is left once numbers and spaces are deleted must be one
+    comma per line.  Line breaks then become commas too, and one JSON scan
+    reads the numbers; it refuses two numbers with only spaces between
+    them.  Within these bytes JSON's integers are -?[0-9]+ without leading
+    zeros.  A leading zero, a lone "-", a number past the digit limit or a
+    modulus below 1 gives None, and the line loop reads the text again,
+    naming the line of any error.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    data = data.replace(b"\t", b" ").replace(b" mod ", b",").strip()
+    if not data:
+        return CongruenceSystem()
+    shape = data.translate(None, _NUMBER_BYTES)
+    if b"\n\n" in shape:  # blank lines, or a line without "mod"
+        data = b"\n".join(filter(bytes.strip, data.split(b"\n")))
+        shape = data.translate(None, _NUMBER_BYTES)
+    if shape != b",\n" * (len(shape) // 2) + b",":
+        return None
+    try:
+        numbers = json.loads((b"[" + data.replace(b"\n", b",") + b"]").decode())
+        return CongruenceSystem(numbers[0::2], numbers[1::2])
+    except (ValueError, InvalidModulusError):
+        return None
 
 
 def _parse_lines(text: str) -> CongruenceSystem:

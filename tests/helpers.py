@@ -429,28 +429,32 @@ def structured_line(draw, plain: bool, fault: bool):
     """One line built from tokens: a class "R mod D", a blank or, outside
     plain text, a comment; a faulty line is a class with one fault.
 
-    Numbers take leading zeros and a digit set, and a residue may take the
-    sign "-"; tokens are joined by runs of spaces and tabs, and outside
-    plain text also by other Unicode spaces.  A plain line keeps to ASCII
-    digits, "-", spaces and tabs.  The faults: a token missing or one too
-    many, two classes on the line, a sign other than one "-", a modulus 0 or
-    negative, and a carriage return before a token, which ends the line there.
+    Numbers take leading zeros and a digit set, and a residue may be 0 and
+    take the sign "-", as in "-0"; tokens are joined by runs of spaces and
+    tabs, and outside plain text also by other Unicode spaces.  A plain line
+    keeps to ASCII digits, "-", spaces and tabs.  The faults: a token
+    missing or one too many, two classes on the line, a sign other than one
+    "-", a modulus 0 or negative, a carriage return before a token, which
+    ends the line there, and a class broken across lines by a "\n" before
+    "mod" or before the modulus, which keeps plain text plain.
     """
     digits = draw(st.sampled_from(_DIGIT_SETS[:1] if plain else _DIGIT_SETS))
     spaces = (" ", "\t") if plain else (" ", "\t", "\xa0", "\u3000", "\x1f")
 
-    def number() -> str:
-        value = str(draw(st.integers(1, 999)))
-        return digits[0] * draw(st.integers(0, 2)) + "".join(digits[int(c)] for c in value)
+    def number(least: int = 1) -> str:
+        value = str(draw(st.integers(least, 999)))
+        # leading zeros on one number in four, so that many plain texts have none
+        zeros = draw(st.sampled_from((0,) * 6 + (1, 2)))
+        return digits[0] * zeros + "".join(digits[int(c)] for c in value)
 
     def a_class() -> list[str]:
-        return [draw(st.sampled_from(("", "-"))) + number(), "mod", number()]
+        return [draw(st.sampled_from(("", "-"))) + number(0), "mod", number()]
 
     def gap(least: int = 1) -> str:
         return "".join(draw(st.lists(st.sampled_from(spaces), min_size=least, max_size=2)))
 
     if fault:
-        kinds = ("missing", "extra", "two", "sign", "modulus", "break")
+        kinds = ("missing", "extra", "two", "sign", "modulus", "break", "split")
     else:
         kinds = ("class", "class", "blank") + (() if plain else ("comment",))
     kind = draw(st.sampled_from(kinds))
@@ -471,6 +475,9 @@ def structured_line(draw, plain: bool, fault: bool):
     elif kind == "break":
         i = draw(st.integers(1, 2))
         tokens[i] = "\r" + tokens[i]
+    elif kind == "split":
+        i = draw(st.integers(1, 2))
+        tokens[i] = "\n" + tokens[i]
     elif kind == "comment":
         tokens = ["#" + draw(st.text(alphabet="ab mod12#\t", max_size=8))]
     elif kind == "blank":

@@ -460,6 +460,14 @@ class TestParseEmit:
 
     @given(structured_system_text())
     @example("1 mod 2 3 mod 4\n")
+    @example("1\nmod 2\n")
+    @example("1 mod\n2\n")
+    @example("1mod 2\n")
+    @example("007 mod 010\n")
+    @example("-0 mod 5")
+    @example("\n \n1 mod 2\n\t\n3 mod 4\n\n")
+    @example("1 mod 2 3 mod 4\n\n\n")
+    @example("1 mod 2 mod 3\n4\n")
     @settings(max_examples=300)
     def test_line_shapes_match_reference_line_parser(self, text):
         # parse_system, plain fast path included, and the line loop alone
@@ -486,6 +494,50 @@ class TestParseEmit:
                 parse_system(text)
             assert str(err.value) == message
         assert parse_system("\u0661 mod \u0662\n-1\xa0mod 4") == sys_of([(1, 2), (3, 4)])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 mod 2, 3 mod 4".replace(",", "\n"),
+            "\t1\tmod 2 \n\n \t\n-3 mod\t\t4\t\n\n",
+            "1 mod 2\n3 mod 4",
+            "1 mod 2\n3 mod 4\n\n",
+            "",
+            emit_system(shift_expand(construct_minimal_family(20), 10)),
+        ],
+        ids=["cli-system", "tabs-and-blanks", "no-final-newline", "two-final-newlines", "empty",
+             "shift-expanded"],
+    )
+    def test_plain_text_skips_the_line_loop(self, monkeypatch, text):
+        # the columns agree with the line loop's, which the plain text never reaches
+        expected = _parse_lines(text)
+
+        def line_loop(text):
+            raise AssertionError("plain text went to the line loop")
+
+        monkeypatch.setattr("covercert.core._parse_lines", line_loop)
+        assert parse_system(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "007 mod 010\n-00 mod 3\n",
+            "# a system\n1 mod 2\n",
+            "1 mod 2\r\n3 mod 4\r\n",
+            "1 mod 2\n5 mod 1" + "0" * 4300,
+            "1 mod 2\n\ud800 mod 3\n",
+        ],
+        ids=["leading-zeros", "comment", "crlf", "modulus-past-digit-limit", "lone-surrogate"],
+    )
+    def test_other_text_reads_as_the_line_loop_does(self, text):
+        try:
+            expected = _parse_lines(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_system(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        else:
+            assert parse_system(text) == expected
 
     @pytest.mark.parametrize(
         "system",
