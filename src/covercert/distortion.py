@@ -30,7 +30,7 @@ A level reads its lifts, Q_j / Q_(j-1), from the moduli of its level set
 and parent measure.  Counts are summed in byte lanes: the rows of the mask,
 read as little-endian integers, add up to an integer whose byte y is the hit
 count of fiber y, as long as a fiber has at most 255 lifts and every mask
-byte is 0 or 1, which is checked first; wider fibers are counted by slices.
+byte is 0 or 1; wider fibers are counted by slices, into an array.
 
 Inside a parent fiber the new measure takes only two values, on B_j and off
 it, which depend only on the fiber's (type, count) group.  So the moments
@@ -48,9 +48,11 @@ tables.  A parent of one type, a uniform measure, has every id 0, so its
 codes are its counts, and at delta_j = 0, where no mass moves, it lifts to
 the uniform measure mod Q_j with no grouping: from the uniform start, the
 default schedule's delta-0 prefix stays uniform.  Cheap runtime checks
-guard the arithmetic: at delta_j = 0, run_levels checks every level's counts
-against its mask; each new measure has total mass 1, no negative mass, and
-at most the level's term on B_j, exactly the term when delta_j = 0.
+guard the arithmetic.  One gate, _check_level, checks each level's data once,
+before moments, and no kernel checks it again: mask bytes of 0 or 1, one count
+per fiber, each at most lifts, and at delta_j = 0 no member of B_j above a
+fiber with count 0.  Each new measure has total mass 1, no negative mass,
+and at most the level's term on B_j, exactly the term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -176,29 +178,17 @@ class LevelSet(namedtuple("LevelSet", "mask")):
         return frozenset(itertools.compress(range(self.modulus), self.mask))
 
 
-def _reject_modulus_one(sys: CongruenceSystem) -> None:
-    if 1 in sys.moduli:
-        raise DomainError("distortion requires every modulus to be at least 2")
-
-
-def level_set(
-    sys: CongruenceSystem,
-    ladder: PrimeLadder,
-    j: int,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> LevelSet:
+def level_set(sys: CongruenceSystem, ladder: PrimeLadder, j: int) -> LevelSet:
     """Union, inside Z/Q_jZ, of the classes whose modulus has largest prime p_j.
 
     For d dividing Q, the largest prime of d is p_j exactly when d divides
-    Q_j but not Q_(j-1), so the classes are picked without factoring.
+    Q_j but not Q_(j-1), so the classes are picked without factoring.  The
+    pipeline rejects a modulus 1 and a Q over the residue-space limit once,
+    before it factors Q (_pipeline_ladder), so no level checks them again.
     """
     if not 1 <= j <= ladder.depth:
         raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {_shown(j)}")
-    _reject_modulus_one(sys)
-    qj = ladder.partials[j]
-    limits.require_residue_space(qj, f"level set at level {j}")
-    q, qprev = ladder.partials[-1], ladder.partials[j - 1]
+    q, qj, qprev = ladder.partials[-1], ladder.partials[j], ladder.partials[j - 1]
     progressions = []
     for r, d in zip(sys.residues, sys.moduli):
         if q % d != 0:
@@ -255,17 +245,14 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet):
 
     The result is indexed by y in Z/Q_(j-1)Z, Q_(j-1) = prev.modulus; the
     hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts
-    (_lifts).  It is bytes while a fiber has at most 255 lifts, else a list
-    of ints.  Every mask byte must be 0 or 1, which is checked first, in
-    blocks of _ROW_BLOCK bytes (rows of one byte) so that the copies stay small.
+    (_lifts).  It is bytes while a fiber has at most 255 lifts, else an
+    array of the narrowest typecode that holds the lifts.  The counts are
+    exact only for a mask of 0 and 1 bytes: run_levels' gate, _check_level,
+    checks the mask and the counts next, before anything reads them.
     """
     lifts, qprev, mask = _lifts(prev, bset), prev.modulus, bset.mask
-    for block in _row_blocks(mask, 1):
-        bad = block.translate(_NOT_BIT).find(1)
-        if bad >= 0:
-            raise InternalConsistencyError(f"level set mask byte {block[bad]} is not 0 or 1")
     if lifts > 255:
-        return [mask[y::qprev].count(1) for y in range(qprev)]
+        return array(_id_typecode(lifts + 1), [mask[y::qprev].count(1) for y in range(qprev)])
     # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
     # hit count of fiber y, and a lane of at most 255 bytes of 0 or 1 cannot carry
     rows = memoryview(mask)
@@ -273,22 +260,6 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet):
     for k in range(lifts):
         total += int.from_bytes(rows[k * qprev : (k + 1) * qprev], "little")
     return total.to_bytes(qprev, "little")
-
-
-def _require_counts(counts, fibers: int, lifts: int) -> bytes | array:
-    """counts as bytes or an array, after checking one count per fiber, each from 0 to lifts.
-
-    A count past lifts would spill its code into the next type's.
-    """
-    if len(counts) != fibers:
-        raise DomainError("one hit count per parent residue is required")
-    if isinstance(counts, bytes):
-        over = lifts < 255 and counts.translate(None, bytes(range(lifts + 1)))
-    else:
-        over = counts and not 0 <= min(counts) <= max(counts) <= lifts
-    if over:
-        raise DomainError(f"each hit count must lie in [0, {lifts}], the lifts of its fiber")
-    return counts if isinstance(counts, bytes) else array(_id_typecode(lifts + 1), counts)
 
 
 def _lanes(values, width: int) -> bytes | array:
@@ -313,17 +284,16 @@ def _lanes(values, width: int) -> bytes | array:
 def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview, int]:
     """Per fiber y, its group code ids[y] * base + counts[y], and base = lifts + 1.
 
-    The counts are checked first (_require_counts).  Each code takes a lane
-    of the narrowest of 1, 2, 4 and 8 bytes that holds types * base codes,
-    and never narrower than the ids.  The ids and the counts, widened into
-    those lanes (_lanes) and read as integers in sys.byteorder, give every
-    code in one multiply-add: a carry runs toward its lane's high byte, and
-    a code below types * base never carries out of its lane.  The codes are
-    bytes for one-byte lanes, else a memoryview of the lane typecode; for a
-    parent of one type, whose every id is 0, they are the checked counts
-    themselves (bytes or array).
+    The counts are bytes or an array that _check_level has passed: one per
+    fiber, each at most lifts.  Each code takes a lane of the narrowest of
+    1, 2, 4 and 8 bytes that holds types * base codes, and never narrower
+    than the ids.  The ids and the counts, widened into those lanes (_lanes)
+    and read as integers in sys.byteorder, give every code in one
+    multiply-add: a carry runs toward its lane's high byte, and a code below
+    types * base never carries out of its lane.  The codes are bytes for
+    one-byte lanes, else a memoryview of the lane typecode; for a parent of
+    one type, whose every id is 0, they are the counts themselves.
     """
-    counts = _require_counts(counts, prev.modulus, lifts)
     ids, base = prev.ids, lifts + 1
     if len(prev.table) == 1:
         return counts, base
@@ -374,10 +344,10 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
 
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
     lifts to the uniform measure of mass m / lifts on every residue; its
-    mass on the level set is read from the mask.  run_levels, not this,
-    checks the counts against the mask.
+    mass on the level set is read from the mask.  delta comes from a
+    DeltaSchedule and the counts from a level that run_levels' gate has
+    checked (_check_level), so neither is checked again here.
     """
-    delta = _as_delta(delta)
     lifts = _lifts(prev, bset)
     codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
@@ -458,14 +428,31 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     return ids
 
 
-def _check_zero_fibers(counts, mask: bytes) -> None:
-    """Raise if a level-set member lies above a fiber with hit count 0.
+def _check_level(mask: bytes, counts, lifts: int, delta: Fraction) -> None:
+    """Raise InternalConsistencyError unless a level's mask and hit counts are consistent.
 
-    A check of the counts against the mask: the update itself never
-    evaluates (a - delta) / (a (1 - delta)) at a = 0.  The fibers with count
-    0, tiled over the lifts, must not meet the mask, one block of whole rows
-    at a time (_row_blocks).
+    The one gate for a level's data, which the kernels read unchecked:
+    run_levels calls it once per level, before moments.  Every mask byte is
+    0 or 1, or hit_fractions' lanes may carry and its slices miss a member.
+    There is one count per fiber, each at most lifts, or _fiber_codes' lanes
+    spill into the next type's.  At delta = 0, where a fiber with count 0
+    keeps its base mass on every lift, no member lies above such a fiber.
+    The mask is read a block of whole rows at a time (_row_blocks).
     """
+    for block in _row_blocks(mask, 1):
+        bad = block.translate(_NOT_BIT).find(1)
+        if bad >= 0:
+            raise InternalConsistencyError(f"level set mask byte {block[bad]} is not 0 or 1")
+    if len(counts) * lifts != len(mask):
+        raise InternalConsistencyError("one hit count per parent residue is required")
+    if isinstance(counts, bytes):
+        over = lifts < 255 and counts.translate(None, bytes(range(lifts + 1)))
+    else:
+        over = counts and max(counts) > lifts
+    if over:
+        raise InternalConsistencyError(f"each hit count must lie in [0, {lifts}], its lifts")
+    if delta:
+        return
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     if 1 not in empty:
         return
@@ -535,7 +522,8 @@ def _pipeline_ladder(sys: CongruenceSystem, limits: Limits) -> PrimeLadder | Non
     """
     if not sys.moduli:
         return None
-    _reject_modulus_one(sys)
+    if 1 in sys.moduli:
+        raise DomainError("distortion requires every modulus to be at least 2")
     limits.require_residue_space(sys.lcm_modulus, "pipeline")
     return prime_ladder(sys.factorization)
 
@@ -592,11 +580,12 @@ class LevelRecord(
     """Everything the pipeline computed at one level.
 
     parent is the measure the level started from and counts are the hit
-    counts of its fibers (see hit_fractions), checked against the mask at
-    delta = 0.  The measure the level leaves is built by step_measure on
-    first access to measure, then kept; a copy made by _replace builds its
-    own.  The mass it leaves on the level set is checked against the term:
-    at most term, and equal to it when delta = 0, where nothing is moved.
+    counts of its fibers (see hit_fractions), which run_levels' gate,
+    _check_level, has checked against the mask.  The measure the level
+    leaves is built by step_measure on first access to measure, then kept;
+    a copy made by _replace builds its own.  The mass it leaves on the
+    level set is checked against the term: at most term, and equal to it
+    when delta = 0, where nothing is moved.
     """
 
     @cached_property
@@ -627,8 +616,10 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     The schedule must supply one delta per distinct prime of Q.  An empty
     system yields nothing.  Each level starts from the measure of the
     record before it, so every level's measure but the last is built; the
-    last is built only if its record's measure is read.  A level's counts
-    are checked against its mask at delta = 0 before its record is yielded.
+    last is built only if its record's measure is read.  Every level's
+    data passes one gate, _check_level, right after hit_fractions and before
+    moments, the last level included: its mask bytes, the number and range
+    of its counts and, at delta = 0, its counts against its mask.
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -645,12 +636,11 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         # read here, not after the yield: the loop's last resumption would
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
-        bset = level_set(sys, ladder, j, limits=limits)
+        bset = level_set(sys, ladder, j)
+        lifts, delta = _lifts(prev, bset), schedule[j - 1]
         counts = hit_fractions(prev, bset)
-        m1, m2 = moments(prev, counts, _lifts(prev, bset))
-        delta = schedule[j - 1]
-        if not delta:
-            _check_zero_fibers(counts, bset.mask)
+        _check_level(bset.mask, counts, lifts, delta)
+        m1, m2 = moments(prev, counts, lifts)
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(
             j, ladder.primes[j - 1], delta, bset, counts, m1, m2, term, branch, prev

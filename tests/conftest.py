@@ -31,8 +31,8 @@ def zeroed_last_hit(monkeypatch):
     # the level sets of the last level that level_set built, one per run
     last = []
 
-    def level_set(sys, ladder, j, **kwargs):
-        bset = real_level_set(sys, ladder, j, **kwargs)
+    def level_set(sys, ladder, j):
+        bset = real_level_set(sys, ladder, j)
         if j == ladder.depth:
             last.append(bset)
         return bset

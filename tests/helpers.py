@@ -58,17 +58,6 @@ def brute_multiplicity(pairs) -> int:
     return max(counts.values())
 
 
-def brute_largest_prime(n: int) -> int:
-    best = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            best = d
-            n //= d
-        d += 1
-    return n if n > 1 else best
-
-
 def brute_factor(n: int) -> list[tuple[int, int]]:
     out = []
     d = 2
@@ -83,6 +72,11 @@ def brute_factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def brute_largest_prime(n: int) -> int:
+    """The largest prime factor of n, 1 for n = 1."""
+    return brute_factor(n)[-1][0] if n > 1 else 1
 
 
 def reference_level(masses, in_b, qprev: int, delta):

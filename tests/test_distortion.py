@@ -80,6 +80,45 @@ def measure_of(masses, typecode: str = "") -> FiberMeasure:
     return FiberMeasure(table, array(typecode, map(index.__getitem__, masses)))
 
 
+def no_level_set(*args):
+    raise AssertionError("a level set was built")
+
+
+def tamper_last_level(monkeypatch, q, mask_byte=None, counts=None):
+    """Patch the pipeline so that the level mod q gets a changed mask or changed counts.
+
+    With mask_byte = (z, byte), level_set returns a copy of that level's
+    mask with mask[z] = byte; counts(counts) gives the counts hit_fractions
+    then returns for it.  Both reach the level's gate unchecked.
+    """
+    real_level_set, real_hit_fractions = distortion.level_set, distortion.hit_fractions
+
+    def level_set(sys, ladder, j):
+        bset = real_level_set(sys, ladder, j)
+        if mask_byte is None or bset.modulus != q:
+            return bset
+        z, byte = mask_byte
+        changed = bytearray(bset.mask)
+        changed[z] = byte
+        return LevelSet(changed)
+
+    def hit_fractions(prev, bset):
+        got = real_hit_fractions(prev, bset)
+        return got if counts is None or bset.modulus != q else counts(got)
+
+    monkeypatch.setattr(distortion, "level_set", level_set)
+    monkeypatch.setattr(distortion, "hit_fractions", hit_fractions)
+
+
+def assert_gate_catches(pairs, deltas, message):
+    """Both list(run_levels(...)) and certify(...) stop at the level gate with message."""
+    system = sys_of(pairs)
+    with pytest.raises(InternalConsistencyError, match=message):
+        list(run_levels(system, deltas))
+    with pytest.raises(InternalConsistencyError, match=message):
+        certify(system, deltas)
+
+
 class TestPrimeLadder:
     def test_twelve(self):
         ladder = ladder_of(12)
@@ -135,18 +174,22 @@ class TestLevelSet:
         with pytest.raises(InternalConsistencyError):
             level_set(sys_of([(0, 2), (0, 5)]), ladder_of(6), 1)
 
-    def test_modulus_one_rejected(self):
-        with pytest.raises(DomainError):
-            level_set(sys_of([(0, 1), (0, 2)]), ladder_of(2), 1)
+    def test_modulus_one_rejected(self, monkeypatch):
+        # level_set trusts the pipeline, which rejects a modulus 1 once,
+        # before it factors Q and before any level set is built
+        monkeypatch.setattr(distortion, "level_set", no_level_set)
+        with pytest.raises(DomainError, match="every modulus to be at least 2"):
+            next(run_levels(sys_of([(0, 1), (0, 2)]), [0]))
 
     def test_level_out_of_range(self):
         with pytest.raises(DomainError):
             level_set(sys_of([(0, 2)]), ladder_of(2), 2)
 
-    def test_resource_guard(self):
-        system = sys_of([(0, 2), (0, 3)])
-        with pytest.raises(ResourceLimitError):
-            level_set(system, ladder_of(6), 2, limits=Limits(residue_space=5))
+    def test_resource_guard(self, monkeypatch):
+        # the residue-space guard runs once, on Q, before any level set is built
+        monkeypatch.setattr(distortion, "level_set", no_level_set)
+        with pytest.raises(ResourceLimitError, match="pipeline needs a residue space of size 6"):
+            next(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0], limits=Limits(residue_space=5)))
 
     @given(pipeline_cases())
     def test_membership_definition(self, case):
@@ -228,18 +271,25 @@ class TestHitFractions:
             seen.update(0 if c == 0 else 1 if c == lifts else 2 for c in counts)
             got = hit_fractions(prev, LevelSet(bytes(mask)))
             assert list(got) == counts
+            # past 255 lifts, an array of the narrowest typecode that holds the lifts
+            if lifts > 255:
+                assert (type(got), got.typecode) == (array, "H")
+            else:
+                assert type(got) is bytes
         assert seen == {0, 1, 2}
 
     @pytest.mark.parametrize("byte", [2, 255])
-    @pytest.mark.parametrize("fibers, q", [(2, 2 * 3**5), (1, 2**9)], ids=["lanes", "slices"])
-    def test_mask_byte_past_one_is_caught(self, fibers, q, byte):
+    @pytest.mark.parametrize(
+        "pairs, deltas", [([(0, 2), (1, 2 * 3**5)], [0, F(1, 2)]), ([(0, 2**9)], [F(1, 2)])],
+        ids=["lanes", "slices"],
+    )
+    def test_mask_byte_past_one_is_caught(self, monkeypatch, pairs, deltas, byte):
         # up to 255 lifts of 0 or 1 fit a byte lane, where a mask byte above 1
         # could carry; one fiber of 512 lifts is counted by slices, whose
-        # count(1) would miss it.  Both are checked before any count
-        mask = bytearray(q)
-        mask[1] = byte
-        with pytest.raises(InternalConsistencyError, match=f"mask byte {byte} is not 0 or 1"):
-            hit_fractions(measure_of((F(1, fibers),) * fibers), LevelSet(mask))
+        # count(1) would miss it.  hit_fractions counts the mask as it is,
+        # and the level's gate names the byte before moments reads a count
+        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, mask_byte=(1, byte))
+        assert_gate_catches(pairs, deltas, f"mask byte {byte} is not 0 or 1")
 
 
 class TestTypeTable:
@@ -277,7 +327,7 @@ class TestTypeTable:
             # 512 parent types: ids past one byte, in 16-bit and 32-bit arrays
             (PrimeLadder((2, 3), (1, 2**9, 3 * 2**9)), 2, "H"),
             (PrimeLadder((2, 3), (1, 2**9, 3 * 2**9)), 2, "I"),
-            # 256 lifts: the counts are a list, not byte lanes
+            # 256 lifts: the counts are an array, not byte lanes
             (PrimeLadder((3, 2), (1, 3, 3 * 2**8)), 2, ""),
         ],
         ids=["types-512-H", "types-512-I", "lifts-256"],
@@ -346,9 +396,10 @@ class TestFiberCodes:
     (lifts + 1) codes, and never narrower than the ids.  The ids count up
     from 0 over at most 600 fibers, and one more fiber takes the largest id
     with the largest count the counts can hold, the top code of the range.
+    The counts are bytes, or the array hit_fractions makes past 255 lifts.
     """
 
-    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "list"])
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "array"])
     @pytest.mark.parametrize(
         "types, lifts, typecode, width",
         [
@@ -368,7 +419,8 @@ class TestFiberCodes:
         ids = [y % types for y in range(fibers)] + [types - 1]
         counts = [y * 7 % (top + 1) for y in range(fibers)] + [top]
         prev = FiberMeasure((F(1),) * types, array(typecode, ids))
-        codes, base = distortion._fiber_codes(prev, bytes(counts) if as_bytes else counts, lifts)
+        given = bytes(counts) if as_bytes else array(distortion._id_typecode(lifts + 1), counts)
+        codes, base = distortion._fiber_codes(prev, given, lifts)
         assert base == lifts + 1
         assert isinstance(codes, bytes) == (width == 1)
         assert memoryview(codes).itemsize == width
@@ -400,7 +452,7 @@ class TestUniformLift:
     """A parent of one type takes the general path's codes and, at delta 0, its measure.
 
     The general path gets the same uniform measure through a parent with a
-    second, unused table entry.  Lifts past 255 take the list counts.
+    second, unused table entry.  Lifts past 255 take the array counts.
     """
 
     @given(uniform_levels())
@@ -428,29 +480,12 @@ class TestShapeMismatch:
         [
             # hit_fractions: level set modulus is not a multiple of the parent's
             lambda: hit_fractions(measure_of((F(1, 2), F(1, 2))), LevelSet(bytes(3))),
-            # moments: one hit count per parent residue
-            lambda: moments(uniform_measure(), bytes(2), 2),
             # step_measure: level set modulus is not a multiple of the parent's
             lambda: step_measure(
                 measure_of((F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(bytes(3))
             ),
-            # step_measure: one hit count per parent residue
-            lambda: step_measure(
-                uniform_measure(), bytes(2), F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
-            ),
-            # a hit count past the lifts of its fiber, in bytes or in a list
-            lambda: moments(uniform_measure(), b"\x03", 2),
-            lambda: moments(uniform_measure(), [257], 256),
-            lambda: moments(uniform_measure(), [-1], 256),
-            lambda: step_measure(
-                uniform_measure(), b"\x03", F(0), level_set(sys_of([(0, 2)]), ladder_of(2), 1)
-            ),
         ],
-        ids=[
-            "hit-fractions-modulus", "moments-length", "step-modulus", "step-length",
-            "moments-count-past-lifts", "moments-list-count-past-lifts",
-            "moments-negative-count", "step-count-past-lifts",
-        ],
+        ids=["hit-fractions-modulus", "step-modulus"],
     )
     def test_shape_mismatch_is_domain_error(self, call):
         with pytest.raises(DomainError):
@@ -482,13 +517,13 @@ class TestStepMeasure:
         out = step_measure(uniform_measure(), b"\x02", F(1, 4), level_set(system, ladder, 1))
         assert masses_of(out) == (F(1, 2), F(1, 2))
 
-    def test_delta_out_of_range(self):
-        system = sys_of([(0, 2)])
-        ladder = ladder_of(2)
-        bset = level_set(system, ladder, 1)
+    def test_delta_out_of_range(self, monkeypatch):
+        # step_measure takes its delta from a DeltaSchedule, which rejects one
+        # out of range before any level set is built
+        monkeypatch.setattr(distortion, "level_set", no_level_set)
         for bad in (F(-1, 10), F(3, 5), F(1)):
-            with pytest.raises(DomainError):
-                step_measure(uniform_measure(), b"\x01", bad, bset)
+            with pytest.raises(DomainError, match="delta must lie in"):
+                next(run_levels(sys_of([(0, 2)]), [bad]))
 
     @pytest.mark.parametrize(
         "parent", [(F(1, 4), F(1, 4)), (F(3, 2), F(-1, 2))], ids=["total-half", "negative"]
@@ -540,8 +575,38 @@ class TestStepMeasure:
             prev = record.measure
 
 
+class TestLevelGate:
+    """run_levels' one gate for a level's data, on the production path.
+
+    Each case changes the last level's counts as hit_fractions hands them
+    on.  Both list(run_levels(...)) and certify(...) must stop at the gate,
+    whatever the kernels after it would make of the counts.  The mask cases
+    are in TestHitFractions.test_mask_byte_past_one_is_caught.
+    """
+
+    @pytest.mark.parametrize(
+        "pairs, deltas, change, message",
+        [
+            ([(0, 2), (0, 3)], [0, F(1, 2)], lambda c: c[:-1], "one hit count per parent"),
+            # 3 lifts, so a count of 4 would spill into the next type's codes
+            ([(0, 2), (0, 3)], [0, F(1, 2)], lambda c: b"\x04" + c[1:], r"in \[0, 3\]"),
+            (
+                [(0, 2), (0, 2 * 257)], [0, F(1, 2)],
+                lambda c: array(c.typecode, [258]) + c[1:], r"in \[0, 257\]",
+            ),
+            # at delta 0, B_2 = {0, 3} mod 6 holds a member above fiber 0
+            ([(0, 2), (0, 3)], [0, 0], lambda c: bytes(1) + c[1:], "hit fraction 0"),
+        ],
+        ids=["counts-short", "bytes-count-past-lifts", "array-count-past-lifts",
+             "member-over-zero-count"],
+    )
+    def test_bad_counts_are_caught(self, monkeypatch, pairs, deltas, change, message):
+        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, counts=change)
+        assert_gate_catches(pairs, deltas, message)
+
+
 class TestRowBlocks:
-    """The row passes of step_measure and the zero-fiber check, over several blocks.
+    """The row passes of step_measure and of the level gate, over several blocks.
 
     _ROW_BLOCK is cut down to a few bytes, so that a level's mask spans
     several blocks of whole rows, down to one row a block, and the last
@@ -576,7 +641,7 @@ class TestRowBlocks:
         counts = b"\x01\x00"
         mask = bytearray(10)
         mask[0] = mask[2 * row] = 1
-        distortion._check_zero_fibers(counts, bytes(mask))
+        distortion._check_level(bytes(mask), counts, 5, F(0))
         # the same mask is level 2's of a run mod 10, where every count but
         # fiber 0's reads 0
         pairs = [(0, 10), (2 * row, 10)]
@@ -591,19 +656,20 @@ class TestRowBlocks:
         last.measure
         mask[2 * row + 1] = 1
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            distortion._check_zero_fibers(counts, bytes(mask))
+            distortion._check_level(bytes(mask), counts, 5, F(0))
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             list(run_levels(sys_of(pairs + [(2 * row + 1, 10)]), [0, 0]))
 
     def test_zero_fiber_check_memory(self):
-        # a 4 MiB mask over 16 fibers; fiber 0 has no hit and no member above
-        # it.  The check reads the mask a block of rows at a time, so its
-        # traced peak stays below the mask's own size
-        counts = bytes([0] + [1] * 15)
-        mask = bytearray(counts * (1 << 18))
+        # a 4 MiB mask over 16 fibers of 2^18 lifts; fiber 0 has no hit and no
+        # member above it.  The whole gate reads the mask a block at a time,
+        # so its traced peak stays below the mask's own size
+        lifts = 1 << 18
+        counts = array("I", [0] + [lifts] * 15)
+        mask = bytearray(bytes([0] + [1] * 15) * lifts)
         tracemalloc.start()
         try:
-            distortion._check_zero_fibers(counts, mask)
+            distortion._check_level(mask, counts, lifts, F(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -725,10 +791,9 @@ class TestMoments:
 
 class TestDeltaSchedule:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            DeltaSchedule((F(-1, 10),))
-        with pytest.raises(DomainError):
-            DeltaSchedule((F(3, 5),))
+        for bad in (F(-1, 10), F(3, 5), F(1)):
+            with pytest.raises(DomainError, match="delta must lie in"):
+                DeltaSchedule((bad,))
 
     def test_coercion(self):
         schedule = DeltaSchedule(["1/2", 0, F(1, 4)])
@@ -836,8 +901,8 @@ class TestCertify:
         real = distortion.level_set
         built = []  # (level set, a copy of its mask when level_set returned)
 
-        def level_set(sys, ladder, j, **kwargs):
-            bset = real(sys, ladder, j, **kwargs)
+        def level_set(sys, ladder, j):
+            bset = real(sys, ladder, j)
             built.append((bset, bytes(bset.mask)))
             return bset
 
@@ -874,10 +939,8 @@ class TestCertify:
             (lambda: certify(sys_of([(0, 8), (0, 9)]), [0, 0], limits=small), pipeline, 72, 10),
             (lambda: certify(sys_of([(0, 8), (0, 9)]), limits=small), pipeline, 72, 10),
             (
-                lambda: level_set(
-                    sys_of([(0, 2), (0, 3)]), ladder_of(6), 2, limits=Limits(residue_space=5)
-                ),
-                "level set at level 2 needs a residue space of size 6, over the limit 5", 6, 5,
+                lambda: next(run_levels(sys_of([(0, 8), (0, 9)]), [0, 0], limits=small)),
+                pipeline, 72, 10,
             ),
         ]
         for call, message, required, limit in cases:

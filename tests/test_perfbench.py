@@ -25,11 +25,20 @@ def test_smoke_run_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+# the work counts of one traced smoke pass at seed 0: residues stepped,
+# level-set members, levels and distinct hit-count values
+SMOKE_COUNTS = {
+    "certify-primorial": (532, 749, 42, 105),
+    "certify-dyadic": (256, 266, 8, 37),
+}
+
+
 @pytest.mark.parametrize("workload", ["certify-primorial", "certify-dyadic", "cli-session"])
 def test_traced_smoke_pass(workload):
     # the tracer hooks level_set(...).members, the result of hit_fractions
     # and step_measure(...).modulus, so a change to the kernels' shapes that
-    # breaks a hook fails here rather than in a traced benchmark run
+    # breaks a hook fails here rather than in a traced benchmark run, and a
+    # change to the work the pipeline does shows in the exact counts
     proc = subprocess.run(
         [
             sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "0",
@@ -47,8 +56,9 @@ def test_traced_smoke_pass(workload):
     if workload == "cli-session":
         assert layer["cli.main.calls"] == 13
     else:
-        assert layer["distortion.level_set.members"] > 0
-        assert layer["distortion.levels"] > 0
+        names = ("step_measure.residues", "level_set.members", "levels", "distinct_fractions")
+        counts = tuple(layer[f"distortion.{name}"] for name in names)
+        assert counts == SMOKE_COUNTS[workload]
 
 
 def test_cli_session_script_in_process(monkeypatch):
