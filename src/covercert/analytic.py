@@ -85,6 +85,8 @@ def _exp_bound(c, dps: int, exponent) -> Decimal:
     first evaluated roughly, then with as many more digits as it has integer
     digits, up to 19: past that, exp(x) exceeds 10^(10^18), a DomainError.
     """
+    if dps < 1:
+        raise DomainError(f"precision must be at least 1 digit, got {_shown(dps)}")
     value = Fraction(c)
     if value <= 0:
         raise DomainError(f"constant must be positive, got {_shown(value)}")

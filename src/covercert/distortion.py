@@ -48,9 +48,10 @@ tables.  A parent of one type, a uniform measure, has every id 0, so its
 codes are its counts, and at delta_j = 0, where no mass moves, it lifts to
 the uniform measure mod Q_j with no grouping: from the uniform start, the
 default schedule's delta-0 prefix stays uniform.  Cheap runtime checks
-guard the arithmetic.  One gate, _check_level, checks each level's data once,
-before moments, and no kernel checks it again: mask bytes of 0 or 1, one count
-per fiber, each at most lifts, and at delta_j = 0 no member of B_j above a
+guard the arithmetic.  One gate, _check_level, checks each level's data
+once, before any kernel reads it: a mask of 0 and 1 bytes whose length is
+a multiple of Q_(j-1), then the counts hit_fractions makes of it, one per
+fiber, each at most lifts, and at delta_j = 0 no member of B_j above a
 fiber with count 0.  Each new measure has total mass 1, no negative mass,
 and at most the level's term on B_j, exactly the term when delta_j = 0.
 
@@ -118,11 +119,13 @@ def _total(weighted: Collection[tuple[tuple[int, int], int]], scale: int = 1) ->
 
 def _as_delta(delta) -> Fraction:
     """delta as a Fraction, checked to lie in [0, 1/2] on its numerator and denominator."""
-    if not isinstance(delta, Fraction):
-        delta = Fraction(delta)
-    if delta.numerator < 0 or 2 * delta.numerator > delta.denominator:
+    try:
+        value = delta if isinstance(delta, Fraction) else Fraction(delta)
+    except (ValueError, ArithmeticError):  # such as a NaN or an infinity
+        value = None
+    if value is None or value.numerator < 0 or 2 * value.numerator > value.denominator:
         raise DomainError(f"delta must lie in [0, 1/2], got {_shown(delta)}")
-    return delta
+    return value
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -182,19 +185,14 @@ def level_set(sys: CongruenceSystem, ladder: PrimeLadder, j: int) -> LevelSet:
     """Union, inside Z/Q_jZ, of the classes whose modulus has largest prime p_j.
 
     For d dividing Q, the largest prime of d is p_j exactly when d divides
-    Q_j but not Q_(j-1), so the classes are picked without factoring.  The
-    pipeline rejects a modulus 1 and a Q over the residue-space limit once,
-    before it factors Q (_pipeline_ladder), so no level checks them again.
+    Q_j but not Q_(j-1), so the classes are picked without factoring.  No
+    level checks the system or the ladder: the pipeline does, once, before
+    the first level (_pipeline_ladder).
     """
     if not 1 <= j <= ladder.depth:
         raise DomainError(f"level must satisfy 1 <= j <= {ladder.depth}, got {_shown(j)}")
-    q, qj, qprev = ladder.partials[-1], ladder.partials[j], ladder.partials[j - 1]
-    progressions = []
-    for r, d in zip(sys.residues, sys.moduli):
-        if q % d != 0:
-            raise InternalConsistencyError(f"modulus {d} does not divide the ladder's Q = {q}")
-        if qj % d == 0 and qprev % d != 0:
-            progressions.append((r, d))
+    qj, qprev = ladder.partials[j], ladder.partials[j - 1]
+    progressions = [(r, d) for r, d in zip(sys.residues, sys.moduli) if qj % d == 0 and qprev % d]
     return LevelSet(_hit_mask(qj, progressions))
 
 
@@ -233,24 +231,17 @@ def uniform_measure() -> FiberMeasure:
     return FiberMeasure((_ONE,), array("B", (0,)))
 
 
-def _lifts(prev: FiberMeasure, bset: LevelSet) -> int:
-    """The lifts of each parent fiber in the level set: Q_j / Q_(j-1), checked to be whole."""
-    if bset.modulus % prev.modulus != 0:
-        raise DomainError("level set modulus must be a multiple of the parent modulus")
-    return bset.modulus // prev.modulus
-
-
 def hit_fractions(prev: FiberMeasure, bset: LevelSet):
     """Per parent residue y, the number of its lifts that land in the level set.
 
     The result is indexed by y in Z/Q_(j-1)Z, Q_(j-1) = prev.modulus; the
-    hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts
-    (_lifts).  It is bytes while a fiber has at most 255 lifts, else an
-    array of the narrowest typecode that holds the lifts.  The counts are
-    exact only for a mask of 0 and 1 bytes: run_levels' gate, _check_level,
-    checks the mask and the counts next, before anything reads them.
+    hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts.  It
+    is bytes while a fiber has at most 255 lifts, else an array of the
+    narrowest typecode that holds the lifts.  The level is read unchecked:
+    run_levels' gate, _check_level, calls this only for a mask of 0 and 1
+    bytes whose length is a multiple of Q_(j-1), and checks the counts after.
     """
-    lifts, qprev, mask = _lifts(prev, bset), prev.modulus, bset.mask
+    lifts, qprev, mask = bset.modulus // prev.modulus, prev.modulus, bset.mask
     if lifts > 255:
         return array(_id_typecode(lifts + 1), [mask[y::qprev].count(1) for y in range(qprev)])
     # row k holds the lifts y + k qprev; byte lane y of the rows' sum is the
@@ -345,10 +336,10 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
     lifts to the uniform measure of mass m / lifts on every residue; its
     mass on the level set is read from the mask.  delta comes from a
-    DeltaSchedule and the counts from a level that run_levels' gate has
-    checked (_check_level), so neither is checked again here.
+    DeltaSchedule, and the level's shape, mask and counts from run_levels'
+    gate (_check_level), so none of them is checked again here.
     """
-    lifts = _lifts(prev, bset)
+    lifts = bset.modulus // prev.modulus
     codes, base = _fiber_codes(prev, counts, lifts)
     mask = bset.mask
     if not delta and len(prev.table) == 1:
@@ -428,22 +419,28 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     return ids
 
 
-def _check_level(mask: bytes, counts, lifts: int, delta: Fraction) -> None:
-    """Raise InternalConsistencyError unless a level's mask and hit counts are consistent.
+def _check_level(prev: FiberMeasure, bset: LevelSet, delta: Fraction):
+    """The level's hit counts and lifts, or InternalConsistencyError on bad data.
 
     The one gate for a level's data, which the kernels read unchecked:
-    run_levels calls it once per level, before moments.  Every mask byte is
-    0 or 1, or hit_fractions' lanes may carry and its slices miss a member.
-    There is one count per fiber, each at most lifts, or _fiber_codes' lanes
-    spill into the next type's.  At delta = 0, where a fiber with count 0
-    keeps its base mass on every lift, no member lies above such a fiber.
-    The mask is read a block of whole rows at a time (_row_blocks).
+    run_levels calls it once per level, before any kernel reads the level.
+    The mask's length is a multiple of the parent's, and every mask byte is
+    0 or 1, or hit_fractions' lanes may carry and its slices miss a member;
+    only then are the counts made (hit_fractions).  There is one per fiber,
+    each at most lifts, or _fiber_codes' lanes spill into the next type's.
+    At delta = 0, where a fiber with count 0 keeps its base mass on every
+    lift, no member lies above such a fiber.  The mask is read a block of
+    whole rows at a time (_row_blocks).
     """
-    for block in _row_blocks(mask, 1):
+    lifts, rest = divmod(bset.modulus, prev.modulus)
+    if rest or not lifts:
+        raise InternalConsistencyError("level set modulus must be a multiple of the parent's")
+    for block in _row_blocks(bset.mask, 1):
         bad = block.translate(_NOT_BIT).find(1)
         if bad >= 0:
             raise InternalConsistencyError(f"level set mask byte {block[bad]} is not 0 or 1")
-    if len(counts) * lifts != len(mask):
+    counts = hit_fractions(prev, bset)
+    if len(counts) != prev.modulus:
         raise InternalConsistencyError("one hit count per parent residue is required")
     if isinstance(counts, bytes):
         over = lifts < 255 and counts.translate(None, bytes(range(lifts + 1)))
@@ -452,14 +449,13 @@ def _check_level(mask: bytes, counts, lifts: int, delta: Fraction) -> None:
     if over:
         raise InternalConsistencyError(f"each hit count must lie in [0, {lifts}], its lifts")
     if delta:
-        return
+        return counts, lifts
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
-    if 1 not in empty:
-        return
-    for block in _row_blocks(mask, len(empty)):
+    for block in _row_blocks(bset.mask, len(empty)) if 1 in empty else ():
         tiled = empty * (len(block) // len(empty))
         if int.from_bytes(block, "little") & int.from_bytes(tiled, "little"):
             raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
+    return counts, lifts
 
 
 def _fiber_masses(
@@ -518,14 +514,18 @@ def _pipeline_ladder(sys: CongruenceSystem, limits: Limits) -> PrimeLadder | Non
     """The prime ladder of the system's Q, or None for the empty system.
 
     A modulus 1 and a Q over the residue-space limit are rejected before Q
-    is factored: trial division of a huge Q hangs.
+    is factored: trial division of a huge Q hangs.  The ladder's Q is the
+    lcm, so every modulus divides it and lands at one level (level_set).
     """
     if not sys.moduli:
         return None
     if 1 in sys.moduli:
         raise DomainError("distortion requires every modulus to be at least 2")
     limits.require_residue_space(sys.lcm_modulus, "pipeline")
-    return prime_ladder(sys.factorization)
+    ladder = prime_ladder(sys.factorization)
+    if ladder.partials[-1] != sys.lcm_modulus:
+        raise InternalConsistencyError("the ladder's Q is not the lcm of the moduli")
+    return ladder
 
 
 def system_default_schedule(
@@ -581,11 +581,11 @@ class LevelRecord(
 
     parent is the measure the level started from and counts are the hit
     counts of its fibers (see hit_fractions), which run_levels' gate,
-    _check_level, has checked against the mask.  The measure the level
-    leaves is built by step_measure on first access to measure, then kept;
-    a copy made by _replace builds its own.  The mass it leaves on the
-    level set is checked against the term: at most term, and equal to it
-    when delta = 0, where nothing is moved.
+    _check_level, made from a checked mask and checked against it.  The
+    measure the level leaves is built by step_measure on first access to
+    measure, then kept; a copy made by _replace builds its own.  The mass it
+    leaves on the level set is checked against the term: at most term, and
+    equal to it when delta = 0, where nothing is moved.
     """
 
     @cached_property
@@ -616,10 +616,10 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     The schedule must supply one delta per distinct prime of Q.  An empty
     system yields nothing.  Each level starts from the measure of the
     record before it, so every level's measure but the last is built; the
-    last is built only if its record's measure is read.  Every level's
-    data passes one gate, _check_level, right after hit_fractions and before
-    moments, the last level included: its mask bytes, the number and range
-    of its counts and, at delta = 0, its counts against its mask.
+    last is built only if its record's measure is read.  Every level, the
+    last included, passes one gate, _check_level, before any kernel reads
+    it: its mask's length and bytes, then the counts it has hit_fractions
+    make, their number and range and, at delta = 0, them against the mask.
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -636,10 +636,8 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         # read here, not after the yield: the loop's last resumption would
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
-        bset = level_set(sys, ladder, j)
-        lifts, delta = _lifts(prev, bset), schedule[j - 1]
-        counts = hit_fractions(prev, bset)
-        _check_level(bset.mask, counts, lifts, delta)
+        bset, delta = level_set(sys, ladder, j), schedule[j - 1]
+        counts, lifts = _check_level(prev, bset, delta)
         m1, m2 = moments(prev, counts, lifts)
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(

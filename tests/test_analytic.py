@@ -188,3 +188,8 @@ class TestGrowthBounds:
             multiplicity_modulus_bound(0, 1)
         with pytest.raises(DomainError):
             multiplicity_modulus_bound(2, 0)
+        # decimal would refuse a precision below 1 with a ValueError of its own
+        with pytest.raises(DomainError, match="precision must be at least 1 digit, got 0"):
+            jth_modulus_bound(5, 1, dps=0)
+        with pytest.raises(DomainError, match="precision must be at least 1 digit, got -2"):
+            multiplicity_modulus_bound(3, 1, dps=-2)

@@ -84,25 +84,26 @@ def no_level_set(*args):
     raise AssertionError("a level set was built")
 
 
-def tamper_last_level(monkeypatch, q, mask_byte=None, counts=None):
+def tamper_last_level(monkeypatch, q, mask=None, counts=None):
     """Patch the pipeline so that the level mod q gets a changed mask or changed counts.
 
-    With mask_byte = (z, byte), level_set returns a copy of that level's
-    mask with mask[z] = byte; counts(counts) gives the counts hit_fractions
-    then returns for it.  Both reach the level's gate unchecked.
+    mask(mask) gives the mask level_set then returns for that level, which
+    the level's gate must refuse before hit_fractions is called on it;
+    counts(counts) gives the counts hit_fractions returns for the level.
+    Both reach the level's gate unchecked.
     """
     real_level_set, real_hit_fractions = distortion.level_set, distortion.hit_fractions
+    changed = []
 
     def level_set(sys, ladder, j):
         bset = real_level_set(sys, ladder, j)
-        if mask_byte is None or bset.modulus != q:
+        if mask is None or bset.modulus != q:
             return bset
-        z, byte = mask_byte
-        changed = bytearray(bset.mask)
-        changed[z] = byte
-        return LevelSet(changed)
+        changed.append(LevelSet(mask(bytearray(bset.mask))))
+        return changed[-1]
 
     def hit_fractions(prev, bset):
+        assert not any(bset is b for b in changed), "hit_fractions read a mask the gate refuses"
         got = real_hit_fractions(prev, bset)
         return got if counts is None or bset.modulus != q else counts(got)
 
@@ -170,9 +171,15 @@ class TestLevelSet:
         assert bset.mask == b"\x01\x00\x00\x01\x00\x00"
         assert bset == LevelSet(bset.mask)
 
-    def test_modulus_outside_ladder(self):
-        with pytest.raises(InternalConsistencyError):
-            level_set(sys_of([(0, 2), (0, 5)]), ladder_of(6), 1)
+    def test_modulus_outside_ladder(self, monkeypatch):
+        # level_set would drop a class whose modulus does not divide the
+        # ladder's Q; the pipeline checks once that Q is the lcm of the
+        # moduli, before any level set is built
+        monkeypatch.setattr(distortion, "prime_ladder", lambda pairs: ladder_of(6))
+        monkeypatch.setattr(distortion, "level_set", no_level_set)
+        for run in (lambda s: next(run_levels(s, [0, 0])), lambda s: certify(s, [0, 0])):
+            with pytest.raises(InternalConsistencyError, match="not the lcm of the moduli"):
+                run(sys_of([(0, 2), (0, 5)]))
 
     def test_modulus_one_rejected(self, monkeypatch):
         # level_set trusts the pipeline, which rejects a modulus 1 once,
@@ -233,11 +240,12 @@ class TestHitFractions:
         assert list(counts) == [0]
 
     def test_level_mismatch_rejected(self):
-        # a measure on Z/4Z has no lifts in a level set mod 6
-        system = sys_of([(0, 2), (0, 3)])
-        ladder = ladder_of(6)
-        with pytest.raises(DomainError, match="must be a multiple"):
-            hit_fractions(measure_of((F(1, 4),) * 4), level_set(system, ladder, 2))
+        # a level set mod 485, or mod 0, has no whole lifts over the parent mod
+        # 2: the level's gate refuses it before hit_fractions is called on it
+        for size in (485, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                tamper_last_level(patch, 486, mask=lambda mask, size=size: mask[:size])
+                assert_gate_catches([(0, 2), (1, 486)], [0, 0], "multiple of the parent's")
 
     @pytest.mark.parametrize(
         "ladder, j",
@@ -278,17 +286,30 @@ class TestHitFractions:
                 assert type(got) is bytes
         assert seen == {0, 1, 2}
 
-    @pytest.mark.parametrize("byte", [2, 255])
+    LANES, SLICES = [(0, 2), (1, 2 * 3**5)], [(0, 2**9)]
+
     @pytest.mark.parametrize(
-        "pairs, deltas", [([(0, 2), (1, 2 * 3**5)], [0, F(1, 2)]), ([(0, 2**9)], [F(1, 2)])],
-        ids=["lanes", "slices"],
+        "pairs, deltas, where, byte",
+        [
+            (LANES, [0, F(1, 2)], slice(1, 2), 2),
+            (LANES, [0, F(1, 2)], slice(1, 2), 255),
+            (SLICES, [F(1, 2)], slice(1, 2), 2),
+            (SLICES, [F(1, 2)], slice(1, 2), 255),
+            # 243 bytes of 255 in fiber 1's lane would carry past the top lane
+            (LANES, [0, 0], slice(1, None, 2), 255),
+        ],
+        ids=["lanes-2", "lanes-255", "slices-2", "slices-255", "lanes-every-odd-byte-255"],
     )
-    def test_mask_byte_past_one_is_caught(self, monkeypatch, pairs, deltas, byte):
+    def test_mask_byte_past_one_is_caught(self, monkeypatch, pairs, deltas, where, byte):
         # up to 255 lifts of 0 or 1 fit a byte lane, where a mask byte above 1
         # could carry; one fiber of 512 lifts is counted by slices, whose
-        # count(1) would miss it.  hit_fractions counts the mask as it is,
-        # and the level's gate names the byte before moments reads a count
-        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, mask_byte=(1, byte))
+        # count(1) would miss it.  The level's gate names the byte before
+        # hit_fractions is called on the mask
+        def set_bytes(mask):
+            mask[where] = bytes([byte]) * len(mask[where])
+            return mask
+
+        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, mask=set_bytes)
         assert_gate_catches(pairs, deltas, f"mask byte {byte} is not 0 or 1")
 
 
@@ -474,24 +495,6 @@ class TestUniformLift:
         )
 
 
-class TestShapeMismatch:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            # hit_fractions: level set modulus is not a multiple of the parent's
-            lambda: hit_fractions(measure_of((F(1, 2), F(1, 2))), LevelSet(bytes(3))),
-            # step_measure: level set modulus is not a multiple of the parent's
-            lambda: step_measure(
-                measure_of((F(1, 2), F(1, 2))), bytes(2), F(0), LevelSet(bytes(3))
-            ),
-        ],
-        ids=["hit-fractions-modulus", "step-modulus"],
-    )
-    def test_shape_mismatch_is_domain_error(self, call):
-        with pytest.raises(DomainError):
-            call()
-
-
 class TestStepMeasure:
     def test_half_delta_pushes_everything_off(self):
         system = sys_of([(0, 2)])
@@ -580,8 +583,10 @@ class TestLevelGate:
 
     Each case changes the last level's counts as hit_fractions hands them
     on.  Both list(run_levels(...)) and certify(...) must stop at the gate,
-    whatever the kernels after it would make of the counts.  The mask cases
-    are in TestHitFractions.test_mask_byte_past_one_is_caught.
+    whatever the kernels after it would make of the counts.  The mask cases,
+    which the gate refuses before hit_fractions is called, are in
+    TestHitFractions: test_mask_byte_past_one_is_caught for its bytes and
+    test_level_mismatch_rejected for its length.
     """
 
     @pytest.mark.parametrize(
@@ -638,14 +643,19 @@ class TestRowBlocks:
         # 2 fibers and 5 lifts: fiber 1 has no hit, yet a member lies above it
         # in row `row`, past the first block of one or two rows
         monkeypatch.setattr(distortion, "_ROW_BLOCK", block)
-        counts = b"\x01\x00"
+        parent, real = measure_of((F(1, 2),) * 2), distortion.hit_fractions
         mask = bytearray(10)
         mask[0] = mask[2 * row] = 1
-        distortion._check_level(bytes(mask), counts, 5, F(0))
-        # the same mask is level 2's of a run mod 10, where every count but
+        bad = bytearray(mask)
+        bad[2 * row + 1] = 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distortion, "hit_fractions", lambda prev, bset: b"\x01\x00")
+            assert distortion._check_level(parent, LevelSet(mask), F(0)) == (b"\x01\x00", 5)
+            with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+                distortion._check_level(parent, LevelSet(bad), F(0))
+        # the same masks are level 2's of runs mod 10, where every count but
         # fiber 0's reads 0
         pairs = [(0, 10), (2 * row, 10)]
-        real = distortion.hit_fractions
         monkeypatch.setattr(
             distortion,
             "hit_fractions",
@@ -654,22 +664,22 @@ class TestRowBlocks:
         last = list(run_levels(sys_of(pairs), [0, 0]))[-1]
         assert (last.level_set.mask, last.counts[1]) == (mask, 0)
         last.measure
-        mask[2 * row + 1] = 1
-        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            distortion._check_level(bytes(mask), counts, 5, F(0))
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             list(run_levels(sys_of(pairs + [(2 * row + 1, 10)]), [0, 0]))
 
-    def test_zero_fiber_check_memory(self):
+    def test_zero_fiber_check_memory(self, monkeypatch):
         # a 4 MiB mask over 16 fibers of 2^18 lifts; fiber 0 has no hit and no
-        # member above it.  The whole gate reads the mask a block at a time,
-        # so its traced peak stays below the mask's own size
+        # member above it.  With hit_fractions handing over the counts, the
+        # rest of the gate reads the mask a block at a time, so its traced
+        # peak stays below the mask's own size
         lifts = 1 << 18
         counts = array("I", [0] + [lifts] * 15)
         mask = bytearray(bytes([0] + [1] * 15) * lifts)
+        parent, bset = measure_of((F(1, 16),) * 16), LevelSet(mask)
+        monkeypatch.setattr(distortion, "hit_fractions", lambda prev, bset: counts)
         tracemalloc.start()
         try:
-            distortion._check_level(mask, counts, lifts, F(0))
+            distortion._check_level(parent, bset, F(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -794,6 +804,13 @@ class TestDeltaSchedule:
         for bad in (F(-1, 10), F(3, 5), F(1)):
             with pytest.raises(DomainError, match="delta must lie in"):
                 DeltaSchedule((bad,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1/0", "half"])
+    def test_value_fraction_refuses_is_a_domain_error(self, bad):
+        # Fraction raises ValueError, OverflowError or ZeroDivisionError on
+        # these; the schedule reports each as out of range
+        with pytest.raises(DomainError, match="delta must lie in"):
+            certify(sys_of([(0, 2), (0, 3)]), [0, bad])
 
     def test_coercion(self):
         schedule = DeltaSchedule(["1/2", 0, F(1, 4)])
