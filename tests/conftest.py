@@ -19,30 +19,33 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def zeroed_last_hit(monkeypatch):
-    """Zero, at the last level of every run, the hit count of the first fiber with a hit.
+def tamper_level(monkeypatch):
+    """tamper(q, mask=None, counts=None), the tests' one way to fault a level.
 
-    That fiber still holds a level-set member, which the update cannot thin
-    at delta = 0: the pipeline must notice.
+    At the level mod q, level_set returns a LevelSet of mask(mask), which
+    the level's gate must refuse before hit_fractions reads it, and
+    hit_fractions returns counts(counts).  Each call replaces the last.
     """
     from covercert import distortion
 
     real_level_set, real_hit_fractions = distortion.level_set, distortion.hit_fractions
-    # the level sets of the last level that level_set built, one per run
-    last = []
 
-    def level_set(sys, ladder, j):
-        bset = real_level_set(sys, ladder, j)
-        if j == ladder.depth:
-            last.append(bset)
-        return bset
+    def tamper(q, mask=None, counts=None):
+        changed = []
 
-    def zeroed(prev, bset):
-        counts = real_hit_fractions(prev, bset)
-        if not any(bset is b for b in last):
-            return counts
-        y = next(y for y, c in enumerate(counts) if c)
-        return counts[:y] + bytes(1) + counts[y + 1 :]
+        def level_set(sys, ladder, j):
+            bset = real_level_set(sys, ladder, j)
+            if mask is None or bset.modulus != q:
+                return bset
+            changed.append(distortion.LevelSet(mask(bytearray(bset.mask))))
+            return changed[-1]
 
-    monkeypatch.setattr(distortion, "level_set", level_set)
-    monkeypatch.setattr(distortion, "hit_fractions", zeroed)
+        def hit_fractions(prev, bset):
+            assert not any(bset is b for b in changed), "hit_fractions read a mask the gate refuses"
+            got = real_hit_fractions(prev, bset)
+            return got if counts is None or bset.modulus != q else counts(got)
+
+        monkeypatch.setattr(distortion, "level_set", level_set)
+        monkeypatch.setattr(distortion, "hit_fractions", hit_fractions)
+
+    return tamper

@@ -2,10 +2,12 @@
 
 Everything here recomputes expected results from first principles with its
 own arithmetic, so a bug in the package cannot hide in its own oracle.  The
-only package types used are plain (residue, modulus) pairs and delta lists,
-and nothing is imported from covercert.  Two checks of the paper's argument
-live only here: the divisor-sum bound on the first moment and the
-progression mass bound.
+inputs are plain (residue, modulus) pairs and delta lists, or package
+objects read only through their attributes, and nothing is imported from
+covercert.  Three checks of the paper's argument live only here: the
+divisor-sum bound on the first moment, the progression mass bound and the
+certificate's lower bound on the uncovered count.  measure_invariant_failures
+is the one checker of the measures' invariants.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import signal
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import mpmath
 import pytest
@@ -234,6 +236,57 @@ def fiber_sums(pointwise, modulus: int) -> tuple[Fraction, ...]:
         sum((pointwise[x] for x in range(y, q, modulus)), Fraction(0))
         for y in range(modulus)
     )
+
+
+def measure_invariant_failures(records, primes, deltas) -> list[str]:
+    """One line per broken invariant of the measures of a run's level records.
+
+    Each measure has no negative mass, its sums over the parent's fibers are
+    the parent's masses and total 1, it leaves no mass on a member of B_j
+    above a fiber with hit fraction below delta_j, and it meets the
+    progression mass bound.  The total is summed over the parent's fibers,
+    not over the many more residues mod Q_j.
+    """
+    failures = []
+    prev_modulus, prev_masses = 1, (Fraction(1),)
+    for record in records:
+        where = f"level {record.level}"
+        masses = masses_of(record.measure)
+        pushed = fiber_sums(masses, prev_modulus)
+        if sum(pushed) != 1:
+            failures.append(f"{where}: total != 1")
+        if any(m < 0 for m in masses):
+            failures.append(f"{where}: negative mass")
+        if pushed != prev_masses:
+            failures.append(f"{where}: pushforward mismatch")
+        qj, mask = len(masses), record.level_set.mask
+        lifts = qj // prev_modulus
+        for y, count in enumerate(record.counts):
+            if Fraction(count, lifts) < record.delta:
+                for z in range(y, qj, prev_modulus):
+                    if mask[z] and masses[z] != 0:
+                        failures.append(f"{where}: survivor at {z}")
+        violations = ap_mass_bound_check(masses, primes, deltas)
+        if violations:
+            failures.append(f"{where}: {len(violations)} progression bounds")
+        prev_modulus, prev_masses = qj, masses
+    return failures
+
+
+def uncovered_lower_bound(eta, q: int, deltas) -> Fraction:
+    """(1 - eta) Q prod_j (1 - delta_j), the fewest uncovered residues mod Q under eta < 1.
+
+    The final measure leaves mass at most eta on the covered residues, and
+    no residue holds more than 1 / (Q prod_j (1 - delta_j)).
+    """
+    return (1 - Fraction(eta)) * q * prod(1 - Fraction(delta) for delta in deltas)
+
+
+def zero_first_hit(counts: bytes) -> bytes:
+    """The counts with the first nonzero one set to 0; a level-set member
+    then lies above a fiber with hit fraction 0, which the pipeline must notice."""
+    y = next(y for y, c in enumerate(counts) if c)
+    return counts[:y] + bytes(1) + counts[y + 1 :]
 
 
 def sieve_smooth_reciprocal(y: int, threshold: int, cap: int) -> Fraction:

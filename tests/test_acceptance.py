@@ -34,13 +34,12 @@ from covercert import (
 
 from helpers import (
     agree_to_digits,
-    ap_mass_bound_check,
     divisors_of,
-    fiber_sums,
     first_moment_bound,
-    masses_of,
+    measure_invariant_failures,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
+    uncovered_lower_bound,
 )
 
 F = Fraction
@@ -201,36 +200,11 @@ class SweepOutcome:
     levels: int = 0
     prefix_zero_levels: int = 0
     cross_checks: int = 0
+    count_bounds: int = 0
     soundness_seconds: float = 0.0
     soundness_failures: list = field(default_factory=list)
     measure_failures: list = field(default_factory=list)
     moment_failures: list = field(default_factory=list)
-
-
-def _check_measure_invariants(outcome, pairs, records, primes, schedule):
-    prev_modulus, prev_masses = 1, (F(1),)
-    for record in records:
-        where = f"{pairs} level {record.level}"
-        masses = masses_of(record.measure)
-        pushed = fiber_sums(masses, prev_modulus)
-        if sum(pushed) != 1:
-            outcome.measure_failures.append(f"{where}: total != 1")
-        if any(m < 0 for m in masses):
-            outcome.measure_failures.append(f"{where}: negative mass")
-        if pushed != prev_masses:
-            outcome.measure_failures.append(f"{where}: pushforward mismatch")
-        mask = record.level_set.mask
-        qj = record.measure.modulus
-        lifts = qj // prev_modulus
-        for y, count in enumerate(record.counts):
-            if F(count, lifts) < record.delta:
-                for z in range(y, qj, prev_modulus):
-                    if mask[z] and masses[z] != 0:
-                        outcome.measure_failures.append(f"{where}: survivor at {z}")
-        violations = ap_mass_bound_check(masses, primes, schedule)
-        if violations:
-            outcome.measure_failures.append(f"{where}: {len(violations)} progression bounds")
-        prev_modulus, prev_masses = record.measure.modulus, masses
 
 
 def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):
@@ -251,6 +225,13 @@ def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):
         outcome.soundness_failures.append(f"{pairs} schedule {schedule}: eta {eta} but covers")
     if report.covers and not eta >= 1:
         outcome.soundness_failures.append(f"{pairs}: covering but eta {eta} < 1")
+    if eta < 1:
+        outcome.count_bounds += 1
+        bound = uncovered_lower_bound(eta, system.lcm_modulus, schedule)
+        if report.uncovered_count < bound:
+            outcome.soundness_failures.append(
+                f"{pairs} schedule {schedule}: {report.uncovered_count} uncovered < {bound}"
+            )
     if check_certify:
         cert = certify(system, schedule)
         verdict = "NotCovering" if eta < 1 else "Inconclusive"
@@ -260,7 +241,8 @@ def _sweep_one(outcome, pairs, schedule, ladder, check_certify: bool):
         outcome.cross_checks += 1
 
     # criterion 5: exact measure invariants at every level
-    _check_measure_invariants(outcome, pairs, records, ladder.primes, schedule)
+    for failure in measure_invariant_failures(records, ladder.primes, schedule):
+        outcome.measure_failures.append(f"{pairs} {failure}")
 
     # criterion 6: divisor-sum bound on the first moment at prefix-zero levels
     exponents = [e for _, e in system.factorization]
@@ -300,9 +282,11 @@ def test_criterion_4_soundness_sweep(sweep):
     ok = not sweep.soundness_failures and sweep.soundness_seconds < 120.0
     _report(
         4,
-        "sweep verdicts never contradict the exhaustive oracle",
+        "sweep verdicts never contradict the exhaustive oracle, nor its"
+        " uncovered count the certificate's bound",
         ok,
         f"{sweep.systems} systems, {sweep.cross_checks} cross-checks,"
+        f" {sweep.count_bounds} count bounds,"
         f" {sweep.soundness_seconds:.1f}s"
         + (f"; first: {sweep.soundness_failures[0]}" if sweep.soundness_failures else ""),
     )

@@ -24,6 +24,7 @@ from helpers import (
     needs_digit_limit,
     subcommand_help,
     time_limit,
+    zero_first_hit,
 )
 
 TWO_THREE = "0 mod 2, 0 mod 3"
@@ -36,7 +37,7 @@ CERT_SCHEMA = {
     "required": ["eta", "verdict", "terms", "witness"],
     "additionalProperties": False,
     "properties": {
-        "eta": {"type": "string", "pattern": r"^(-?\d+/\d+|inf)$"},
+        "eta": {"type": "string", "pattern": r"^\d+/\d+$"},
         "verdict": {"enum": ["NotCovering", "Inconclusive"]},
         "witness": {"type": ["integer", "null"]},
         "terms": {
@@ -50,7 +51,7 @@ CERT_SCHEMA = {
                     "delta": {"type": "string", "pattern": r"^\d+/\d+$"},
                     "m1": {"type": "string", "pattern": r"^\d+/\d+$"},
                     "m2": {"type": "string", "pattern": r"^\d+/\d+$"},
-                    "term": {"type": "string", "pattern": r"^(\d+/\d+|inf)$"},
+                    "term": {"type": "string", "pattern": r"^\d+/\d+$"},
                     "branch": {"enum": ["first-moment", "second-moment"]},
                 },
             },
@@ -66,13 +67,6 @@ def run(capsys, *argv):
 
 
 class TestVerify:
-    def test_oracle_non_covering(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--method", "oracle", "--system", TWO_THREE
-        )
-        assert code == 0
-        assert out == "covers: false\nmethod: oracle\nwitness: 1\nuncovered: 2\n"
-
     def test_oracle_covering(self, capsys):
         code, out, _ = run(capsys, "verify", "--system", FAMILY_5)
         assert code == 0
@@ -90,19 +84,6 @@ class TestVerify:
         )
         assert code == 0
         assert out == "covers: true\nmethod: interval\n"
-
-    def test_json_format(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--method", "oracle", "--format", "json",
-            "--system", TWO_THREE,
-        )
-        assert code == 0
-        assert json.loads(out) == {
-            "covers": False,
-            "method": "oracle",
-            "witness": 1,
-            "uncovered_count": 2,
-        }
 
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run(
@@ -153,6 +134,16 @@ class TestSystemSources:
         code, out, _ = run(capsys, "witness", "--input", "-")
         assert code == 0
         assert out == "covers: false\nwitness: 1\n"
+
+    def test_stdin_read_error_is_one_line(self, capsys, monkeypatch):
+        # an OSError with no file name is re-raised as it is
+        def read():
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(sys.stdin, "read", read)
+        code, out, err = run(capsys, "witness", "--input", "-")
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["file", "long-name", "stdin"])
@@ -219,22 +210,10 @@ class TestSimpleQueries:
         assert code == 0
         assert out == "minimal: true\nredundant: []\n"
 
-    def test_minimal_false_lists_indices(self, capsys):
-        code, out, _ = run(
-            capsys, "minimal", "--system", "0 mod 2, 1 mod 2, 0 mod 3"
-        )
-        assert code == 0
-        assert out == "minimal: false\nredundant: [2]\n"
-
     def test_minimal_domain_error_when_not_covering(self, capsys):
         code, _, err = run(capsys, "minimal", "--system", TWO_THREE)
         assert code == 3
         assert "error:" in err
-
-    def test_density(self, capsys):
-        code, out, _ = run(capsys, "density", "--system", TWO_THREE)
-        assert code == 0
-        assert out == "density_uncovered: 1/3\n"
 
     def test_smoothsum(self, capsys):
         code, out, _ = run(
@@ -242,14 +221,6 @@ class TestSimpleQueries:
         )
         assert code == 0
         assert out == "smooth_reciprocal_sum: 7/8\n"
-
-    def test_smoothsum_json(self, capsys):
-        code, out, _ = run(
-            capsys, "smoothsum", "--y", "3", "--threshold", "1", "--cap", "6",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out) == {"y": 3, "threshold": 1, "cap": 6, "sum": "5/4"}
 
     def test_smoothsum_domain_error(self, capsys):
         code, _, err = run(
@@ -364,19 +335,6 @@ class TestConstructReduce:
         code, out, _ = run(capsys, "construct", "--j", "5")
         assert code == 0
         assert out == "1 mod 2\n0 mod 3\n2 mod 4\n4 mod 6\n8 mod 12\n"
-
-    def test_construct_json(self, capsys):
-        code, out, _ = run(capsys, "construct", "--j", "5", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {
-            "classes": [
-                {"r": 1, "d": 2},
-                {"r": 0, "d": 3},
-                {"r": 2, "d": 4},
-                {"r": 4, "d": 6},
-                {"r": 8, "d": 12},
-            ]
-        }
 
     def test_construct_json_layout(self, capsys):
         code, out, _ = run(capsys, "construct", "--j", "5", "--format", "json")
@@ -1040,8 +998,8 @@ class TestUsageAndExitCodes:
         assert err.endswith(f"\ncovercert: error: {message}\n")
         assert max(map(len, err.splitlines())) < 300
 
-    @pytest.mark.usefixtures("zeroed_last_hit")
-    def test_internal_error_is_one_line(self, capsys):
+    def test_internal_error_is_one_line(self, capsys, tamper_level):
+        tamper_level(6, counts=zero_first_hit)
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         assert (code, out) == (4, "")
         assert err == "error: internal: level set member above a fiber with hit fraction 0\n"

@@ -43,13 +43,17 @@ from helpers import (
     ap_mass_bound_check,
     brute_covers,
     brute_largest_prime,
+    brute_lcm,
     fiber_sums,
     masses_of,
+    measure_invariant_failures,
     pipeline_cases,
     reference_hit_counts,
     reference_level,
     reference_pipeline,
     time_limit,
+    uncovered_lower_bound,
+    zero_first_hit,
 )
 
 F = Fraction
@@ -82,33 +86,6 @@ def measure_of(masses, typecode: str = "") -> FiberMeasure:
 
 def no_level_set(*args):
     raise AssertionError("a level set was built")
-
-
-def tamper_last_level(monkeypatch, q, mask=None, counts=None):
-    """Patch the pipeline so that the level mod q gets a changed mask or changed counts.
-
-    mask(mask) gives the mask level_set then returns for that level, which
-    the level's gate must refuse before hit_fractions is called on it;
-    counts(counts) gives the counts hit_fractions returns for the level.
-    Both reach the level's gate unchecked.
-    """
-    real_level_set, real_hit_fractions = distortion.level_set, distortion.hit_fractions
-    changed = []
-
-    def level_set(sys, ladder, j):
-        bset = real_level_set(sys, ladder, j)
-        if mask is None or bset.modulus != q:
-            return bset
-        changed.append(LevelSet(mask(bytearray(bset.mask))))
-        return changed[-1]
-
-    def hit_fractions(prev, bset):
-        assert not any(bset is b for b in changed), "hit_fractions read a mask the gate refuses"
-        got = real_hit_fractions(prev, bset)
-        return got if counts is None or bset.modulus != q else counts(got)
-
-    monkeypatch.setattr(distortion, "level_set", level_set)
-    monkeypatch.setattr(distortion, "hit_fractions", hit_fractions)
 
 
 def assert_gate_catches(pairs, deltas, message):
@@ -239,13 +216,12 @@ class TestHitFractions:
         counts = hit_fractions(uniform_measure(), level_set(system, ladder, 1))
         assert list(counts) == [0]
 
-    def test_level_mismatch_rejected(self):
+    def test_level_mismatch_rejected(self, tamper_level):
         # a level set mod 485, or mod 0, has no whole lifts over the parent mod
         # 2: the level's gate refuses it before hit_fractions is called on it
         for size in (485, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                tamper_last_level(patch, 486, mask=lambda mask, size=size: mask[:size])
-                assert_gate_catches([(0, 2), (1, 486)], [0, 0], "multiple of the parent's")
+            tamper_level(486, mask=lambda mask, size=size: mask[:size])
+            assert_gate_catches([(0, 2), (1, 486)], [0, 0], "multiple of the parent's")
 
     @pytest.mark.parametrize(
         "ladder, j",
@@ -300,7 +276,7 @@ class TestHitFractions:
         ],
         ids=["lanes-2", "lanes-255", "slices-2", "slices-255", "lanes-every-odd-byte-255"],
     )
-    def test_mask_byte_past_one_is_caught(self, monkeypatch, pairs, deltas, where, byte):
+    def test_mask_byte_past_one_is_caught(self, tamper_level, pairs, deltas, where, byte):
         # up to 255 lifts of 0 or 1 fit a byte lane, where a mask byte above 1
         # could carry; one fiber of 512 lifts is counted by slices, whose
         # count(1) would miss it.  The level's gate names the byte before
@@ -309,7 +285,7 @@ class TestHitFractions:
             mask[where] = bytes([byte]) * len(mask[where])
             return mask
 
-        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, mask=set_bytes)
+        tamper_level(sys_of(pairs).lcm_modulus, mask=set_bytes)
         assert_gate_catches(pairs, deltas, f"mask byte {byte} is not 0 or 1")
 
 
@@ -540,42 +516,18 @@ class TestStepMeasure:
             with pytest.raises(InternalConsistencyError, match="not a probability measure"):
                 step_measure(measure_of(parent), b"\x01\x01", delta, bset)
 
-    @pytest.mark.usefixtures("zeroed_last_hit")
-    def test_member_over_zero_fraction_fiber(self):
+    def test_member_over_zero_fraction_fiber(self, tamper_level):
         # B_1 = {1} mod 2 over the one fiber, whose count reads 0
+        tamper_level(2, counts=zero_first_hit)
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             list(run_levels(sys_of([(1, 2)]), [0]))
 
     @given(pipeline_cases())
-    def test_mass_conserved_and_nonnegative(self, case):
+    def test_measure_invariants(self, case):
         pairs, deltas = case
-        for record in run_levels(sys_of(pairs), deltas):
-            masses = masses_of(record.measure)
-            assert sum(masses) == 1
-            assert all(m >= 0 for m in masses)
-
-    @given(pipeline_cases())
-    def test_pushforward_identity(self, case):
-        pairs, deltas = case
-        prev = uniform_measure()
-        for record in run_levels(sys_of(pairs), deltas):
-            assert fiber_sums(masses_of(record.measure), prev.modulus) == masses_of(prev)
-            prev = record.measure
-
-    @given(pipeline_cases())
-    def test_support_kill(self, case):
-        pairs, deltas = case
-        prev = uniform_measure()
-        for record in run_levels(sys_of(pairs), deltas):
-            qj = record.measure.modulus
-            lifts = qj // prev.modulus
-            mask = record.level_set.mask
-            for y, count in enumerate(record.counts):
-                if F(count, lifts) < record.delta:
-                    for z in range(y, qj, prev.modulus):
-                        if mask[z]:
-                            assert record.measure.mass(z) == 0
-            prev = record.measure
+        records = list(run_levels(sys_of(pairs), deltas))
+        primes = [record.prime for record in records]
+        assert measure_invariant_failures(records, primes, deltas) == []
 
 
 class TestLevelGate:
@@ -600,13 +552,13 @@ class TestLevelGate:
                 lambda c: array(c.typecode, [258]) + c[1:], r"in \[0, 257\]",
             ),
             # at delta 0, B_2 = {0, 3} mod 6 holds a member above fiber 0
-            ([(0, 2), (0, 3)], [0, 0], lambda c: bytes(1) + c[1:], "hit fraction 0"),
+            ([(0, 2), (0, 3)], [0, 0], zero_first_hit, "hit fraction 0"),
         ],
         ids=["counts-short", "bytes-count-past-lifts", "array-count-past-lifts",
              "member-over-zero-count"],
     )
-    def test_bad_counts_are_caught(self, monkeypatch, pairs, deltas, change, message):
-        tamper_last_level(monkeypatch, sys_of(pairs).lcm_modulus, counts=change)
+    def test_bad_counts_are_caught(self, tamper_level, pairs, deltas, change, message):
+        tamper_level(sys_of(pairs).lcm_modulus, counts=change)
         assert_gate_catches(pairs, deltas, message)
 
 
@@ -639,11 +591,11 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("block", [2, 4])
     @pytest.mark.parametrize("row", [1, 3, 4])
-    def test_zero_fiber_member_in_a_later_block(self, monkeypatch, block, row):
+    def test_zero_fiber_member_in_a_later_block(self, monkeypatch, tamper_level, block, row):
         # 2 fibers and 5 lifts: fiber 1 has no hit, yet a member lies above it
         # in row `row`, past the first block of one or two rows
         monkeypatch.setattr(distortion, "_ROW_BLOCK", block)
-        parent, real = measure_of((F(1, 2),) * 2), distortion.hit_fractions
+        parent = measure_of((F(1, 2),) * 2)
         mask = bytearray(10)
         mask[0] = mask[2 * row] = 1
         bad = bytearray(mask)
@@ -656,11 +608,7 @@ class TestRowBlocks:
         # the same masks are level 2's of runs mod 10, where every count but
         # fiber 0's reads 0
         pairs = [(0, 10), (2 * row, 10)]
-        monkeypatch.setattr(
-            distortion,
-            "hit_fractions",
-            lambda prev, bset: real(prev, bset)[:1].ljust(prev.modulus, b"\x00"),
-        )
+        tamper_level(10, counts=lambda counts: counts[:1].ljust(len(counts), b"\x00"))
         last = list(run_levels(sys_of(pairs), [0, 0]))[-1]
         assert (last.level_set.mask, last.counts[1]) == (mask, 0)
         last.measure
@@ -738,29 +686,24 @@ class TestFinalMeasureOnDemand:
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record._replace(term=F(3, 4)).measure
 
-    def test_level_mass_of_a_uniform_level_is_read_from_the_mask(self, monkeypatch):
+    def test_level_mass_of_a_uniform_level_is_read_from_the_mask(self, tamper_level):
         # a hit count lowered on a uniform delta-0 level lowers the term to
         # 1/4, while B_1 = {0, 1} mod 4 still holds mass 1/2
-        real = distortion.hit_fractions
-        monkeypatch.setattr(
-            distortion,
-            "hit_fractions",
-            lambda prev, bset: b"\x01" if bset.modulus == 4 else real(prev, bset),
-        )
+        tamper_level(4, counts=lambda counts: b"\x01")
         record = next(run_levels(sys_of([(0, 4), (1, 4), (0, 3)]), [0, 0]))
         assert record.term == F(1, 4)
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record.measure
 
-    @pytest.mark.usefixtures("zeroed_last_hit")
-    def test_run_levels_checks_the_last_level(self):
+    def test_run_levels_checks_the_last_level(self, tamper_level):
         # no measure is read: the last level's counts are checked all the same
+        tamper_level(6, counts=zero_first_hit)
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             list(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0]))
         list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
 
-    @pytest.mark.usefixtures("zeroed_last_hit")
-    def test_certify_checks_the_last_level(self):
+    def test_certify_checks_the_last_level(self, tamper_level):
+        tamper_level(6, counts=zero_first_hit)
         with pytest.raises(InternalConsistencyError):
             certify(sys_of([(0, 2), (0, 3)]), [0, 0])
         # the zero-fiber check does not run at delta > 0 (ROADMAP item 13)
@@ -1008,10 +951,12 @@ class TestCertify:
     def test_soundness_against_brute_force(self, case):
         pairs, deltas = case
         cert = certify(sys_of(pairs), deltas)
-        covers, witness, _ = brute_covers(pairs)
+        covers, witness, uncovered = brute_covers(pairs)
         if cert.verdict == NOT_COVERING:
             assert not covers
             assert cert.witness == witness
+            q = brute_lcm(d for _, d in pairs)
+            assert uncovered >= uncovered_lower_bound(cert.eta, q, deltas)
         if covers:
             assert cert.verdict == INCONCLUSIVE
             assert cert.eta >= 1
@@ -1083,13 +1028,3 @@ class TestApMassBound:
             (6, 1, F(1, 3), F(1, 6)),
             (6, 3, F(1, 3), F(1, 6)),
         ]
-
-    @given(pipeline_cases(max_classes=4))
-    @settings(max_examples=40)
-    def test_never_violated_by_pipeline(self, case):
-        pairs, deltas = case
-        system = sys_of(pairs)
-        ladder = prime_ladder(system.factorization)
-        schedule = DeltaSchedule(deltas)
-        for record in run_levels(system, schedule):
-            assert ap_mass_bound_check(masses_of(record.measure), ladder.primes, schedule) == []
