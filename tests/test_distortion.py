@@ -88,6 +88,15 @@ def no_level_set(*args):
     raise AssertionError("a level set was built")
 
 
+def invariant_failures(case, *kinds):
+    """The lines of measure_invariant_failures, on a run of case, that name one of kinds."""
+    pairs, deltas = case
+    records = list(run_levels(sys_of(pairs), deltas))
+    primes = [record.prime for record in records]
+    failures = measure_invariant_failures(records, primes, deltas)
+    return [line for line in failures if any(kind in line for kind in kinds)]
+
+
 def assert_gate_catches(pairs, deltas, message):
     """Both list(run_levels(...)) and certify(...) stop at the level gate with message."""
     system = sys_of(pairs)
@@ -523,11 +532,16 @@ class TestStepMeasure:
             list(run_levels(sys_of([(1, 2)]), [0]))
 
     @given(pipeline_cases())
-    def test_measure_invariants(self, case):
-        pairs, deltas = case
-        records = list(run_levels(sys_of(pairs), deltas))
-        primes = [record.prime for record in records]
-        assert measure_invariant_failures(records, primes, deltas) == []
+    def test_mass_conserved_and_nonnegative(self, case):
+        assert invariant_failures(case, "total != 1", "negative mass") == []
+
+    @given(pipeline_cases())
+    def test_pushforward_identity(self, case):
+        assert invariant_failures(case, "pushforward") == []
+
+    @given(pipeline_cases())
+    def test_support_kill(self, case):
+        assert invariant_failures(case, "survivor") == []
 
 
 class TestLevelGate:
@@ -1028,3 +1042,7 @@ class TestApMassBound:
             (6, 1, F(1, 3), F(1, 6)),
             (6, 3, F(1, 3), F(1, 6)),
         ]
+
+    @given(pipeline_cases())
+    def test_never_violated_by_pipeline(self, case):
+        assert invariant_failures(case, "progression bounds") == []
