@@ -14,7 +14,7 @@ import re
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import lcm
 from operator import mod
 
@@ -331,6 +331,47 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
 _BUMP = bytes([1] + [2] * 255)
 
 
+def _bumped(counts: bytearray, size: int, classes, own=(), power: int = 1, rows=None) -> bytearray:
+    """counts with each (index, start, d) of classes counted in, saturating at 2.
+
+    counts holds a period of the hit counts over Z/size, which _repeat_for
+    grows as the moduli need; where the period is d, a class is one byte.
+    A class whose d is a key of own, which maps d to d/power, is set aside
+    instead: r mod d goes to rows[r mod power] as (index, r mod d/power, d/power).
+    """
+    for i, start, d in classes:
+        if d in own:
+            d = own[d]
+            rows[start % power].append((i, start % d, d))
+            continue
+        if len(counts) % d:
+            _repeat_for(counts, size, d)
+        if len(counts) == d:
+            counts[start] = _BUMP[counts[start]]
+        else:
+            counts[start::d] = counts[start::d].translate(_BUMP)
+    return counts
+
+
+def _row_split(sys: CongruenceSystem) -> tuple[int, dict[int, int]]:
+    """(P, own): the modulus of is_minimal's rows, and d -> d/P for the
+    moduli d of the classes that lie in one row.
+
+    P is p^nu, the full power of Q's largest prime p, or 1 for one row.
+    There is one row when P > Q/P, where a row would cost more in Python
+    than its bytes, and when some modulus holds p^a with 0 < a < nu: such a
+    class lies in p^(nu-a) rows.
+    """
+    if not sys.factorization:  # Q = 1
+        return 1, {}
+    p, nu = sys.factorization[-1]
+    power = p**nu
+    moduli = set(sys.moduli)
+    if power * power > sys.lcm_modulus or any(d % p == 0 and d % power for d in moduli):
+        return 1, {}
+    return power, {d: d // power for d in moduli if d % power == 0}
+
+
 def is_minimal(
     sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[bool, list[int]]:
@@ -339,19 +380,41 @@ def is_minimal(
     Returns (minimal, redundant) where redundant lists the indices of classes
     whose individual removal keeps the system covering.  A class is redundant
     exactly when every residue it covers is covered at least twice.
+
+    Z/QZ is scanned one row at a time, with a hit counter per residue that
+    saturates at 2.  Row t holds the x = t (mod P), P = p^nu the full power
+    of Q's largest prime (see _row_split), and is indexed by x mod Q', with
+    Q' = Q/P; by the CRT that is a bijection.  A class whose modulus divides
+    Q' falls on the same places in every row, so it is counted once, into a
+    counter that every row shares.  A class with P | d lies in the one row
+    t = r (mod P), at y = r (mod d/P).  Each row is a copy of the shared
+    counter plus its own classes; the rows that hold no class of their own
+    are the shared counter itself, scanned once.  A 0 in any row means the
+    system does not cover.  A shared class stays redundant until some row
+    shows it a residue it hits alone; a row's own classes are tested in that
+    row.  So the scan holds two Q'-byte counters and a slice of one.
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "minimality check")
-    # per residue, how many classes hit it, saturating at 2, over a period
-    # that _repeat_for grows to Q
-    counts = bytearray(1)
-    classes = list(zip(sys.residues, sys.moduli))
-    for r, d in classes:
-        _repeat_for(counts, q, d)
-        counts[r::d] = counts[r::d].translate(_BUMP)
-    if not classes or 0 in counts:
-        raise DomainError("minimality is only defined for covering systems")
-    redundant = [i for i, (r, d) in enumerate(classes) if 1 not in counts[r::d]]
+    power, own = _row_split(sys)
+    width = q // power
+    index, residues, moduli = range(len(sys)), sys.residues, sys.moduli
+    rows = defaultdict(list)  # row t: (index, y, d/P) of each class of its own
+    counts = _bumped(bytearray(1), width, zip(index, residues, moduli), own, power, rows)
+    if len(rows) < power:  # the rows of the shared classes alone
+        rows = {None: [], **rows}
+    redundant = []
+    for own_classes in rows.values():
+        row = _bumped(bytearray(counts), width, own_classes) if own_classes else counts
+        if 0 in row:
+            raise DomainError("minimality is only defined for covering systems")
+        # the shared classes that no row so far shows a residue they hit alone
+        pending = [d not in own and 1 not in row[r::d] for r, d in zip(residues, moduli)]
+        index, residues, moduli = (list(compress(c, pending)) for c in (index, residues, moduli))
+        redundant += [i for i, y, d in own_classes if 1 not in row[y::d]]
+        del row  # before the next row is copied
+    redundant += index
+    redundant.sort()
     return (not redundant, redundant)
 
 

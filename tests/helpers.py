@@ -51,6 +51,28 @@ def brute_covers(pairs) -> tuple[bool, int | None, int]:
     return (True, None, 0)
 
 
+def brute_minimal(pairs) -> tuple[bool, list[int]] | None:
+    """(minimal, redundant) of a system, or None when it does not cover.
+
+    A class is redundant when brute_covers says the system without it
+    still covers.
+    """
+    if not brute_covers(pairs)[0]:
+        return None
+    redundant = [i for i in range(len(pairs)) if brute_covers(pairs[:i] + pairs[i + 1 :])[0]]
+    return (not redundant, redundant)
+
+
+def affine_image(pairs, u: int, t: int) -> list[tuple[int, int]]:
+    """The image of every class under x -> u x + t, u a unit modulo every modulus.
+
+    The map permutes Z/QZ and sends r mod d to u r + t mod d, so coverage
+    and minimality are unchanged, and so is which classes are redundant.
+    """
+    assert all(gcd(u, d) == 1 for _, d in pairs), f"{u} is not a unit"
+    return [((u * r + t) % d, d) for r, d in pairs]
+
+
 def brute_covers_initial_segment(pairs, size: int) -> bool:
     return all(any((x - r) % d == 0 for r, d in pairs) for x in range(1, size + 1))
 

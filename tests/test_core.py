@@ -1,7 +1,9 @@
 """Congruence systems, factorization, coverage oracles, minimality, parsing."""
 
+import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,11 +41,14 @@ from covercert.distortion import certify, prime_ladder, run_levels
 
 from helpers import (
     DIGIT_LIMIT,
+    affine_image,
     brute_covers,
     brute_covers_initial_segment,
     brute_factor,
     brute_lcm,
+    brute_minimal,
     brute_multiplicity,
+    divisors_of,
     needs_digit_limit,
     reference_parse_lines,
     structured_system_text,
@@ -124,6 +129,30 @@ GUARD_CASES = [
 
 def sys_of(pairs) -> CongruenceSystem:
     return CongruenceSystem.from_pairs(pairs)
+
+
+# frames of is_minimal's row shapes: 2^4*3 and 2^4*5 give rows (P <= Q'), 2*7
+# and 4*7 one row (P > Q'), and 2^4*9 rows mod 9, or one row once a modulus
+# holds 3 but not 9
+ROW_FRAMES = (48, 80, 14, 28, 144)
+
+
+@st.composite
+def row_shaped_pairs(draw):
+    """A full residue system mod b <= 8, at times less one class, plus noise
+    and at times a duplicate, in any order; moduli divide a frame of ROW_FRAMES."""
+    frame = draw(st.sampled_from(ROW_FRAMES))
+    pool = divisors_of(frame)
+    if frame == 144 and draw(st.booleans()):  # keep 9 rows
+        pool = [d for d in pool if d % 3 or d % 9 == 0]
+    b = draw(st.sampled_from([d for d in pool if d <= 8]))
+    pairs = [(r, b) for r in range(b)]
+    if draw(st.integers(0, 3)) == 0:
+        del pairs[draw(st.integers(0, b - 1))]
+    pairs += draw(st.lists(st.tuples(st.integers(-frame, frame), st.sampled_from(pool)), max_size=5))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))
+    return draw(st.permutations(pairs))
 
 
 class TestResidueClass:
@@ -360,6 +389,69 @@ class TestIsMinimal:
                 assert alone, f"class {i} should cover something uniquely"
             else:
                 assert not alone
+
+    @given(row_shaped_pairs())
+    # rows mod 3, each with classes of its own: 4 mod 6 and 8 mod 12 are rows 1 and 2
+    @example(pairs=C5)
+    # rows mod 3; 1 mod 4 hits residues alone in rows 0 and 2, which come last
+    @example(pairs=[(0, 2), (1, 4), (3, 4), (0, 6), (2, 6), (1, 6)])
+    # rows mod 5; rows 1 to 4 hold no class of their own
+    @example(pairs=[(0, 2), (1, 2), (0, 80)])
+    # rows mod 9 of 16 residues; 15 mod 144 lies in row 6 alone
+    @example(pairs=[(0, 2), (1, 4), (3, 16), (7, 16), (11, 16), (15, 16), (15, 144)])
+    # P = 7 > Q' = 2: one row
+    @example(pairs=[(0, 2), (1, 2), (3, 7)])
+    # 1 mod 3 lies in 3 of the 9 rows mod 9: one row
+    @example(pairs=[(0, 2), (1, 2), (1, 3), (5, 144)])
+    # duplicates and a modulus 1
+    @example(pairs=[(0, 1), (1, 2), (0, 1)])
+    # not covering: x = 15 (mod 16) only in row 6 mod 9; x = 8 (mod 12) in row 2 mod 3
+    @example(pairs=[(0, 2), (1, 4), (3, 16), (7, 16), (11, 16), (15, 144)])
+    @example(pairs=[(1, 2), (2, 4), (0, 3), (4, 6), (2, 12)])
+    def test_matches_brute_force_on_every_row_shape(self, pairs):
+        expected = brute_minimal(pairs)
+        if expected is None:
+            with pytest.raises(DomainError, match="only defined for covering systems"):
+                is_minimal(sys_of(pairs))
+        else:
+            assert is_minimal(sys_of(pairs)) == expected
+
+    @pytest.mark.parametrize("j", range(5, 23))
+    def test_affine_images_of_the_family_agree(self, j):
+        # with class k repeated at the end, exactly k and its copy are
+        # redundant, in the family and in each image; j = 22 has Q = 3 * 2^19
+        # and 3 rows of 2^19 residues
+        rng = random.Random(j)
+        family = construct_minimal_family(j)
+        pairs = list(zip(family.residues, family.moduli))
+        k = rng.randrange(len(pairs))
+        pairs.append(pairs[k])
+        q = brute_lcm(d for _, d in pairs)
+        assert is_minimal(sys_of(pairs)) == (False, [k, len(pairs) - 1])
+        for _ in range(2):
+            u = rng.choice([u for u in range(1, 97) if gcd(u, q) == 1])
+            image = affine_image(pairs, u, rng.randrange(q))
+            assert is_minimal(sys_of(image)) == (False, [k, len(pairs) - 1])
+
+    def test_affine_images_of_a_shift_expansion_agree(self):
+        source = shift_expand(construct_minimal_family(12), 4)
+        pairs = list(zip(source.residues, source.moduli))
+        q = source.lcm_modulus
+        expected = is_minimal(source)
+        for u, t in [(5, 0), (7, 11), (q - 1, 1000), (1, q - 1)]:
+            assert is_minimal(sys_of(affine_image(pairs, u, t))) == expected
+
+    def test_peak_is_under_nine_tenths_of_q(self):
+        # two rows of Q/3 bytes and a slice of half a row
+        system = construct_minimal_family(22)
+        system.factorization  # cached before tracing
+        tracemalloc.start()
+        try:
+            assert is_minimal(system) == (True, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.9 * system.lcm_modulus
 
 
 class TestDensityUncovered:
