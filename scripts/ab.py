@@ -19,7 +19,8 @@ uncommitted changes to tracked files), the Python version, and per workload
 and side whether every run was correct and how many calls failed.  Per
 metric of BENCHMARK.json's end_to_end list it holds the median of each
 side, the base's quartiles and the number of pairs in which the change was
-better (by the metric's "better"), and every run's figures.
+better (by the metric's "better"), and every run's figures, with the
+median wall times run.py reports for information.
 """
 
 from __future__ import annotations
@@ -83,8 +84,12 @@ def measure(tree: Path, workloads: list[str], args) -> dict:
     if proc.returncode != 0 or result is None:
         return {workload: broken}
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return {workload: {"correct": result["correct"], "failed": result["failed"],
-                       "metrics": metrics}}
+    run = {"correct": result["correct"], "failed": result["failed"], "metrics": metrics}
+    # the median wall times run.py prints for information, ungated
+    wall = re.search(r"^wall (\{.*\})$", proc.stderr, re.MULTILINE)
+    if wall:
+        run["wall"] = json.loads(wall[1])
+    return {workload: run}
 
 
 def quartiles(values: list[float]) -> list[float]:

@@ -331,14 +331,17 @@ def covers_interval(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS) -
 _BUMP = bytes([1] + [2] * 255)
 
 
-def _bumped(counts: bytearray, size: int, classes, own=(), power: int = 1, rows=None) -> bytearray:
-    """counts with each (index, start, d) of classes counted in, saturating at 2.
+def _shared_counts(size: int, classes, own: dict[int, int], power: int):
+    """(counts, rows): the hit counts of the shared classes over Z/size,
+    saturating at 2, and each row's classes of its own.
 
-    counts holds a period of the hit counts over Z/size, which _repeat_for
-    grows as the moduli need; where the period is d, a class is one byte.
-    A class whose d is a key of own, which maps d to d/power, is set aside
-    instead: r mod d goes to rows[r mod power] as (index, r mod d/power, d/power).
+    classes yields (index, r, d).  A class whose d is a key of own, which
+    maps d to d/power, lies in one row: it goes to rows[r mod power] as
+    (index, r mod d/power, d/power).  The others are counted into a period
+    that _repeat_for grows as the moduli need, where a class whose d is the
+    period is one byte; the period is then repeated up to size.
     """
+    counts, rows = bytearray(1), defaultdict(list)
     for i, start, d in classes:
         if d in own:
             d = own[d]
@@ -350,7 +353,8 @@ def _bumped(counts: bytearray, size: int, classes, own=(), power: int = 1, rows=
             counts[start] = _BUMP[counts[start]]
         else:
             counts[start::d] = counts[start::d].translate(_BUMP)
-    return counts
+    counts *= size // len(counts)
+    return counts, rows
 
 
 def _row_split(sys: CongruenceSystem) -> tuple[int, dict[int, int]]:
@@ -387,32 +391,44 @@ def is_minimal(
     Q' = Q/P; by the CRT that is a bijection.  A class whose modulus divides
     Q' falls on the same places in every row, so it is counted once, into a
     counter that every row shares.  A class with P | d lies in the one row
-    t = r (mod P), at y = r (mod d/P).  Each row is a copy of the shared
-    counter plus its own classes; the rows that hold no class of their own
-    are the shared counter itself, scanned once.  A 0 in any row means the
-    system does not cover.  A shared class stays redundant until some row
-    shows it a residue it hits alone; a row's own classes are tested in that
-    row.  So the scan holds two Q'-byte counters and a slice of one.
+    t = r (mod P), at y = r (mod d/P).  A row is the shared counter with its
+    own classes counted in, in place; what they overwrote is put back after
+    the row's tests.  Where that would keep more bytes than the row holds,
+    they are counted into a copy instead.  The rows that hold no class of
+    their own are the shared counter itself, scanned once.  A 0 in any row
+    means the system does not cover.  A shared class stays redundant until
+    some row shows it a residue it hits alone; a row's own classes are
+    tested in that row.  So the scan holds one Q'-byte counter and a slice
+    of it, plus what a row's own classes overwrite, at most a second row.
     """
     q = sys.lcm_modulus
     limits.require_residue_space(q, "minimality check")
     power, own = _row_split(sys)
     width = q // power
     index, residues, moduli = range(len(sys)), sys.residues, sys.moduli
-    rows = defaultdict(list)  # row t: (index, y, d/P) of each class of its own
-    counts = _bumped(bytearray(1), width, zip(index, residues, moduli), own, power, rows)
+    counts, rows = _shared_counts(width, zip(index, residues, moduli), own, power)
     if len(rows) < power:  # the rows of the shared classes alone
         rows = {None: [], **rows}
     redundant = []
     for own_classes in rows.values():
-        row = _bumped(bytearray(counts), width, own_classes) if own_classes else counts
+        _, ys, ds = zip(*own_classes) if own_classes else ((), (), ())
+        in_place = sum(map(width.__floordiv__, ds)) <= width
+        row, saved = (counts if in_place else bytearray(counts)), []
+        for y, d in zip(ys, ds):
+            hits = row[y::d]
+            if in_place:
+                saved.append(hits)
+            row[y::d] = hits.translate(_BUMP)
         if 0 in row:
             raise DomainError("minimality is only defined for covering systems")
         # the shared classes that no row so far shows a residue they hit alone
         pending = [d not in own and 1 not in row[r::d] for r, d in zip(residues, moduli)]
         index, residues, moduli = (list(compress(c, pending)) for c in (index, residues, moduli))
         redundant += [i for i, y, d in own_classes if 1 not in row[y::d]]
-        del row  # before the next row is copied
+        if in_place:  # undo the bumps, the last first
+            for y, d, hits in zip(reversed(ys), reversed(ds), reversed(saved)):
+                counts[y::d] = hits
+        del row  # a copy goes before the next row's is made
     redundant += index
     redundant.sort()
     return (not redundant, redundant)

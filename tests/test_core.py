@@ -403,6 +403,12 @@ class TestIsMinimal:
     @example(pairs=[(0, 2), (1, 2), (3, 7)])
     # 1 mod 3 lies in 3 of the 9 rows mod 9: one row
     @example(pairs=[(0, 2), (1, 2), (1, 3), (5, 144)])
+    # the classes mod 48 = 3 * 16 each lie in 3 rows mod 9, and each covers
+    # residues alone: one row
+    @example(pairs=[(0, 2), (1, 4), (3, 8), (7, 16), (15, 48), (31, 48), (47, 48), (0, 144)])
+    # row 0 mod 3 holds 0 mod 3 and 0 mod 6, 24 bytes to keep for a row of
+    # 16: counted into a copy of the shared counter
+    @example(pairs=[(0, 2), (1, 2), (0, 3), (0, 6), (1, 16)])
     # duplicates and a modulus 1
     @example(pairs=[(0, 1), (1, 2), (0, 1)])
     # not covering: x = 15 (mod 16) only in row 6 mod 9; x = 8 (mod 12) in row 2 mod 3
@@ -441,8 +447,9 @@ class TestIsMinimal:
         for u, t in [(5, 0), (7, 11), (q - 1, 1000), (1, q - 1)]:
             assert is_minimal(sys_of(affine_image(pairs, u, t))) == expected
 
-    def test_peak_is_under_nine_tenths_of_q(self):
-        # two rows of Q/3 bytes and a slice of half a row
+    def test_peak_is_a_row_and_a_half(self):
+        # one row of Q/3 bytes and a slice of half of it, 0.5·Q; the 1-byte
+        # slices its own classes overwrite are put back after each row
         system = construct_minimal_family(22)
         system.factorization  # cached before tracing
         tracemalloc.start()
@@ -451,7 +458,24 @@ class TestIsMinimal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.9 * system.lcm_modulus
+        assert peak <= 0.6 * system.lcm_modulus
+
+    def test_a_row_whose_classes_overwrite_more_than_it_holds_is_copied(self):
+        # eight copies of 0 mod 3 would keep eight rows' bytes to put back
+        # (3.3·Q); row 0 is counted into a copy instead, and the bump of a
+        # class mod 3 slices all of it: 4 rows of Q/3, under the parent's 5/3·Q
+        family = construct_minimal_family(22)
+        system = CongruenceSystem(family.residues + (0,) * 8, family.moduli + (3,) * 8)
+        system.factorization
+        tracemalloc.start()
+        try:
+            minimal, redundant = is_minimal(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 0 mod 3 * 2^17, the family's class 19, lies inside 0 mod 3
+        assert (minimal, redundant) == (False, [19, *range(22, 30)])
+        assert peak <= 1.4 * system.lcm_modulus
 
 
 class TestDensityUncovered:
