@@ -2,17 +2,16 @@
 """Alternated A/B runs of the benchmark: a base commit against this checkout.
 
   python3 scripts/ab.py --base HEAD~1 --pairs 10 --out bench.json
-  python3 scripts/ab.py --base main --pairs 10 --workload cli-session --out bench.json
   python3 scripts/ab.py --base HEAD --pairs 1 --smoke --out /tmp/bench.json
 
 Run it from anywhere inside a git checkout.  The base revision is checked
 out with `git worktree` into a temporary directory, which is removed at the
-end.  For each workload, pair i runs `perfbench/run.py` once in the base
-and once in this checkout, one process at a time: the base first when i is
-even, the change first when i is odd.  Each side runs its own
-`perfbench/run.py`, with --seed and --seconds as given.  With --smoke each
-side runs `perfbench/run.py --smoke` instead, which checks the outputs at
-tiny sizes and measures nothing.
+end.  For each workload of BENCHMARK.json, pair i runs `perfbench/run.py`
+once in the base and once in this checkout, one process at a time: the
+base first when i is even, the change first when i is odd.  Each side runs
+its own `perfbench/run.py`, at seed SEED for BENCHMARK.json's run_seconds.
+With --smoke each side runs `perfbench/run.py --smoke` instead, which
+checks the outputs at tiny sizes and measures nothing.
 
 The output file holds both commit ids (and whether this checkout has
 uncommitted changes to tracked files), the Python version, and per workload
@@ -37,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 class ABError(Exception):
@@ -50,23 +50,23 @@ def git(*args: str) -> str:
     return proc.stdout.strip()
 
 
-def measure(tree: Path, workloads: list[str], args) -> dict:
+def measure(tree: Path, workloads: list[str], seconds: int, smoke: bool) -> dict:
     """perfbench/run.py in tree: per workload, {"correct", "failed", "metrics"}.
 
     A real run takes one workload.  One --smoke run checks every workload,
     and reports no metrics.  A run that exits non-zero or prints no result
     line counts as incorrect, with no metrics.
     """
-    if args.smoke:
+    if smoke:
         cmd = ["--smoke"]
     else:
         (workload,) = workloads
-        cmd = ["--workload", workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
+        cmd = ["--workload", workload, "--seed", str(SEED), "--seconds", str(seconds),
                "--trace", "0"]
     proc = subprocess.run([sys.executable, "perfbench/run.py", *cmd], cwd=tree,
                           capture_output=True, text=True)
     broken = {"correct": False, "failed": None, "metrics": {}}
-    if args.smoke:
+    if smoke:
         out = {}
         for workload in workloads:
             # one line per workload: "<name>: attempted N failed M ok"
@@ -139,9 +139,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True,
                         help="the output file, such as BENCH_<n>.json")
-    parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--smoke", action="store_true",
                         help="run perfbench/run.py --smoke on each side, which measures nothing")
     args = parser.parse_args(argv)
@@ -149,9 +146,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     try:
         base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
         change_commit = git("rev-parse", "HEAD")
@@ -168,7 +163,8 @@ def main(argv=None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for group in groups:
                     for side in order:
-                        for workload, run in measure(trees[side], group, args).items():
+                        got = measure(trees[side], group, bench["run_seconds"], args.smoke)
+                        for workload, run in got.items():
                             runs[workload][side].append(run)
                             print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                                   + json.dumps(run), file=sys.stderr)
@@ -187,8 +183,8 @@ def main(argv=None) -> int:
         "change": {"commit": change_commit, "uncommitted_changes": dirty},
         "python": platform.python_version(),
         "pairs": args.pairs,
-        "seed": args.seed,
-        "seconds": None if args.smoke else args.seconds,
+        "seed": SEED,
+        "seconds": None if args.smoke else bench["run_seconds"],
         "smoke": args.smoke,
         "workloads": results,
     }

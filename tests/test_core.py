@@ -447,17 +447,22 @@ class TestIsMinimal:
         for u, t in [(5, 0), (7, 11), (q - 1, 1000), (1, q - 1)]:
             assert is_minimal(sys_of(affine_image(pairs, u, t))) == expected
 
+    @staticmethod
+    def _traced(system):
+        """is_minimal(system) and its traced peak in bytes."""
+        system.factorization  # cached before tracing
+        tracemalloc.start()
+        try:
+            return is_minimal(system), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_is_a_row_and_a_half(self):
         # one row of Q/3 bytes and a slice of half of it, 0.5·Q; the 1-byte
         # slices its own classes overwrite are put back after each row
         system = construct_minimal_family(22)
-        system.factorization  # cached before tracing
-        tracemalloc.start()
-        try:
-            assert is_minimal(system) == (True, [])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = self._traced(system)
+        assert result == (True, [])
         assert peak <= 0.6 * system.lcm_modulus
 
     def test_a_row_whose_classes_overwrite_more_than_it_holds_is_copied(self):
@@ -466,15 +471,9 @@ class TestIsMinimal:
         # class mod 3 slices all of it: 4 rows of Q/3, under the parent's 5/3·Q
         family = construct_minimal_family(22)
         system = CongruenceSystem(family.residues + (0,) * 8, family.moduli + (3,) * 8)
-        system.factorization
-        tracemalloc.start()
-        try:
-            minimal, redundant = is_minimal(system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = self._traced(system)
         # 0 mod 3 * 2^17, the family's class 19, lies inside 0 mod 3
-        assert (minimal, redundant) == (False, [19, *range(22, 30)])
+        assert result == (False, [19, *range(22, 30)])
         assert peak <= 1.4 * system.lcm_modulus
 
 
