@@ -709,15 +709,19 @@ class TestFinalMeasureOnDemand:
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record.measure
 
-    def test_a_lowered_last_count_at_delta_above_zero_is_not_caught(self, tamper_level):
-        # ROADMAP item 13's open gap: the zero-fiber check runs only at delta
-        # 0, and no check compares the counts with |B_j|, so neither
-        # run_levels nor certify notices the lowered count.  At delta 0,
-        # TestLevelGate's member-over-zero-count case catches it.
+    def test_run_levels_checks_the_last_level(self, tamper_level):
+        # no measure is read: the last level's counts are checked all the same
         tamper_level(6, counts=zero_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            list(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0]))
         list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
-        certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
+    def test_certify_checks_the_last_level(self, tamper_level):
+        tamper_level(6, counts=zero_first_hit)
+        with pytest.raises(InternalConsistencyError):
+            certify(sys_of([(0, 2), (0, 3)]), [0, 0])
+        # the zero-fiber check does not run at delta > 0 (ROADMAP item 13)
+        certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
 class TestMoments:
     def test_single_class(self):
