@@ -44,16 +44,19 @@ big-integer multiply-add makes the codes of all fibers.  The moments drop
 fibers with no hit by one bytes.translate while the codes fit in a byte,
 types * (lifts + 1) <= 256, else by itertools.compress; the new types of a
 measure of at most 256 types are read through two 256-byte translate
-tables.  A parent of one type, a uniform measure, has every id 0, so its
-codes are its counts, and at delta_j = 0, where no mass moves, it lifts to
-the uniform measure mod Q_j with no grouping: from the uniform start, the
-default schedule's delta-0 prefix stays uniform.  Cheap runtime checks
-guard the arithmetic.  One gate, _check_level, checks each level's data
-once, before any kernel reads it: a mask of 0 and 1 bytes whose length is
-a multiple of Q_(j-1), then the counts hit_fractions makes of it, one per
-fiber, each at most lifts, and at delta_j = 0 no member of B_j above a
-fiber with count 0.  Each new measure has total mass 1, no negative mass,
-and at most the level's term on B_j, exactly the term when delta_j = 0.
+tables.  A level whose fibers form one group, as every first level does,
+builds no rows: each residue's type is its mask byte's, off or on, picked
+by one translate of the mask a block at a time.  A parent of one type, a
+uniform measure, has every id 0, so its codes are its counts, and at
+delta_j = 0, where no mass moves, it lifts to the uniform measure mod Q_j
+with no grouping: from the uniform start, the default schedule's delta-0
+prefix stays uniform.  Cheap runtime checks guard the arithmetic.  One
+gate, _check_level, checks each level's data once, before any kernel reads
+it: a mask of 0 and 1 bytes whose length is a multiple of Q_(j-1), then the
+counts hit_fractions makes of it, one per fiber, each at most lifts, and at
+delta_j = 0 no member of B_j above a fiber with count 0.  Each new measure
+has total mass 1, no negative mass, and at most the level's term on B_j,
+exactly the term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -331,7 +334,9 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     The new masses are computed once per distinct (parent type, hit count)
     group and stored once per distinct value; every residue of Z/Q_jZ then
     takes the type of its group's on or off mass by its mask bit, in bitwise
-    operations on whole rows of lifts.
+    operations on whole rows of lifts.  When the fibers form one group, as at
+    every first level, the type depends on the bit alone, and one translate
+    of the mask, a block at a time (_row_blocks), picks it with no rows.
 
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
     lifts to the uniform measure of mass m / lifts on every residue; its
@@ -367,6 +372,15 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
         raise InternalConsistencyError(f"measure mod {bset.modulus} is not a probability measure")
     # the types are the distinct masses, in order of first use
     type_of = {mass: i for i, mass in enumerate(weight)}
+    table = tuple(Fraction(num, den) for num, den in weight)
+    if len(pair_of) == 1:
+        # one group: every residue's type is its mask bit's, off or on
+        ((off, on),) = pair_of.values()
+        pick = bytes((type_of[off], type_of[on])) + bytes(254)
+        ids = array("B")
+        for block in _row_blocks(mask, 1):
+            ids.frombytes(block.translate(pick))
+        return FiberMeasure(table, ids, _total(on_weight.items()))
     typecode = _id_typecode(len(weight))
     if isinstance(codes, bytes) and typecode == "B":
         # byte codes to byte types, through one 256-byte table per row
@@ -379,7 +393,6 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
         on_of = {code: type_of[on] for code, (_, on) in pair_of.items()}
         off_row = array(typecode, map(off_of.__getitem__, codes))
         on_row = array(typecode, map(on_of.__getitem__, codes))
-    table = tuple(Fraction(num, den) for num, den in weight)
     ids = _select_rows(off_row, on_row, mask, typecode)
     return FiberMeasure(table, ids, _total(on_weight.items()))
 

@@ -4,10 +4,10 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covercert import (
@@ -18,6 +18,7 @@ from covercert import (
     Limits,
     ResourceLimitError,
     certify,
+    construct_minimal_family,
     core,
     default_delta_schedule,
     distortion,
@@ -40,6 +41,7 @@ from covercert.distortion import (
 )
 
 from helpers import (
+    affine_image,
     ap_mass_bound_check,
     brute_covers,
     brute_largest_prime,
@@ -477,6 +479,78 @@ class TestUniformLift:
         fast, slow = (step_measure(prev, counts, F(0), bset) for prev in (uniform, general))
         assert (fast.table, bytes(fast.ids), fast.ids.typecode, fast.level_mass) == (
             slow.table, bytes(slow.ids), slow.ids.typecode, slow.level_mass
+        )
+
+
+class TestOneGroup:
+    """A level whose fibers form one group takes its ids from its mask alone.
+
+    Every fiber has the parent's one type and the same count, so each
+    residue takes the off or the on type by its mask bit.  The ids must be
+    those _select_rows makes of the constant off and on rows, and the masses
+    those of the pointwise reference, while _select_rows itself is never
+    called.  Each level also runs with _ROW_BLOCK cut to 5 bytes, so that
+    its mask is read in many blocks, the last one short.
+    """
+
+    @staticmethod
+    def _expected(parent, count, lifts, delta, mask):
+        """(table, ids, typecode, level mass) by the general path's row select."""
+        (m,) = parent.table
+        off, on = (F(*pair) for pair in distortion._fiber_masses(m, count, lifts, delta))
+        table = tuple(dict.fromkeys((off, on)))
+        fibers = parent.modulus
+        rows = bytes([0]) * fibers, bytes([table.index(on)]) * fibers
+        ids = distortion._select_rows(*rows, mask, "B")
+        return table, bytes(ids), ids.typecode, on * mask.count(1)
+
+    @staticmethod
+    def _no_select(*args):
+        raise AssertionError("a one-group level called _select_rows")
+
+    def _check_blocks(self, monkeypatch, build, expected, masses):
+        for block in (distortion._ROW_BLOCK, 5):
+            with monkeypatch.context() as patch:
+                patch.setattr(distortion, "_ROW_BLOCK", block)
+                patch.setattr(distortion, "_select_rows", self._no_select)
+                out = build()
+            assert (out.table, bytes(out.ids), out.ids.typecode, out.level_mass) == expected
+            assert masses_of(out) == masses
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1, 3), F(1, 2)])
+    @pytest.mark.parametrize("lifts", [2, 243, 256, 257, 4096])
+    def test_first_level_matches_rows_and_reference(self, monkeypatch, lifts, delta):
+        # lifts up to 255 give byte counts, the rest array counts; the
+        # counts are 0, 1, lifts - 1, lifts and the largest one below
+        # delta * lifts, whose on-mass is 0
+        below = -(-delta.numerator * lifts // delta.denominator) - 1
+        parent = uniform_measure()
+        for count in sorted({0, 1, lifts - 1, lifts, below}):
+            rng = random.Random(lifts * 8191 + count)
+            mask = bytearray(lifts)
+            for z in rng.sample(range(lifts), count):
+                mask[z] = 1
+            bset = LevelSet(mask)
+            counts, _ = distortion._check_level(parent, bset, delta)
+            assert list(counts) == [count]
+            _, _, _, pointwise = reference_level([F(1, lifts)] * lifts, mask, 1, delta)
+            expected = self._expected(parent, count, lifts, delta, mask)
+            # a first level's residues are its fibers
+            self._check_blocks(
+                monkeypatch, lambda: step_measure(parent, counts, delta, bset), expected,
+                tuple(pointwise),
+            )
+
+    def test_two_fibers_hit_once(self, monkeypatch):
+        # level 2 of 0 mod 2, 0 mod 3 at [0, 1/2]: the fibers of the uniform
+        # mod-2 measure are each hit once in 3 lifts, by 0 and 3 mod 6
+        pairs, deltas = [(0, 2), (0, 3)], [0, F(1, 2)]
+        record = list(run_levels(sys_of(pairs), deltas))[-1]
+        assert (len(record.parent.table), bytes(record.counts)) == (1, b"\x01\x01")
+        want = reference_pipeline(pairs, deltas)[0][-1]["masses"]
+        expected = self._expected(record.parent, 1, 3, F(1, 2), record.level_set.mask)
+        self._check_blocks(
+            monkeypatch, lambda: record._replace().measure, expected, fiber_sums(want, 6)
         )
 
 
@@ -940,6 +1014,9 @@ class TestCertify:
 
     @given(pipeline_cases())
     @settings(max_examples=60)
+    # one fiber of 512 lifts, and two fibers hit once each: one-group levels
+    @example(([(1, 512)], [F(1, 2)]))
+    @example(([(0, 2), (0, 3)], [0, F(1, 2)]))
     def test_matches_pointwise_reference(self, case):
         pairs, deltas = case
         system = sys_of(pairs)
@@ -1008,6 +1085,55 @@ class TestCertify:
             F(len(r.level_set.members), r.level_set.modulus) for r in records
         )
         assert certify(system, zero).eta == expected_eta
+
+
+@st.composite
+def affine_cases(draw):
+    """(pairs, deltas, u, t): a pipeline case, a unit u mod Q and a shift t in Z/QZ."""
+    pairs, deltas = draw(pipeline_cases())
+    q = brute_lcm(d for _, d in pairs)
+    u = draw(st.sampled_from([u for u in range(1, q) if gcd(u, q) == 1]))
+    return pairs, deltas, u, draw(st.integers(0, q - 1))
+
+
+class TestAffineInvariance:
+    """A system and its image under x -> u x + t, u a unit mod Q, certify alike.
+
+    The map permutes Z/QZ and carries each level set onto the image's, so
+    every term, eta and the verdict are the same, at any size.  The image's
+    witness w, mapped back by x = u^-1 (w - t) mod Q, is uncovered in the
+    system.
+    """
+
+    @staticmethod
+    def _assert_alike(pairs, deltas, u, t):
+        q = brute_lcm(d for _, d in pairs)
+        cert = certify(sys_of(pairs), deltas)
+        image = certify(sys_of(affine_image(pairs, u, t)), deltas)
+        assert (image.terms, image.eta, image.verdict) == (cert.terms, cert.eta, cert.verdict)
+        if image.verdict == NOT_COVERING:
+            x = pow(u, -1, q) * (image.witness - t) % q
+            assert all((x - r) % d for r, d in pairs)
+        return cert
+
+    @given(affine_cases())
+    def test_certificates_agree(self, case):
+        self._assert_alike(*case)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["covers", "without-0"])
+    def test_family_images_agree(self, drop):
+        # Q = 3 * 2^19: level 1 is one fiber of 2^19 lifts, two _ROW_BLOCK
+        # blocks, and level 2 has 3 * 2^19 residues; without its class 0 the
+        # family no longer covers, so the witness is mapped back too
+        family = construct_minimal_family(22)
+        system = family.without(0) if drop else family
+        pairs, q = list(zip(system.residues, system.moduli)), system.lcm_modulus
+        rng = random.Random(22)
+        for deltas in (None, [F(1, 4)] * 2):  # the default schedule, then all 1/4
+            for _ in range(2):
+                u = rng.choice([u for u in range(1, 97) if gcd(u, q) == 1])
+                cert = self._assert_alike(pairs, deltas, u, rng.randrange(q))
+            assert cert.verdict == (NOT_COVERING if drop else INCONCLUSIVE)
 
 
 class TestApMassBound:
