@@ -50,13 +50,17 @@ by one translate of the mask a block at a time.  A parent of one type, a
 uniform measure, has every id 0, so its codes are its counts, and at
 delta_j = 0, where no mass moves, it lifts to the uniform measure mod Q_j
 with no grouping: from the uniform start, the default schedule's delta-0
-prefix stays uniform.  Cheap runtime checks guard the arithmetic.  One
-gate, _check_level, checks each level's data once, before any kernel reads
-it: a mask of 0 and 1 bytes whose length is a multiple of Q_(j-1), then the
-counts hit_fractions makes of it, one per fiber, each at most lifts, and at
-delta_j = 0 no member of B_j above a fiber with count 0.  Each new measure
-has total mass 1, no negative mass, and at most the level's term on B_j,
-exactly the term when delta_j = 0.
+prefix stays uniform.  Cheap runtime checks guard the arithmetic.  A
+level's gate checks its data before any kernel reads it, once per level per
+system: a mask of 0 and 1 bytes whose length is a multiple of Q_(j-1), then
+the counts hit_fractions makes of it, one per fiber, each at most lifts,
+summing to |B_j|, and, the first time a run has delta_j = 0 there, no member
+of B_j above a fiber with count 0.  No delta enters a level's mask or
+counts, nor the witness, so a system object keeps the counts its gates
+passed and certify's witness for its later runs under any schedule, about
+Q_1 + ... + Q_(J-1) bytes and no mask (_kept).  Each new measure has total
+mass 1, no negative mass, and at most the level's term on B_j, exactly the
+term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -73,6 +77,7 @@ from collections.abc import Collection
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from zlib import adler32
 
 from .core import (
     DEFAULT_LIMITS,
@@ -241,7 +246,7 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet):
     hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts.  It
     is bytes while a fiber has at most 255 lifts, else an array of the
     narrowest typecode that holds the lifts.  The level is read unchecked:
-    run_levels' gate, _check_level, calls this only for a mask of 0 and 1
+    the level's gate, _check_level, calls this only for a mask of 0 and 1
     bytes whose length is a multiple of Q_(j-1), and checks the counts after.
     """
     lifts, qprev, mask = bset.modulus // prev.modulus, prev.modulus, bset.mask
@@ -257,7 +262,7 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet):
 
 
 def _lanes(values, width: int) -> bytes | array:
-    """values, bytes or an array of unsigned ints, one to a lane of width bytes.
+    """values, bytes or unsigned ints in an array or a view, one to a lane of width bytes.
 
     Each value keeps its bytes, in native order, at the low end of its lane
     and the lane's other bytes are 0, so the lanes read in sys.byteorder
@@ -278,15 +283,16 @@ def _lanes(values, width: int) -> bytes | array:
 def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview, int]:
     """Per fiber y, its group code ids[y] * base + counts[y], and base = lifts + 1.
 
-    The counts are bytes or an array that _check_level has passed: one per
-    fiber, each at most lifts.  Each code takes a lane of the narrowest of
-    1, 2, 4 and 8 bytes that holds types * base codes, and never narrower
-    than the ids.  The ids and the counts, widened into those lanes (_lanes)
-    and read as integers in sys.byteorder, give every code in one
-    multiply-add: a carry runs toward its lane's high byte, and a code below
-    types * base never carries out of its lane.  The codes are bytes for
-    one-byte lanes, else a memoryview of the lane typecode; for a parent of
-    one type, whose every id is 0, they are the counts themselves.
+    The counts are bytes, or an array or a read-only view of one, that
+    _check_level has passed: one per fiber, each at most lifts.  Each code
+    takes a lane of the narrowest of 1, 2, 4 and 8 bytes that holds
+    types * base codes, and never narrower than the ids.  The ids and the
+    counts, widened into those lanes (_lanes) and read as integers in
+    sys.byteorder, give every code in one multiply-add: a carry runs toward
+    its lane's high byte, and a code below types * base never carries out
+    of its lane.  The codes are bytes for one-byte lanes, else a memoryview
+    of the lane typecode; for a parent of one type, whose every id is 0,
+    they are the counts themselves.
     """
     ids, base = prev.ids, lifts + 1
     if len(prev.table) == 1:
@@ -341,8 +347,8 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
     lifts to the uniform measure of mass m / lifts on every residue; its
     mass on the level set is read from the mask.  delta comes from a
-    DeltaSchedule, and the level's shape, mask and counts from run_levels'
-    gate (_check_level), so none of them is checked again here.
+    DeltaSchedule, and the level's shape, mask and counts from its gate
+    (_gated_level), so none of them is checked again here.
     """
     lifts = bset.modulus // prev.modulus
     codes, base = _fiber_codes(prev, counts, lifts)
@@ -432,26 +438,40 @@ def _select_rows(off_row, on_row, mask: bytes, typecode: str) -> array:
     return ids
 
 
-def _check_level(prev: FiberMeasure, bset: LevelSet, delta: Fraction):
+def _byte_sum(data, top: int) -> int:
+    """The exact sum of the bytes of data, each at most top, by zlib.adler32.
+
+    The low half of adler32 is 1 + the byte sum mod 65521, so it is 1 + the
+    sum itself for at most 65519 // top bytes; longer data is summed by
+    slices of that length.  One C pass, where sum() makes an int per byte
+    and bytes.count slows on mixed bytes.
+    """
+    step = 65519 // top
+    if len(data) > step:
+        return sum(_byte_sum(data[i : i + step], top) for i in range(0, len(data), step))
+    return (adler32(data) & 0xFFFF) - 1
+
+
+def _check_level(prev: FiberMeasure, bset: LevelSet):
     """The level's hit counts and lifts, or InternalConsistencyError on bad data.
 
-    The one gate for a level's data, which the kernels read unchecked:
-    run_levels calls it once per level, before any kernel reads the level.
-    The mask's length is a multiple of the parent's, and every mask byte is
-    0 or 1, or hit_fractions' lanes may carry and its slices miss a member;
+    The part of a level's gate that no delta enters (_gated_level).  The
+    mask's length is a multiple of the parent's, and every mask byte is 0
+    or 1, or hit_fractions' lanes may carry and its slices miss a member;
     only then are the counts made (hit_fractions).  There is one per fiber,
-    each at most lifts, or _fiber_codes' lanes spill into the next type's.
-    At delta = 0, where a fiber with count 0 keeps its base mass on every
-    lift, no member lies above such a fiber.  The mask is read a block of
-    whole rows at a time (_row_blocks).
+    each at most lifts, or _fiber_codes' lanes spill into the next type's,
+    and they sum to |B_j|, the mask's ones, which the 0/1 pass sums a block
+    of whole rows at a time (_row_blocks, _byte_sum).
     """
     lifts, rest = divmod(bset.modulus, prev.modulus)
     if rest or not lifts:
         raise InternalConsistencyError("level set modulus must be a multiple of the parent's")
+    members = 0
     for block in _row_blocks(bset.mask, 1):
         bad = block.translate(_NOT_BIT).find(1)
         if bad >= 0:
             raise InternalConsistencyError(f"level set mask byte {block[bad]} is not 0 or 1")
+        members += _byte_sum(block, 1)
     counts = hit_fractions(prev, bset)
     if len(counts) != prev.modulus:
         raise InternalConsistencyError("one hit count per parent residue is required")
@@ -461,14 +481,62 @@ def _check_level(prev: FiberMeasure, bset: LevelSet, delta: Fraction):
         over = counts and max(counts) > lifts
     if over:
         raise InternalConsistencyError(f"each hit count must lie in [0, {lifts}], its lifts")
-    if delta:
-        return counts, lifts
+    total = _byte_sum(counts, lifts) if isinstance(counts, bytes) else sum(counts)
+    if total != members:
+        raise InternalConsistencyError(
+            f"the hit counts sum to {total}, the level set has {members} members"
+        )
+    return counts, lifts
+
+
+def _check_zero_fibers(counts, bset: LevelSet) -> None:
+    """InternalConsistencyError if a member of the level set lies above a fiber with count 0.
+
+    The part of a level's gate for delta = 0, where such a fiber keeps its
+    base mass on every lift (_gated_level).  The mask is read a block of
+    whole rows at a time (_row_blocks).
+    """
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     for block in _row_blocks(bset.mask, len(empty)) if 1 in empty else ():
         tiled = empty * (len(block) // len(empty))
         if int.from_bytes(block, "little") & int.from_bytes(tiled, "little"):
             raise InternalConsistencyError("level set member above a fiber with hit fraction 0")
-    return counts, lifts
+
+
+# the key of a system's __dict__, where cached_property keeps its
+# factorization, under which its runs keep what their later runs reuse
+_KEPT = "_distortion_kept"
+
+
+def _kept(sys: CongruenceSystem) -> dict:
+    """What runs of this system object keep for its later runs, made empty on first use.
+
+    Per level j, (counts, lifts, zero_checked) from the level's gate
+    (_gated_level), and under "witness", certify's witness: about
+    Q_1 + ... + Q_(J-1) bytes of counts, and no mask.  The dict lives and
+    dies with the system and enters neither its ==, its hash nor its repr.
+    """
+    return sys.__dict__.setdefault(_KEPT, {})
+
+
+def _gated_level(kept: dict, j: int, prev: FiberMeasure, bset: LevelSet, delta):
+    """Level j's hit counts and lifts, through its gate once per level per system.
+
+    The gate for a level's data, which the kernels read unchecked; kept is
+    the system's store (_kept).  The part that no delta enters,
+    _check_level, runs on the level's first visit by a run of the system
+    object, and the zero-fiber check on its first visit with delta = 0.
+    Only what passed is kept, so a check that raises raises again on the
+    next run.  The mask is not kept: level_set rebuilds it, the one the
+    gate passed, on every run.  Wide counts, an array, go out read-only, so
+    that no reader can change a later run's counts.
+    """
+    counts, lifts, zero_checked = kept.get(j) or (*_check_level(prev, bset), False)
+    if not (delta or zero_checked):
+        _check_zero_fibers(counts, bset)
+        zero_checked = True
+    kept[j] = counts, lifts, zero_checked
+    return counts if isinstance(counts, bytes) else memoryview(counts).toreadonly(), lifts
 
 
 def _fiber_masses(
@@ -593,8 +661,10 @@ class LevelRecord(
     """Everything the pipeline computed at one level.
 
     parent is the measure the level started from and counts are the hit
-    counts of its fibers (see hit_fractions), which run_levels' gate,
-    _check_level, made from a checked mask and checked against it.  The
+    counts of its fibers (see hit_fractions), which the level's gate made
+    from a checked mask and checked against it, once per level per system
+    (_gated_level): bytes, or past 255 lifts a read-only view of the array
+    the system keeps, so that a write cannot change a later run.  The
     measure the level leaves is built by step_measure on first access to
     measure, then kept; a copy made by _replace builds its own.  The mass it
     leaves on the level set is checked against the term: at most term, and
@@ -630,9 +700,13 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     system yields nothing.  Each level starts from the measure of the
     record before it, so every level's measure but the last is built; the
     last is built only if its record's measure is read.  Every level, the
-    last included, passes one gate, _check_level, before any kernel reads
-    it: its mask's length and bytes, then the counts it has hit_fractions
-    make, their number and range and, at delta = 0, them against the mask.
+    last included, passes its gate before any kernel reads it, once per
+    level per system object (_gated_level): its mask's length and bytes,
+    then the counts it has hit_fractions make, their number, their range and
+    their sum against the mask's members and, the first time a run has
+    delta = 0 there, them against the mask's fibers.  The system keeps the
+    counts that passed for its later runs; the limit and the ladder are
+    checked on every run, before any of them is read (_pipeline_ladder).
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -644,13 +718,13 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         raise DomainError(
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"
         )
-    record = None
+    kept, record = _kept(sys), None
     for j in range(1, ladder.depth + 1):
         # read here, not after the yield: the loop's last resumption would
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
         bset, delta = level_set(sys, ladder, j), schedule[j - 1]
-        counts, lifts = _check_level(prev, bset, delta)
+        counts, lifts = _gated_level(kept, j, prev, bset, delta)
         m1, m2 = moments(prev, counts, lifts)
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(
@@ -678,7 +752,9 @@ def certify(
     Only the terms are kept, so the final measure is never built and each
     level's record, with its measures, is dropped after the next level, the
     last one before the witness mask is built; run_levels checks every
-    level, the last included.
+    level, the last included.  The system object keeps each level's gated
+    counts (run_levels) and the witness, so its later certify calls, under
+    any schedule, neither gate a level nor fill a witness mask again.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)
@@ -688,8 +764,11 @@ def certify(
     )
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
-        witness = _hit_mask(sys.lcm_modulus, zip(sys.residues, sys.moduli)).find(0)
-        if witness < 0:
-            raise InternalConsistencyError("eta below 1 for a system that covers")
-        return Certificate(terms, eta, NOT_COVERING, witness)
+        kept = _kept(sys)
+        if "witness" not in kept:
+            witness = _hit_mask(sys.lcm_modulus, zip(sys.residues, sys.moduli)).find(0)
+            if witness < 0:
+                raise InternalConsistencyError("eta below 1 for a system that covers")
+            kept["witness"] = witness
+        return Certificate(terms, eta, NOT_COVERING, kept["witness"])
     return Certificate(terms, eta, INCONCLUSIVE, None)

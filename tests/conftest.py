@@ -25,6 +25,10 @@ def tamper_level(monkeypatch):
     At the level mod q, level_set returns a LevelSet of mask(mask), which
     the level's gate must refuse before hit_fractions reads it, and
     hit_fractions returns counts(counts).  Each call replaces the last.
+    A system object gates each level once and keeps what passed, so a
+    tamper faults only a system's first run: a level that an earlier run
+    of the same object passed is not read or checked again, but for the
+    delta-0 check of its kept counts.
     """
     from covercert import distortion
 

@@ -304,11 +304,24 @@ def uncovered_lower_bound(eta, q: int, deltas) -> Fraction:
     return (1 - Fraction(eta)) * q * prod(1 - Fraction(delta) for delta in deltas)
 
 
-def zero_first_hit(counts: bytes) -> bytes:
-    """The counts with the first nonzero one set to 0; a level-set member
-    then lies above a fiber with hit fraction 0, which the pipeline must notice."""
+def lowered_first_hit(counts: bytes) -> bytes:
+    """The counts with the first nonzero one lowered by 1; they then sum to
+    one less than the level set's size, which the pipeline must notice."""
     y = next(y for y, c in enumerate(counts) if c)
-    return counts[:y] + bytes(1) + counts[y + 1 :]
+    return counts[:y] + bytes([counts[y] - 1]) + counts[y + 1 :]
+
+
+def moved_first_hit(counts: bytes) -> bytes:
+    """The counts with the first nonzero one moved onto the next fiber's.
+
+    Their sum is kept, but a level-set member now lies above a fiber with
+    hit fraction 0, which the pipeline must notice at delta = 0.
+    """
+    y = next(y for y, c in enumerate(counts) if c)
+    moved = bytearray(counts)
+    moved[(y + 1) % len(counts)] += moved[y]
+    moved[y] = 0
+    return bytes(moved)
 
 
 def sieve_smooth_reciprocal(y: int, threshold: int, cap: int) -> Fraction:

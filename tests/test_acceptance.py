@@ -6,11 +6,13 @@ sweep over an exhaustive small-modulus family plus seeded random systems, so
 the expensive pipeline work happens once.
 """
 
+import importlib.util
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -44,6 +46,7 @@ from helpers import (
 
 F = Fraction
 SEED = 20260815
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -314,6 +317,22 @@ def test_criterion_6_first_moment_bound(sweep):
         f"{sweep.prefix_zero_levels} levels"
         + (f"; first: {sweep.moment_failures[0]}" if sweep.moment_failures else ""),
     )
+
+
+def test_one_system_object_under_every_sweep_schedule():
+    # a system object gates each level once and keeps its counts and
+    # witness: under the seven schedules of scripts/schedule_sweep.py, run
+    # in order and in reverse (so that the delta-0 check also runs on a kept
+    # level), each certificate equals that of a fresh system
+    spec = importlib.util.spec_from_file_location("schedule_sweep", SCRIPTS / "schedule_sweep.py")
+    sweep_script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_script)
+    for pairs in itertools.chain(_exhaustive_systems(), _random_systems()):
+        schedules = [schedule for _, schedule in sweep_script.candidate_schedules(sys_of(pairs))]
+        fresh = [certify(sys_of(pairs), schedule) for schedule in schedules]
+        forward, backward = sys_of(pairs), sys_of(pairs)
+        assert [certify(forward, schedule) for schedule in schedules] == fresh, pairs
+        assert [certify(backward, schedule) for schedule in schedules[::-1]] == fresh[::-1], pairs
 
 
 # ---------------------------------------------------------------------------

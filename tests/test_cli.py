@@ -19,12 +19,12 @@ from covercert.core import _TOO_LONG
 
 from helpers import (
     DIGIT_LIMIT,
+    moved_first_hit,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
     needs_digit_limit,
     subcommand_help,
     time_limit,
-    zero_first_hit,
 )
 
 TWO_THREE = "0 mod 2, 0 mod 3"
@@ -999,7 +999,7 @@ class TestUsageAndExitCodes:
         assert max(map(len, err.splitlines())) < 300
 
     def test_internal_error_is_one_line(self, capsys, tamper_level):
-        tamper_level(6, counts=zero_first_hit)
+        tamper_level(6, counts=moved_first_hit)
         code, out, err = run(capsys, "certify", "--deltas", "0,0", "--system", TWO_THREE)
         assert (code, out) == (4, "")
         assert err == "error: internal: level set member above a fiber with hit fraction 0\n"

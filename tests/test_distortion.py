@@ -47,15 +47,16 @@ from helpers import (
     brute_largest_prime,
     brute_lcm,
     fiber_sums,
+    lowered_first_hit,
     masses_of,
     measure_invariant_failures,
+    moved_first_hit,
     pipeline_cases,
     reference_hit_counts,
     reference_level,
     reference_pipeline,
     time_limit,
     uncovered_lower_bound,
-    zero_first_hit,
 )
 
 F = Fraction
@@ -531,7 +532,7 @@ class TestOneGroup:
             for z in rng.sample(range(lifts), count):
                 mask[z] = 1
             bset = LevelSet(mask)
-            counts, _ = distortion._check_level(parent, bset, delta)
+            counts, _ = distortion._check_level(parent, bset)
             assert list(counts) == [count]
             _, _, _, pointwise = reference_level([F(1, lifts)] * lifts, mask, 1, delta)
             expected = self._expected(parent, count, lifts, delta, mask)
@@ -600,10 +601,11 @@ class TestStepMeasure:
                 step_measure(measure_of(parent), b"\x01\x01", delta, bset)
 
     def test_member_over_zero_fraction_fiber(self, tamper_level):
-        # B_1 = {1} mod 2 over the one fiber, whose count reads 0
-        tamper_level(2, counts=zero_first_hit)
+        # B_2 = {1} mod 6 over fiber 1 mod 2, whose count reads 0 once it is
+        # moved onto fiber 0
+        tamper_level(6, counts=moved_first_hit)
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-            list(run_levels(sys_of([(1, 2)]), [0]))
+            list(run_levels(sys_of([(0, 2), (1, 6)]), [0, 0]))
 
     @given(pipeline_cases())
     def test_mass_conserved_and_nonnegative(self, case):
@@ -640,13 +642,34 @@ class TestLevelGate:
                 lambda c: array(c.typecode, [258]) + c[1:], r"in \[0, 257\]",
             ),
             # at delta 0, B_2 = {0, 3} mod 6 holds a member above fiber 0
-            ([(0, 2), (0, 3)], [0, 0], zero_first_hit, "hit fraction 0"),
+            ([(0, 2), (0, 3)], [0, 0], moved_first_hit, "hit fraction 0"),
         ],
         ids=["counts-short", "bytes-count-past-lifts", "array-count-past-lifts",
              "member-over-zero-count"],
     )
     def test_bad_counts_are_caught(self, tamper_level, pairs, deltas, change, message):
         tamper_level(sys_of(pairs).lcm_modulus, counts=change)
+        assert_gate_catches(pairs, deltas, message)
+
+    # each level of this system under each schedule, and the last level of
+    # 0 mod 4, 0 mod 3, 1 mod 3, whose lowered count took eta from 11/12 to
+    # 5/6 before the counts were summed
+    LOWERED = [
+        ([(0, 2), (0, 3), (1, 3), (1, 6), (0, 5), (2, 5), (3, 10)], deltas, q)
+        for deltas in ([F(1, 2)] * 3, [F(1, 4)] * 3, [0, F(1, 2), F(1, 2)])
+        for q in (2, 6, 30)
+    ] + [([(0, 4), (0, 3), (1, 3)], [0, 0], 12)]
+
+    @pytest.mark.parametrize("pairs, deltas, q", LOWERED)
+    def test_lowered_count_is_caught(self, tamper_level, pairs, deltas, q):
+        # a count lowered by 1 passes every check of the measures at delta > 0,
+        # and at the last level no measure is built; their sum must match the
+        # mask's members, with every measure read and from certify
+        tamper_level(q, counts=lowered_first_hit)
+        message = "the hit counts sum to"
+        with pytest.raises(InternalConsistencyError, match=message):
+            for record in run_levels(sys_of(pairs), deltas):
+                record.measure
         assert_gate_catches(pairs, deltas, message)
 
 
@@ -688,15 +711,14 @@ class TestRowBlocks:
         mask[0] = mask[2 * row] = 1
         bad = bytearray(mask)
         bad[2 * row + 1] = 1
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(distortion, "hit_fractions", lambda prev, bset: b"\x01\x00")
-            assert distortion._check_level(parent, LevelSet(mask), F(0)) == (b"\x01\x00", 5)
-            with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
-                distortion._check_level(parent, LevelSet(bad), F(0))
-        # the same masks are level 2's of runs mod 10, where every count but
-        # fiber 0's reads 0
+        assert distortion._check_level(parent, LevelSet(mask)) == (b"\x02\x00", 5)
+        distortion._check_zero_fibers(b"\x02\x00", LevelSet(mask))
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            distortion._check_zero_fibers(b"\x02\x00", LevelSet(bad))
+        # the same masks are level 2's of runs mod 10, where fiber 1's count
+        # is moved onto fiber 0's, so that their sum still matches the mask
         pairs = [(0, 10), (2 * row, 10)]
-        tamper_level(10, counts=lambda counts: counts[:1].ljust(len(counts), b"\x00"))
+        tamper_level(10, counts=lambda counts: bytes([counts[0] + counts[1]]) + bytes(1))
         last = list(run_levels(sys_of(pairs), [0, 0]))[-1]
         assert (last.level_set.mask, last.counts[1]) == (mask, 0)
         last.measure
@@ -715,7 +737,7 @@ class TestRowBlocks:
         monkeypatch.setattr(distortion, "hit_fractions", lambda prev, bset: counts)
         tracemalloc.start()
         try:
-            distortion._check_level(parent, bset, F(0))
+            distortion._check_zero_fibers(distortion._check_level(parent, bset)[0], bset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -774,28 +796,32 @@ class TestFinalMeasureOnDemand:
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record._replace(term=F(3, 4)).measure
 
-    def test_level_mass_of_a_uniform_level_is_read_from_the_mask(self, tamper_level):
-        # a hit count lowered on a uniform delta-0 level lowers the term to
-        # 1/4, while B_1 = {0, 1} mod 4 still holds mass 1/2
-        tamper_level(4, counts=lambda counts: b"\x01")
+    def test_level_mass_of_a_uniform_level_is_read_from_the_mask(self):
+        # a record whose hit count and term are lowered past the gate, on a
+        # uniform delta-0 level: the term reads 1/4, while B_1 = {0, 1} mod 4
+        # still holds mass 1/2
         record = next(run_levels(sys_of([(0, 4), (1, 4), (0, 3)]), [0, 0]))
-        assert record.term == F(1, 4)
+        assert (record.counts, record.term) == (b"\x02", F(1, 2))
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
-            record.measure
+            record._replace(counts=b"\x01", term=F(1, 4)).measure
 
     def test_run_levels_checks_the_last_level(self, tamper_level):
-        # no measure is read: the last level's counts are checked all the same
-        tamper_level(6, counts=zero_first_hit)
+        # no measure is read: the last level's counts are checked all the
+        # same, against the mask's fibers at delta 0 and its members at every delta
+        tamper_level(6, counts=moved_first_hit)
         with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             list(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0]))
-        list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
+        tamper_level(6, counts=lowered_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit counts sum to 1"):
+            list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
 
     def test_certify_checks_the_last_level(self, tamper_level):
-        tamper_level(6, counts=zero_first_hit)
-        with pytest.raises(InternalConsistencyError):
+        tamper_level(6, counts=moved_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
             certify(sys_of([(0, 2), (0, 3)]), [0, 0])
-        # the zero-fiber check does not run at delta > 0 (ROADMAP item 13)
-        certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
+        tamper_level(6, counts=lowered_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit counts sum to 1"):
+            certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
 class TestMoments:
     def test_single_class(self):
@@ -894,10 +920,13 @@ class TestCertify:
 
     def test_eta_below_one_for_a_covering_system_is_caught(self, monkeypatch):
         # a term of 0 would certify the parity split, which covers; the
-        # witness mask, a fresh fill of every class, then holds no zero
+        # witness mask, a fresh fill of every class, then holds no zero, and
+        # a second call on the same system finds no witness kept
         monkeypatch.setattr(distortion, "_level_term", lambda m1, m2, delta: (0, FIRST_MOMENT))
-        with pytest.raises(InternalConsistencyError, match="eta below 1 for a system that covers"):
-            certify(sys_of([(0, 2), (1, 2)]), [0])
+        system = sys_of([(0, 2), (1, 2)])
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="eta below 1 for a system that"):
+                certify(system, [0])
 
     def test_default_schedule_two_class(self):
         cert = certify(sys_of([(0, 2), (0, 3)]))
@@ -1094,6 +1123,87 @@ def affine_cases(draw):
     q = brute_lcm(d for _, d in pairs)
     u = draw(st.sampled_from([u for u in range(1, q) if gcd(u, q) == 1]))
     return pairs, deltas, u, draw(st.integers(0, q - 1))
+
+
+class TestKeptLevels:
+    """A system object gates each level once and keeps its counts and witness.
+
+    Its later runs, under any schedule, must give what a fresh system gives.
+    """
+
+    def test_tampered_level_raises_on_every_call(self, tamper_level):
+        # nothing is kept from a level that fails its gate, so the same error
+        # comes back; once the fault is gone, the object certifies as a fresh one
+        pairs, deltas = [(0, 2), (0, 3)], [0, F(1, 2)]
+        system = sys_of(pairs)
+        for mask, counts, message in [
+            (lambda mask: mask[:-1], None, "multiple of the parent's"),
+            (lambda mask: mask.replace(b"\x01", b"\x02", 1), None, "mask byte 2 is"),
+            (None, lowered_first_hit, "hit counts sum to 1"),
+        ]:
+            tamper_level(6, mask=mask, counts=counts)
+            for _ in range(2):
+                with pytest.raises(InternalConsistencyError, match=message):
+                    certify(system, deltas)
+        tamper_level(6)
+        for schedule in (deltas, [0, 0]):
+            assert certify(system, schedule) == certify(sys_of(pairs), schedule)
+
+    def test_zero_fiber_check_on_a_kept_level(self, tamper_level):
+        # moved counts pass the gate at delta 1/2 and are kept; the first run
+        # at delta 0, and every one after it, checks them against the mask
+        system = sys_of([(0, 2), (0, 3)])
+        tamper_level(6, counts=moved_first_hit)
+        certify(system, [0, F(1, 2)])
+        tamper_level(6)
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+                certify(system, [0, 0])
+
+    def test_limits_are_checked_on_every_call(self):
+        system = sys_of([(0, 4), (1, 6), (2, 5)])
+        certify(system)
+        small = Limits(residue_space=59)
+        with pytest.raises(ResourceLimitError):
+            certify(system, limits=small)
+        with pytest.raises(ResourceLimitError):
+            list(run_levels(system, [0, 0, 0], limits=small))
+        assert certify(system, limits=Limits(residue_space=60)) == certify(system)
+
+    @pytest.mark.parametrize("deltas", [[0, 0], [F(1, 2), F(1, 4)]])
+    def test_counts_are_read_only(self, deltas):
+        # level 1 has one fiber of 4096 lifts, array counts; level 2 has 3
+        # lifts, byte counts.  Neither takes a write that a later run would read
+        pairs = [(0, 4096), (5, 12), (1, 3)]
+        system = sys_of(pairs)
+        first, second = run_levels(system, deltas)
+        assert (len(first.counts), len(second.counts)) == (1, 4096)
+        assert (first.counts[0], second.counts[5]) == (1, 2)
+        for record in (first, second):
+            with pytest.raises(TypeError):
+                record.counts[0] = 0
+            with pytest.raises(TypeError):
+                record.counts[5 % len(record.counts)] = 3
+        assert certify(system, deltas) == certify(sys_of(pairs), deltas)
+
+    def test_kept_memory_is_about_the_counts(self):
+        # Q = 17 Q_(J-1), Q_(J-1) = 2^8 3^2 5 7 = 80640; the store keeps the
+        # counts of every level, about Q_(J-1) + Q_(J-2) + ... bytes, and no
+        # mask, which takes Q bytes at the last level and in the witness fill
+        pairs = [(0, 256), (1, 9), (2, 35), (3, 34), (4, 17 * 45)]
+        system = sys_of(pairs)
+        qprev = system.lcm_modulus // 17
+        assert qprev == 80640
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cert = certify(system, [0, 0, 0, 0, 0])
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict == NOT_COVERING
+        assert kept - before < 2 * qprev
+        assert certify(system, [0] * 5) == cert == certify(sys_of(pairs), [0] * 5)
 
 
 class TestAffineInvariance:

@@ -28,7 +28,7 @@ def test_smoke_run_passes():
 # the work counts of one traced smoke pass at seed 0: residues stepped,
 # level-set members, levels and distinct hit-count values
 SMOKE_COUNTS = {
-    "certify-primorial": (532, 749, 42, 105),
+    "certify-primorial": (532, 749, 42, 15),
     "certify-dyadic": (256, 266, 8, 37),
 }
 
