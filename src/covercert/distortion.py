@@ -51,16 +51,10 @@ uniform measure, has every id 0, so its codes are its counts, and at
 delta_j = 0, where no mass moves, it lifts to the uniform measure mod Q_j
 with no grouping: from the uniform start, the default schedule's delta-0
 prefix stays uniform.  Cheap runtime checks guard the arithmetic.  A
-level's gate checks its data before any kernel reads it, once per level per
-system: a mask of 0 and 1 bytes whose length is a multiple of Q_(j-1), then
-the counts hit_fractions makes of it, one per fiber, each at most lifts,
-summing to |B_j|, and, the first time a run has delta_j = 0 there, no member
-of B_j above a fiber with count 0.  No delta enters a level's mask or
-counts, nor the witness, so a system object keeps the counts its gates
-passed and certify's witness for its later runs under any schedule, about
-Q_1 + ... + Q_(J-1) bytes and no mask (_kept).  Each new measure has total
-mass 1, no negative mass, and at most the level's term on B_j, exactly the
-term when delta_j = 0.
+level's gate checks its mask and counts before any kernel reads them, and a
+system object keeps what passed for its later runs (_check_level).  Each
+new measure has total mass 1, no negative mass, and at most the level's
+term on B_j, exactly the term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
@@ -245,9 +239,8 @@ def hit_fractions(prev: FiberMeasure, bset: LevelSet):
     The result is indexed by y in Z/Q_(j-1)Z, Q_(j-1) = prev.modulus; the
     hit fraction of fiber y is its count over the Q_j / Q_(j-1) lifts.  It
     is bytes while a fiber has at most 255 lifts, else an array of the
-    narrowest typecode that holds the lifts.  The level is read unchecked:
-    the level's gate, _check_level, calls this only for a mask of 0 and 1
-    bytes whose length is a multiple of Q_(j-1), and checks the counts after.
+    narrowest typecode that holds the lifts.  The mask is read unchecked:
+    only the level's gate calls this, on a mask it passed (_check_level).
     """
     lifts, qprev, mask = bset.modulus // prev.modulus, prev.modulus, bset.mask
     if lifts > 255:
@@ -283,8 +276,8 @@ def _lanes(values, width: int) -> bytes | array:
 def _fiber_codes(prev: FiberMeasure, counts, lifts: int) -> tuple[bytes | memoryview, int]:
     """Per fiber y, its group code ids[y] * base + counts[y], and base = lifts + 1.
 
-    The counts are bytes, or an array or a read-only view of one, that
-    _check_level has passed: one per fiber, each at most lifts.  Each code
+    The counts are bytes or an array or a view of unsigned ints, one per
+    fiber, each at most lifts, as the level's gate passes them.  Each code
     takes a lane of the narrowest of 1, 2, 4 and 8 bytes that holds
     types * base codes, and never narrower than the ids.  The ids and the
     counts, widened into those lanes (_lanes) and read as integers in
@@ -347,8 +340,8 @@ def step_measure(prev: FiberMeasure, counts, delta: Fraction, bset: LevelSet) ->
     At delta = 0 nothing moves, so a parent of one type, a uniform measure,
     lifts to the uniform measure of mass m / lifts on every residue; its
     mass on the level set is read from the mask.  delta comes from a
-    DeltaSchedule, and the level's shape, mask and counts from its gate
-    (_gated_level), so none of them is checked again here.
+    DeltaSchedule and the mask and counts from the level's gate
+    (_check_level), so none of them is checked again here.
     """
     lifts = bset.modulus // prev.modulus
     codes, base = _fiber_codes(prev, counts, lifts)
@@ -455,13 +448,27 @@ def _byte_sum(data, top: int) -> int:
 def _check_level(prev: FiberMeasure, bset: LevelSet):
     """The level's hit counts and lifts, or InternalConsistencyError on bad data.
 
-    The part of a level's gate that no delta enters (_gated_level).  The
-    mask's length is a multiple of the parent's, and every mask byte is 0
-    or 1, or hit_fractions' lanes may carry and its slices miss a member;
+    A level's gate, which every level passes before any kernel reads it.
+    The mask's length is a multiple of the parent's, and every mask byte is
+    0 or 1, or hit_fractions' lanes may carry and its slices miss a member;
     only then are the counts made (hit_fractions).  There is one per fiber,
     each at most lifts, or _fiber_codes' lanes spill into the next type's,
     and they sum to |B_j|, the mask's ones, which the 0/1 pass sums a block
-    of whole rows at a time (_row_blocks, _byte_sum).
+    of whole rows at a time (_row_blocks, _byte_sum).  The counts come back
+    as records carry them: bytes, or past 255 lifts a read-only view of the
+    array, so that no reader can change a later run's counts.  run_levels
+    runs the gate's last part, _check_zero_fibers, on a level's first visit
+    with delta = 0.
+
+    No delta enters a level's mask or counts, nor certify's witness, so a
+    system object keeps them for its later runs under any schedule, in one
+    dict in its __dict__ (_KEPT): per level j, run_levels keeps the counts,
+    the lifts and whether the zero-fiber check has passed, and certify keeps
+    the witness.  That is about Q_1 + ... + Q_(J-1) bytes, and no mask:
+    level_set rebuilds the one the gate passed on every run.  Only what
+    passed is kept, so a check that raises raises again on the next run.
+    The dict lives and dies with the system and enters neither its ==, its
+    hash nor its repr.
     """
     lifts, rest = divmod(bset.modulus, prev.modulus)
     if rest or not lifts:
@@ -486,15 +493,17 @@ def _check_level(prev: FiberMeasure, bset: LevelSet):
         raise InternalConsistencyError(
             f"the hit counts sum to {total}, the level set has {members} members"
         )
-    return counts, lifts
+    return (counts if isinstance(counts, bytes) else memoryview(counts).toreadonly()), lifts
 
 
 def _check_zero_fibers(counts, bset: LevelSet) -> None:
     """InternalConsistencyError if a member of the level set lies above a fiber with count 0.
 
-    The part of a level's gate for delta = 0, where such a fiber keeps its
-    base mass on every lift (_gated_level).  The mask is read a block of
-    whole rows at a time (_row_blocks).
+    Such a fiber keeps its base mass on every lift at every delta
+    (_fiber_masses), so the member holds mass that the level's term does
+    not count.  The check reads the whole mask, a block of whole rows at a
+    time (_row_blocks), so for its cost it runs only on a level's first
+    visit with delta = 0 (_check_level).
     """
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     for block in _row_blocks(bset.mask, len(empty)) if 1 in empty else ():
@@ -506,37 +515,6 @@ def _check_zero_fibers(counts, bset: LevelSet) -> None:
 # the key of a system's __dict__, where cached_property keeps its
 # factorization, under which its runs keep what their later runs reuse
 _KEPT = "_distortion_kept"
-
-
-def _kept(sys: CongruenceSystem) -> dict:
-    """What runs of this system object keep for its later runs, made empty on first use.
-
-    Per level j, (counts, lifts, zero_checked) from the level's gate
-    (_gated_level), and under "witness", certify's witness: about
-    Q_1 + ... + Q_(J-1) bytes of counts, and no mask.  The dict lives and
-    dies with the system and enters neither its ==, its hash nor its repr.
-    """
-    return sys.__dict__.setdefault(_KEPT, {})
-
-
-def _gated_level(kept: dict, j: int, prev: FiberMeasure, bset: LevelSet, delta):
-    """Level j's hit counts and lifts, through its gate once per level per system.
-
-    The gate for a level's data, which the kernels read unchecked; kept is
-    the system's store (_kept).  The part that no delta enters,
-    _check_level, runs on the level's first visit by a run of the system
-    object, and the zero-fiber check on its first visit with delta = 0.
-    Only what passed is kept, so a check that raises raises again on the
-    next run.  The mask is not kept: level_set rebuilds it, the one the
-    gate passed, on every run.  Wide counts, an array, go out read-only, so
-    that no reader can change a later run's counts.
-    """
-    counts, lifts, zero_checked = kept.get(j) or (*_check_level(prev, bset), False)
-    if not (delta or zero_checked):
-        _check_zero_fibers(counts, bset)
-        zero_checked = True
-    kept[j] = counts, lifts, zero_checked
-    return counts if isinstance(counts, bytes) else memoryview(counts).toreadonly(), lifts
 
 
 def _fiber_masses(
@@ -661,14 +639,12 @@ class LevelRecord(
     """Everything the pipeline computed at one level.
 
     parent is the measure the level started from and counts are the hit
-    counts of its fibers (see hit_fractions), which the level's gate made
-    from a checked mask and checked against it, once per level per system
-    (_gated_level): bytes, or past 255 lifts a read-only view of the array
-    the system keeps, so that a write cannot change a later run.  The
-    measure the level leaves is built by step_measure on first access to
-    measure, then kept; a copy made by _replace builds its own.  The mass it
-    leaves on the level set is checked against the term: at most term, and
-    equal to it when delta = 0, where nothing is moved.
+    counts of its fibers (see hit_fractions), as the level's gate passed
+    them and the system keeps them (_check_level).  The measure the level
+    leaves is built by step_measure on first access to measure, then kept;
+    a copy made by _replace builds its own.  The mass it leaves on the
+    level set is checked against the term: at most term, and equal to it
+    when delta = 0, where nothing is moved.
     """
 
     @cached_property
@@ -700,13 +676,9 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
     system yields nothing.  Each level starts from the measure of the
     record before it, so every level's measure but the last is built; the
     last is built only if its record's measure is read.  Every level, the
-    last included, passes its gate before any kernel reads it, once per
-    level per system object (_gated_level): its mask's length and bytes,
-    then the counts it has hit_fractions make, their number, their range and
-    their sum against the mask's members and, the first time a run has
-    delta = 0 there, them against the mask's fibers.  The system keeps the
-    counts that passed for its later runs; the limit and the ladder are
-    checked on every run, before any of them is read (_pipeline_ladder).
+    last included, passes its gate before any kernel reads it, and the
+    system object keeps what passed for its later runs (_check_level); the
+    limit and the ladder are checked on every run (_pipeline_ladder).
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -718,13 +690,17 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
         raise DomainError(
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"
         )
-    kept, record = _kept(sys), None
+    kept, record = sys.__dict__.setdefault(_KEPT, {}), None
     for j in range(1, ladder.depth + 1):
         # read here, not after the yield: the loop's last resumption would
         # otherwise build the final measure that certify never reads
         prev = uniform_measure() if record is None else record.measure
         bset, delta = level_set(sys, ladder, j), schedule[j - 1]
-        counts, lifts = _gated_level(kept, j, prev, bset, delta)
+        counts, lifts, zero_checked = kept.get(j) or (*_check_level(prev, bset), False)
+        if not (delta or zero_checked):
+            _check_zero_fibers(counts, bset)
+            zero_checked = True
+        kept[j] = counts, lifts, zero_checked
         m1, m2 = moments(prev, counts, lifts)
         term, branch = _level_term(m1, m2, delta)
         record = LevelRecord(
@@ -751,10 +727,9 @@ def certify(
 
     Only the terms are kept, so the final measure is never built and each
     level's record, with its measures, is dropped after the next level, the
-    last one before the witness mask is built; run_levels checks every
-    level, the last included.  The system object keeps each level's gated
-    counts (run_levels) and the witness, so its later certify calls, under
-    any schedule, neither gate a level nor fill a witness mask again.
+    last one before the witness mask is built.  The system object keeps the
+    witness beside its levels' counts (_check_level), so its later certify
+    calls, under any schedule, fill no witness mask again.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)
@@ -764,7 +739,7 @@ def certify(
     )
     eta = sum((t.term for t in terms), _ZERO)
     if eta < 1:
-        kept = _kept(sys)
+        kept = sys.__dict__.setdefault(_KEPT, {})
         if "witness" not in kept:
             witness = _hit_mask(sys.lcm_modulus, zip(sys.residues, sys.moduli)).find(0)
             if witness < 0:
