@@ -457,8 +457,8 @@ def _check_level(prev: FiberMeasure, bset: LevelSet):
     of whole rows at a time (_row_blocks, _byte_sum).  The counts come back
     as records carry them: bytes, or past 255 lifts a read-only view of the
     array, so that no reader can change a later run's counts.  run_levels
-    runs the gate's last part, _check_zero_fibers, on a level's first visit
-    with delta = 0.
+    runs the gate's last part, _check_zero_fibers, the first time a run
+    visits the level with delta = 0.
 
     No delta enters a level's mask or counts, nor certify's witness, so a
     system object keeps them for its later runs under any schedule, in one
@@ -502,8 +502,8 @@ def _check_zero_fibers(counts, bset: LevelSet) -> None:
     Such a fiber keeps its base mass on every lift at every delta
     (_fiber_masses), so the member holds mass that the level's term does
     not count.  The check reads the whole mask, a block of whole rows at a
-    time (_row_blocks), so for its cost it runs only on a level's first
-    visit with delta = 0 (_check_level).
+    time (_row_blocks), so for its cost it runs only the first time a run
+    visits the level with delta = 0 (_check_level).
     """
     empty = counts.translate(_EMPTY) if isinstance(counts, bytes) else bytes(not c for c in counts)
     for block in _row_blocks(bset.mask, len(empty)) if 1 in empty else ():
