@@ -647,15 +647,14 @@ class TestLevelGate:
         tamper_level(sys_of(pairs).lcm_modulus, counts=change)
         assert_gate_catches(pairs, deltas, message)
 
-    # each level of this system under each schedule, the last level of
+    # each level of this system under each schedule, and the last level of
     # 0 mod 4, 0 mod 3, 1 mod 3, whose lowered count took eta from 11/12 to
-    # 5/6 before the counts were summed, and the last level of 0 mod 2,
-    # 0 mod 3 at delta 1/2
+    # 5/6 before the counts were summed
     LOWERED = [
         ([(0, 2), (0, 3), (1, 3), (1, 6), (0, 5), (2, 5), (3, 10)], deltas, q)
         for deltas in ([F(1, 2)] * 3, [F(1, 4)] * 3, [0, F(1, 2), F(1, 2)])
         for q in (2, 6, 30)
-    ] + [([(0, 4), (0, 3), (1, 3)], [0, 0], 12), ([(0, 2), (0, 3)], [0, F(1, 2)], 6)]
+    ] + [([(0, 4), (0, 3), (1, 3)], [0, 0], 12)]
 
     @pytest.mark.parametrize("pairs, deltas, q", LOWERED)
     def test_lowered_count_is_caught(self, tamper_level, pairs, deltas, q):
@@ -801,6 +800,24 @@ class TestFinalMeasureOnDemand:
         assert (record.counts, record.term) == (b"\x02", F(1, 2))
         with pytest.raises(InternalConsistencyError, match="leaves mass 1/2"):
             record._replace(counts=b"\x01", term=F(1, 4)).measure
+
+    def test_run_levels_checks_the_last_level(self, tamper_level):
+        # no measure is read: the last level's counts are checked all the
+        # same, against the mask's fibers at delta 0 and its members at every delta
+        tamper_level(6, counts=moved_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            list(run_levels(sys_of([(0, 2), (0, 3)]), [0, 0]))
+        tamper_level(6, counts=lowered_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit counts sum to 1"):
+            list(run_levels(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)]))
+
+    def test_certify_checks_the_last_level(self, tamper_level):
+        tamper_level(6, counts=moved_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit fraction 0"):
+            certify(sys_of([(0, 2), (0, 3)]), [0, 0])
+        tamper_level(6, counts=lowered_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit counts sum to 1"):
+            certify(sys_of([(0, 2), (0, 3)]), [0, F(1, 2)])
 
 
 class TestMoments:
