@@ -4,14 +4,15 @@
   python3 scripts/ab.py --base HEAD~1 --pairs 10 --out bench.json
   python3 scripts/ab.py --base HEAD --pairs 1 --smoke --out /tmp/bench.json
 
-Run it from anywhere inside a git checkout.  The base revision is checked
-out with `git worktree` into a temporary directory, which is removed at the
-end.  For each workload of BENCHMARK.json, pair i runs `perfbench/run.py`
-once in the base and once in this checkout, one process at a time: the
-base first when i is even, the change first when i is odd.  Each side runs
-its own `perfbench/run.py`, at seed SEED for BENCHMARK.json's run_seconds.
-With --smoke each side runs `perfbench/run.py --smoke` instead, which
-checks the outputs at tiny sizes and measures nothing.
+Run it from anywhere inside a git checkout.  The base revision's tree is
+extracted with `git archive <commit> | tar -x` into a temporary directory,
+which is removed at the end; nothing is written to .git/.  For each
+workload of BENCHMARK.json, pair i runs `perfbench/run.py` once in the base
+and once in this checkout, one process at a time: the base first when i is
+even, the change first when i is odd.  Each side runs its own
+`perfbench/run.py`, at seed SEED for BENCHMARK.json's run_seconds.  With
+--smoke each side runs `perfbench/run.py --smoke` instead, which checks the
+outputs at tiny sizes and measures nothing.
 
 The output file holds both commit ids (and whether this checkout has
 uncommitted changes to tracked files), the Python version, and per workload
@@ -48,6 +49,18 @@ def git(*args: str) -> str:
     if proc.returncode != 0:
         raise ABError(f"git {' '.join(args)}: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def extract(commit: str, dest: Path) -> None:
+    """Write the tree of commit into dest, by `git archive <commit> | tar -x`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True)
+    if archive.returncode != 0:
+        raise ABError(f"git archive {commit}: {archive.stderr.decode().strip()}")
+    dest.mkdir()
+    tar = subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                         capture_output=True)
+    if tar.returncode != 0:
+        raise ABError(f"tar -x: {tar.stderr.decode().strip()}")
 
 
 def measure(tree: Path, workloads: list[str], seconds: int, smoke: bool) -> dict:
@@ -154,7 +167,7 @@ def main(argv=None) -> int:
         scratch = Path(tempfile.mkdtemp(prefix="covercert-ab-"))
         base_tree = scratch / "base"
         try:
-            git("worktree", "add", "--detach", str(base_tree), base_commit)
+            extract(base_commit, base_tree)
             trees = {"base": base_tree, "change": ROOT}
             runs = {w: {"base": [], "change": []} for w in workloads}
             # a real run measures one workload, so that the two runs of a pair are adjacent
@@ -170,10 +183,7 @@ def main(argv=None) -> int:
                                   + json.dumps(run), file=sys.stderr)
             results = {w: summarize(runs[w], bench["end_to_end"]) for w in workloads}
         finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(base_tree)], capture_output=True)
             shutil.rmtree(scratch, ignore_errors=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     except ABError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,36 +4,45 @@ Everything here recomputes expected results from first principles with its
 own arithmetic, so a bug in the package cannot hide in its own oracle.  The
 inputs are plain (residue, modulus) pairs and delta lists, or package
 objects read only through their attributes, and nothing is imported from
-covercert.  Three checks of the paper's argument live only here: the
-divisor-sum bound on the first moment, the progression mass bound and the
-certificate's lower bound on the uncovered count.  measure_invariant_failures
-is the one checker of the measures' invariants.
+covercert.  `oracle` is perfbench/oracle.py, the benchmark's references,
+loaded by path: the tests take lcm_of, factor_pairs, largest_prime,
+multiplicity_of, affine_image, branch_rule and family_moduli from it.  What
+stays here checks the package by a method that differs from the oracle's:
+coverage, minimality and level sets by per-integer membership (the oracle
+sieves), smooth sums by a largest-prime-factor sieve (the oracle and the
+package enumerate products), growth bounds in mpmath (the oracle uses
+decimal), and agree_to_digits, stricter than its agrees_to_digits.  Three
+checks of the paper's argument live only here: the divisor-sum bound on the
+first moment, the progression mass bound and the certificate's lower bound
+on the uncovered count.  measure_invariant_failures is the one checker of
+the measures' invariants.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
+import json
 import signal
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import strategies as st
 
+_ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_SPEC = importlib.util.spec_from_file_location("oracle", _ORACLE)
+oracle = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle)
+
 # frames whose divisors supply moduli; keeps every generated Q a divisor
 # of the frame instead of rejection-sampling on lcm size
 FRAMES = (4, 6, 8, 12, 18, 24, 30, 36, 48, 60, 72, 90, 120, 144, 180, 240, 360, 720)
-
-
-def brute_lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def divisors_of(n: int) -> list[int]:
@@ -44,7 +53,7 @@ def divisors_of(n: int) -> list[int]:
 
 def brute_covers(pairs) -> tuple[bool, int | None, int]:
     """Coverage decided by per-integer membership tests over one period."""
-    q = brute_lcm(d for _, d in pairs)
+    q = oracle.lcm_of(d for _, d in pairs)
     uncovered = [x for x in range(q) if not any((x - r) % d == 0 for r, d in pairs)]
     if uncovered:
         return (False, uncovered[0], len(uncovered))
@@ -63,44 +72,8 @@ def brute_minimal(pairs) -> tuple[bool, list[int]] | None:
     return (not redundant, redundant)
 
 
-def affine_image(pairs, u: int, t: int) -> list[tuple[int, int]]:
-    """The image of every class under x -> u x + t, u a unit modulo every modulus.
-
-    The map permutes Z/QZ and sends r mod d to u r + t mod d, so coverage
-    and minimality are unchanged, and so is which classes are redundant.
-    """
-    assert all(gcd(u, d) == 1 for _, d in pairs), f"{u} is not a unit"
-    return [((u * r + t) % d, d) for r, d in pairs]
-
-
 def brute_covers_initial_segment(pairs, size: int) -> bool:
     return all(any((x - r) % d == 0 for r, d in pairs) for x in range(1, size + 1))
-
-
-def brute_multiplicity(pairs) -> int:
-    counts = Counter(d for _, d in pairs)
-    return max(counts.values())
-
-
-def brute_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def brute_largest_prime(n: int) -> int:
-    """The largest prime factor of n, 1 for n = 1."""
-    return brute_factor(n)[-1][0] if n > 1 else 1
 
 
 def reference_level(masses, in_b, qprev: int, delta):
@@ -114,10 +87,7 @@ def reference_level(masses, in_b, qprev: int, delta):
     """
     q, qj = len(masses), len(in_b)
     lifts = qj // qprev
-    alpha = []
-    for y in range(qprev):
-        hits = sum(1 for z in range(y, qj, qprev) if in_b[z])
-        alpha.append(Fraction(hits, lifts))
+    alpha = [Fraction(sum(in_b[y::qprev]), lifts) for y in range(qprev)]
     m1 = sum((masses[x] * alpha[x % qprev] for x in range(q)), Fraction(0))
     m2 = sum((masses[x] * alpha[x % qprev] ** 2 for x in range(q)), Fraction(0))
     delta = Fraction(delta)
@@ -143,47 +113,20 @@ def reference_pipeline(pairs, deltas):
     Q_(j-1)), m1, m2, term, branch, and the full pointwise masses after the
     level.
     """
-    q = brute_lcm(d for _, d in pairs)
-    fact = brute_factor(q)
-    partials = [1]
-    for p, e in fact:
-        partials.append(partials[-1] * p**e)
-    depth = len(fact)
-    assert len(deltas) == depth, "one delta per prime of Q"
+    q = oracle.lcm_of(d for _, d in pairs)
+    fact = oracle.factor_pairs(q)
+    assert len(deltas) == len(fact), "one delta per prime of Q"
     masses = [Fraction(1, q)] * q
-    records = []
-    eta = Fraction(0)
-    for j in range(1, depth + 1):
-        p = fact[j - 1][0]
-        qj, qprev = partials[j], partials[j - 1]
-        level_pairs = [(r, d) for r, d in pairs if brute_largest_prime(d) == p]
-        in_b = [
-            any((z - r) % d == 0 for r, d in level_pairs) for z in range(qj)
-        ]
-        delta = Fraction(deltas[j - 1])
+    records, eta, qj = [], Fraction(0), 1
+    for j, ((p, e), delta) in enumerate(zip(fact, map(Fraction, deltas)), 1):
+        qprev, qj = qj, qj * p**e
+        level_pairs = [(r, d) for r, d in pairs if oracle.largest_prime(d) == p]
+        in_b = [any((z - r) % d == 0 for r, d in level_pairs) for z in range(qj)]
         alpha, m1, m2, masses = reference_level(masses, in_b, qprev, delta)
-        if delta == 0:
-            term, branch = m1, "first-moment"
-        else:
-            second = m2 / (4 * delta * (1 - delta))
-            if m1 <= second:
-                term, branch = m1, "first-moment"
-            else:
-                term, branch = second, "second-moment"
+        term, branch = oracle.branch_rule(m1, m2, delta)
         eta += term
-        records.append(
-            {
-                "level": j,
-                "prime": p,
-                "modulus": qj,
-                "alpha": tuple(alpha),
-                "m1": m1,
-                "m2": m2,
-                "term": term,
-                "branch": branch,
-                "masses": tuple(masses),
-            }
-        )
+        records.append(dict(level=j, prime=p, modulus=qj, alpha=tuple(alpha), m1=m1, m2=m2,
+                            term=term, branch=branch, masses=tuple(masses)))
     return records, eta
 
 
@@ -196,14 +139,12 @@ def first_moment_bound(pairs, primes, exponents, j: int, min_modulus: int) -> Fr
     of its first j - 1 prime powers.  Every term divides Q_j, so the terms
     are summed as integers over Q_j.
     """
-    qprev = 1
-    for p, e in zip(primes[: j - 1], exponents[: j - 1]):
-        qprev *= p**e
+    qprev = prod(p**e for p, e in zip(primes[: j - 1], exponents[: j - 1]))
     p, nu = primes[j - 1], exponents[j - 1]
     qj = qprev * p**nu
     terms = [g * p**r for r in range(1, nu + 1) for g in divisors_of(qprev)]
     total = sum(qj // t for t in terms if t >= min_modulus)
-    return brute_multiplicity(pairs) * Fraction(total, qj)
+    return oracle.multiplicity_of(pairs) * Fraction(total, qj)
 
 
 ApBoundViolation = namedtuple("ApBoundViolation", "modulus residue mass bound")
@@ -388,6 +329,31 @@ def reference_parse_lines(text: str) -> list[tuple[int, int]] | tuple[str, int]:
             return (f"line {lineno}: {_TOO_LONG_MESSAGE}", lineno)
         if d < 1:
             return (f"line {lineno}: invalid modulus {d}", lineno)
+        pairs.append((r % d, d))
+    return pairs
+
+
+def reference_parse_json(text: str) -> list[tuple[int, int]] | tuple[str, None]:
+    """(residue mod d, d) pairs of JSON system text, or its first error's message and None.
+
+    The text must load by json.loads as an object whose "classes" is a list
+    of objects with integer "r" and "d" (not true or false), d >= 1.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # malformed, or a number past the digit limit
+        return (f"invalid JSON system: {exc}", None)
+    if not (isinstance(data, dict) and isinstance(data.get("classes"), list)):
+        return ('JSON system must be an object with a "classes" array', None)
+    pairs = []
+    for i, entry in enumerate(data["classes"]):
+        if not (isinstance(entry, dict) and {"r", "d"} <= entry.keys()):
+            return (f'class {i}: expected an object with keys "r" and "d"', None)
+        r, d = entry["r"], entry["d"]
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (r, d)):
+            return (f"class {i}: residue and modulus must be integers", None)
+        if d < 1:
+            return (f"class {i}: invalid modulus {d}", None)
         pairs.append((r % d, d))
     return pairs
 
@@ -595,9 +561,8 @@ _DELTA_POOL = (
 def pipeline_cases(draw, max_classes: int = 5):
     """(pairs, deltas) with all moduli >= 2 and one delta per prime of Q."""
     pairs = draw(system_pairs(max_classes=max_classes, min_classes=1, min_modulus=2))
-    q = brute_lcm(d for _, d in pairs)
-    depth = len(brute_factor(q))
-    deltas = [draw(st.sampled_from(_DELTA_POOL)) for _ in range(depth)]
+    primes = oracle.factor_pairs(oracle.lcm_of(d for _, d in pairs))
+    deltas = [draw(st.sampled_from(_DELTA_POOL)) for _ in primes]
     return pairs, deltas
 
 

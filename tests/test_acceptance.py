@@ -41,6 +41,7 @@ from helpers import (
     measure_invariant_failures,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
+    oracle,
     uncovered_lower_bound,
 )
 
@@ -74,9 +75,7 @@ def test_criterion_1_minimal_family():
     ok = True
     for j in range(5, 11):
         system = construct_minimal_family(j)
-        expected = sorted(
-            [2**i for i in range(1, j - 2)] + [3 * 2 ** (j - 5 + k) for k in (0, 1, 2)]
-        )
+        expected = sorted(oracle.family_moduli(j))
         got = sorted(c.modulus for c in system.classes)
         minimal, redundant = is_minimal(system)
         if not (covers_oracle(system).covers and minimal and not redundant and got == expected):

@@ -19,10 +19,10 @@ from covercert import (
 
 from helpers import (
     agree_to_digits,
-    brute_factor,
     first_moment_bound,
     mpmath_jth_modulus_bound,
     mpmath_multiplicity_modulus_bound,
+    oracle,
     pipeline_cases,
     sieve_smooth_reciprocal,
 )
@@ -30,7 +30,7 @@ from helpers import (
 F = Fraction
 
 # primes and prime powers up to 240, where a smooth sum's terms change
-PRIME_POWERS = [q for q in range(2, 241) if len(brute_factor(q)) == 1]
+PRIME_POWERS = [q for q in range(2, 241) if len(oracle.factor_pairs(q)) == 1]
 
 
 def sys_of(pairs) -> CongruenceSystem:
@@ -39,7 +39,7 @@ def sys_of(pairs) -> CongruenceSystem:
 
 def bound_of(pairs, q: int, j: int, min_modulus: int) -> Fraction:
     """The reference first-moment bound at level j of the prime ladder of q."""
-    fact = brute_factor(q)
+    fact = oracle.factor_pairs(q)
     return first_moment_bound(
         pairs, [p for p, _ in fact], [e for _, e in fact], j, min_modulus
     )

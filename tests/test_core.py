@@ -1,5 +1,6 @@
 """Congruence systems, factorization, coverage oracles, minimality, parsing."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -41,15 +42,13 @@ from covercert.distortion import certify, prime_ladder, run_levels
 
 from helpers import (
     DIGIT_LIMIT,
-    affine_image,
     brute_covers,
     brute_covers_initial_segment,
-    brute_factor,
-    brute_lcm,
     brute_minimal,
-    brute_multiplicity,
     divisors_of,
     needs_digit_limit,
+    oracle,
+    reference_parse_json,
     reference_parse_lines,
     structured_system_text,
     system_pairs,
@@ -155,6 +154,51 @@ def row_shaped_pairs(draw):
     return draw(st.permutations(pairs))
 
 
+# JSON values that are not integers to the parser; true and false load as bool
+_NOT_INTS = (True, False, None, 1.5, 2.0, float("inf"), "3", [1], {"n": 1})
+
+
+@st.composite
+def json_system_text(draw):
+    """JSON system text: {"classes": [{"r": R, "d": D}, ...]}, at times with
+    one fault, dumped with any indent and key order after any spaces.
+
+    The faults: a residue or modulus that is not an int, a modulus 0 or
+    negative, an entry with a key missing or not an object, "classes"
+    missing or not a list, a top-level value that is not an object, which
+    is line format, and text cut short.
+    """
+    classes = [
+        {"r": r, "d": d}
+        for r, d in draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 40)), max_size=4))
+    ]
+    kind = draw(st.sampled_from(
+        ("good", "good", "value", "modulus", "key", "entry", "classes", "top", "cut")
+    ))
+    if kind in ("value", "modulus", "key", "entry"):
+        i = draw(st.integers(0, len(classes)))
+        classes[i:i] = [{"r": 0, "d": 1}]
+        if kind == "value":
+            classes[i][draw(st.sampled_from("rd"))] = draw(st.sampled_from(_NOT_INTS))
+        elif kind == "modulus":
+            classes[i]["d"] = draw(st.integers(-40, 0))
+        elif kind == "key":
+            del classes[i][draw(st.sampled_from("rd"))]
+        else:
+            classes[i] = draw(st.sampled_from((1, [0, 2], "0 mod 2", None)))
+    data = {"classes": classes}
+    if kind == "classes":
+        data = draw(st.sampled_from(({}, {"classes": None}, {"classes": {"r": 0, "d": 2}},
+                                     {"classes": "0 mod 2"}, {"Classes": classes})))
+    elif kind == "top":
+        data = draw(st.sampled_from(([], [1, 2], classes[:1], "0 mod 2", 3)))
+    text = json.dumps(data, indent=draw(st.sampled_from((None, 0, 2))),
+                      sort_keys=draw(st.booleans()))
+    if kind == "cut":
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    return draw(st.sampled_from(("",) * 4 + (" ", "\n", "\t\n", "\xa0"))) + text
+
+
 class TestResidueClass:
     """A single class r mod d, as a one-class system."""
 
@@ -199,7 +243,7 @@ class TestFactorize:
 
     @given(st.integers(1, 10**6))
     def test_matches_independent_factorizer(self, n):
-        assert list(factorize(n)) == brute_factor(n)
+        assert list(factorize(n)) == oracle.factor_pairs(n)
 
 
 class TestCoversOracle:
@@ -296,7 +340,7 @@ class TestHitMask:
     @given(system_pairs(max_classes=12))
     def test_matches_brute_fill_on_drawn_systems(self, pairs):
         progressions = [(r % d, d) for r, d in pairs]
-        size = brute_lcm(d for _, d in pairs)
+        size = oracle.lcm_of(d for _, d in pairs)
         assert _hit_mask(size, progressions) == brute_mask(size, progressions)
 
     def test_shift_expanded_family(self):
@@ -329,7 +373,7 @@ class TestMultiplicity:
 
     @given(system_pairs(min_classes=1))
     def test_matches_brute_count(self, pairs):
-        assert multiplicity(sys_of(pairs)) == brute_multiplicity(pairs)
+        assert multiplicity(sys_of(pairs)) == oracle.multiplicity_of(pairs)
 
     @given(system_pairs(min_classes=1))
     def test_one_iff_no_repeats(self, pairs):
@@ -432,11 +476,11 @@ class TestIsMinimal:
         pairs = list(zip(family.residues, family.moduli))
         k = rng.randrange(len(pairs))
         pairs.append(pairs[k])
-        q = brute_lcm(d for _, d in pairs)
+        q = oracle.lcm_of(d for _, d in pairs)
         assert is_minimal(sys_of(pairs)) == (False, [k, len(pairs) - 1])
         for _ in range(2):
             u = rng.choice([u for u in range(1, 97) if gcd(u, q) == 1])
-            image = affine_image(pairs, u, rng.randrange(q))
+            image = oracle.affine_image(pairs, u, rng.randrange(q))
             assert is_minimal(sys_of(image)) == (False, [k, len(pairs) - 1])
 
     def test_affine_images_of_a_shift_expansion_agree(self):
@@ -445,7 +489,7 @@ class TestIsMinimal:
         q = source.lcm_modulus
         expected = is_minimal(source)
         for u, t in [(5, 0), (7, 11), (q - 1, 1000), (1, q - 1)]:
-            assert is_minimal(sys_of(affine_image(pairs, u, t))) == expected
+            assert is_minimal(sys_of(oracle.affine_image(pairs, u, t))) == expected
 
     @staticmethod
     def _traced(system):
@@ -596,6 +640,29 @@ class TestParseEmit:
             else:
                 got = parse(text)
                 assert list(zip(got.residues, got.moduli)) == expected
+
+    @given(json_system_text())
+    @example('{"classes": [{"r": 1, "d": true}]}')
+    @example('{"classes": [{"r": 0.5, "d": 2}]}')
+    @example('{"classes": [{"r": 1}]}')
+    @example('{"classes": {"r": 1, "d": 2}}')
+    @example('{"classes": [{"r": 1, "d": 2}, {"r": 0, "d": 0}]}')
+    @example('{"classes": [{"r": 0, "d": -3}]}')
+    @example('{"classes": [{"r": 1, "d": 1' + "0" * 4300 + "}]}")
+    @example('[{"r": 1, "d": 2}]')
+    @settings(max_examples=300)
+    def test_json_shapes_match_reference_json_parser(self, text):
+        # the same columns, or the same error message and no line; text
+        # that does not start with "{" after spaces is line format
+        is_json = text.lstrip().startswith("{")
+        expected = (reference_parse_json if is_json else reference_parse_lines)(text)
+        if isinstance(expected, tuple):
+            with pytest.raises(ParseError) as err:
+                parse_system(text)
+            assert (str(err.value), err.value.line) == expected
+        else:
+            got = parse_system(text)
+            assert list(zip(got.residues, got.moduli)) == expected
 
     def test_fast_path_falls_back_with_the_line_number(self):
         cases = {
@@ -868,7 +935,7 @@ class TestLimitsAndMisc:
 
     @given(system_pairs())
     def test_lcm_modulus(self, pairs):
-        assert sys_of(pairs).lcm_modulus == brute_lcm(d for _, d in pairs)
+        assert sys_of(pairs).lcm_modulus == oracle.lcm_of(d for _, d in pairs)
 
     def test_sorted_by_modulus(self):
         system = sys_of(C5).sorted_by_modulus()

@@ -41,16 +41,14 @@ from covercert.distortion import (
 )
 
 from helpers import (
-    affine_image,
     ap_mass_bound_check,
     brute_covers,
-    brute_largest_prime,
-    brute_lcm,
     fiber_sums,
     lowered_first_hit,
     masses_of,
     measure_invariant_failures,
     moved_first_hit,
+    oracle,
     pipeline_cases,
     reference_hit_counts,
     reference_level,
@@ -200,7 +198,7 @@ class TestLevelSet:
                 z
                 for z in range(qj)
                 for (r, d) in pairs
-                if brute_largest_prime(d) == p and (z - r) % d == 0
+                if oracle.largest_prime(d) == p and (z - r) % d == 0
             }
             assert got.members == expected
             assert got.modulus == qj
@@ -1071,7 +1069,7 @@ class TestCertify:
         if cert.verdict == NOT_COVERING:
             assert not covers
             assert cert.witness == witness
-            q = brute_lcm(d for _, d in pairs)
+            q = oracle.lcm_of(d for _, d in pairs)
             assert uncovered >= uncovered_lower_bound(cert.eta, q, deltas)
         if covers:
             assert cert.verdict == INCONCLUSIVE
@@ -1117,7 +1115,7 @@ class TestCertify:
 def affine_cases(draw):
     """(pairs, deltas, u, t): a pipeline case, a unit u mod Q and a shift t in Z/QZ."""
     pairs, deltas = draw(pipeline_cases())
-    q = brute_lcm(d for _, d in pairs)
+    q = oracle.lcm_of(d for _, d in pairs)
     u = draw(st.sampled_from([u for u in range(1, q) if gcd(u, q) == 1]))
     return pairs, deltas, u, draw(st.integers(0, q - 1))
 
@@ -1219,9 +1217,9 @@ class TestAffineInvariance:
 
     @staticmethod
     def _assert_alike(pairs, deltas, u, t):
-        q = brute_lcm(d for _, d in pairs)
+        q = oracle.lcm_of(d for _, d in pairs)
         cert = certify(sys_of(pairs), deltas)
-        image = certify(sys_of(affine_image(pairs, u, t)), deltas)
+        image = certify(sys_of(oracle.affine_image(pairs, u, t)), deltas)
         assert (image.terms, image.eta, image.verdict) == (cert.terms, cert.eta, cert.verdict)
         if image.verdict == NOT_COVERING:
             x = pow(u, -1, q) * (image.witness - t) % q

@@ -58,8 +58,9 @@ def _load_ab():
     _git_checkout_root() != str(ROOT), reason="the A/B runner needs a git checkout"
 )
 def test_ab_smoke_run_against_head(tmp_path):
-    # base and change are both HEAD: the base comes from a temporary git
-    # worktree, which is gone afterwards, and each side's checks pass
+    # base and change are both HEAD: the base tree is extracted by git
+    # archive into a temporary directory, no worktree is added, and each
+    # side's checks pass
     worktrees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
                                capture_output=True, text=True).stdout
     out = tmp_path / "bench.json"
