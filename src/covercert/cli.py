@@ -2,11 +2,12 @@
 
 Every value-taking flag can also be supplied through an environment variable
 named COVERCERT_<FLAG> (dashes become underscores, upper case), and is then
-checked as a value given on the command line would be.  Exit codes:
+checked as a value given on the command line would be.  A command takes only
+the limit flags, and their variables, that its handler passes on.  Exit codes:
 0 for success, including an inconclusive certificate; 1 for usage or parse
-problems; 2 for an enumeration over a configured limit; 3 for inputs outside
-an operation's domain; 4 for a failed internal consistency check, which is a
-bug in covercert, reported as one "error: internal:" line.
+problems; 2 for an enumeration over a configured limit or a number past the
+int/str digit limit; 3 for inputs outside an operation's domain; 4 for a
+failed internal consistency check, a bug reported as one "error: internal:" line.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .core import (
     multiplicity,
     parse_system,
     rational_str,
-    _require_printable,
+    _printed,
     _shown,
     _TOO_LONG,
 )
@@ -65,8 +66,9 @@ class RunConfig(namedtuple("RunConfig", "output_format limits")):
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        try:
-            limits = Limits(args.limit_residue_space, args.limit_interval)
+        try:  # a limit the command does not take stays at its default
+            limits = Limits(getattr(args, "limit_residue_space", DEFAULT_LIMITS.residue_space),
+                            getattr(args, "limit_interval", DEFAULT_LIMITS.interval))
         except DomainError as exc:
             raise _UsageError("limits must be positive") from exc
         return cls(args.format, limits)
@@ -178,7 +180,7 @@ def _cmd_construct(args, cfg: RunConfig) -> str:
         # built.  Past 2^20 bits, far over the default digit limit, 3 * 2^(2^20)
         # stands in for it, so that a huge j builds no huge int; emit_system
         # checks the real one
-        _require_printable(3 << min(args.j - 3, 1 << 20))
+        _printed(3 << min(args.j - 3, 1 << 20), "the system")
     return cfg.emit_system(construct_minimal_family(args.j).sorted_by_modulus())
 
 
@@ -330,30 +332,33 @@ class _Choice(str):
 
 
 # the subcommands in the order of the command list: name, help line, and
-# whether the command reads a system (--system or --input).  The handler of
-# each is _cmd_<name>.
+# the shared flags the command reads besides --format, "--system" standing
+# for --input too.  The handler of each is _cmd_<name>.
+_RESIDUE, _INTERVAL, _SYSTEM = "--limit-residue-space", "--limit-interval", "--system"
 _COMMANDS = (
-    ("verify", "decide whether a system covers Z", True),
-    ("witness", "smallest uncovered residue, if any", True),
-    ("minimal", "check single-removal minimality", True),
-    ("multiplicity", "largest repeated-modulus count", True),
-    ("density", "exact density of the uncovered set", True),
-    ("construct", "minimal covering family with j distinct moduli", False),
-    ("reduce", "shift-expand a minimal covering system", True),
-    ("certify", "run the distorted-measure certificate", True),
-    ("bounds", "high-precision growth bounds", False),
-    ("smoothsum", "exact reciprocal sum over smooth integers", False),
+    ("verify", "decide whether a system covers Z", (_RESIDUE, _INTERVAL, _SYSTEM)),
+    ("witness", "smallest uncovered residue, if any", (_RESIDUE, _SYSTEM)),
+    ("minimal", "check single-removal minimality", (_RESIDUE, _SYSTEM)),
+    ("multiplicity", "largest repeated-modulus count", (_SYSTEM,)),
+    ("density", "exact density of the uncovered set", (_RESIDUE, _SYSTEM)),
+    ("construct", "minimal covering family with j distinct moduli", ()),
+    ("reduce", "shift-expand a minimal covering system", (_RESIDUE, _SYSTEM)),
+    ("certify", "run the distorted-measure certificate", (_RESIDUE, _SYSTEM)),
+    ("bounds", "high-precision growth bounds", ()),
+    ("smoothsum", "exact reciprocal sum over smooth integers", ()),
 )
 
 
-def _add_flags(p: argparse.ArgumentParser, name: str, reads_system: bool) -> None:
+def _add_flags(p: argparse.ArgumentParser, name: str, shared: tuple[str, ...]) -> None:
     """Give the parser of command name its flags, in the order of its usage line."""
     _opt(p, "--format", choices=("text", "json"), default="text", help="output format")
-    _opt(p, "--limit-residue-space", type=_int, default=DEFAULT_LIMITS.residue_space,
-         help="largest residue space Z/QZ that may be scanned")
-    _opt(p, "--limit-interval", type=_int, default=DEFAULT_LIMITS.interval,
-         help="longest initial segment that may be scanned")
-    if reads_system:
+    if _RESIDUE in shared:
+        _opt(p, _RESIDUE, type=_int, default=DEFAULT_LIMITS.residue_space,
+             help="largest residue space Z/QZ that may be scanned")
+    if _INTERVAL in shared:
+        _opt(p, _INTERVAL, type=_int, default=DEFAULT_LIMITS.interval,
+             help="longest initial segment that may be scanned")
+    if _SYSTEM in shared:
         _opt(p, "--system", help="inline system, classes separated by commas")
         _opt(p, "--input", help="path to a system file, or - for stdin")
     match name:
@@ -388,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.type = _Choice
-    for name, help_text, reads_system in _COMMANDS:
-        _add_flags(sub.add_parser(name, help=help_text), name, reads_system)
+    for name, help_text, shared in _COMMANDS:
+        _add_flags(sub.add_parser(name, help=help_text), name, shared)
     return parser
 
 
@@ -399,10 +404,10 @@ def _parse(argv) -> argparse.Namespace:
     What that parser leaves over, and any call that does not start with a
     command name (-h, no argument, a misspelt name), goes to the full parser.
     """
-    for name, _, reads_system in _COMMANDS:
+    for name, _, shared in _COMMANDS:
         if argv and argv[0] == name:
             parser = argparse.ArgumentParser(prog=f"covercert {name}")
-            _add_flags(parser, name, reads_system)
+            _add_flags(parser, name, shared)
             args, rest = parser.parse_known_args(argv[1:])
             if not rest:
                 args.command = name

@@ -113,7 +113,7 @@ DEFAULT_LIMITS = Limits()
 
 def rational_str(q: Fraction) -> str:
     """Render a fraction as an exact 'numerator/denominator' string."""
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_printed(q.numerator, 'a fraction')}/{_printed(q.denominator, 'a fraction')}"
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def density_uncovered(sys: CongruenceSystem, *, limits: Limits = DEFAULT_LIMITS)
 
 _LINE_RE = re.compile(r"^(-?\d+)\s+mod\s+(-?\d+)$")
 # the bytes of plain line-format text, and those of its numbers and spaces
-_PLAIN_BYTES = b"0123456789-mod \t\n"
+_PLAIN_BYTES = b"0123456789-mod \n"
 _NUMBER_BYTES = b"0123456789- "
 _TOO_LONG = "a number has more digits than Python's int/str limit (PYTHONINTMAXSTRDIGITS)"
 
@@ -468,29 +468,24 @@ def parse_system(text: str) -> CongruenceSystem:
 def _parse_plain(text: str) -> CongruenceSystem | None:
     """The system of plain line-format text, or None for any other text.
 
-    Plain text holds only _PLAIN_BYTES, and each of its lines is blank or
-    one class "R mod D".  It is read by passes over the whole text, with no
-    object per line unless it has blank lines.  Each " mod " becomes a
-    comma, and what is left once numbers and spaces are deleted must be one
-    comma per line.  Line breaks then become commas too, and one JSON scan
-    reads the numbers; it refuses two numbers with only spaces between
-    them.  Within these bytes JSON's integers are -?[0-9]+ without leading
-    zeros.  A leading zero, a lone "-", a number past the digit limit or a
-    modulus below 1 gives None, and the line loop reads the text again,
-    naming the line of any error.
+    Plain text holds only _PLAIN_BYTES, so no tab, and each of its lines,
+    with no blank line between them, is one class "R mod D".  It is read by
+    passes over the whole text, with no object per line.  Each " mod "
+    becomes a comma, and what is left once numbers and spaces are deleted
+    must be one comma per line.  Line breaks then become commas too, and one
+    JSON scan reads the numbers; it refuses two numbers with only spaces
+    between them.  Within these bytes JSON's integers are -?[0-9]+ without
+    leading zeros.  Empty text, a tab, a blank line, a leading zero, a lone
+    "-", a number past the digit limit or a modulus below 1 gives None, and
+    the line loop reads the text again, naming the line of any error.
     """
     if not text.isascii():
         return None
     data = text.encode()
     if data.translate(None, _PLAIN_BYTES):
         return None
-    data = data.replace(b"\t", b" ").replace(b" mod ", b",").strip()
-    if not data:
-        return CongruenceSystem()
+    data = data.replace(b" mod ", b",").strip()
     shape = data.translate(None, _NUMBER_BYTES)
-    if b"\n\n" in shape:  # blank lines, or a line without "mod"
-        data = b"\n".join(filter(bytes.strip, data.split(b"\n")))
-        shape = data.translate(None, _NUMBER_BYTES)
     if shape != b",\n" * (len(shape) // 2) + b",":
         return None
     try:
@@ -545,27 +540,27 @@ def _parse_json_system(text: str) -> CongruenceSystem:
     return CongruenceSystem(residues, moduli)
 
 
-def _require_printable(largest_modulus: int) -> None:
-    """Raise ResourceLimitError when a system's largest modulus cannot be printed.
+def _printed(number: int, what: str) -> str:
+    """str(number), printed as part of what; ResourceLimitError past Python's
+    int/str digit limit, which applies to every number printed.
 
-    Python's int/str digit limit applies to every number printed.  Residues
-    are below their moduli, so checking the largest modulus first makes an
-    oversized system fail before any output is built.
+    Residues are below their moduli, so a system's largest modulus is checked
+    first, and an oversized system fails before any output is built.
     """
     try:
-        str(largest_modulus)
+        return str(number)
     except ValueError as exc:
-        raise ResourceLimitError(f"cannot print the system: {_TOO_LONG}") from exc
+        raise ResourceLimitError(f"cannot print {what}: {_TOO_LONG}") from exc
 
 
 def emit_system(sys: CongruenceSystem) -> str:
     """Render a system in the line format, one "R mod D" per line, by one % format."""
-    _require_printable(max(sys.moduli, default=0))
+    _printed(max(sys.moduli, default=0), "the system")
     return ("%d mod %d\n" * len(sys)) % tuple(chain.from_iterable(zip(sys.residues, sys.moduli)))
 
 
 def emit_system_json(sys: CongruenceSystem, *, indent: int | None = None) -> str:
     """Render a system in the JSON format, indented as json.dumps does."""
-    _require_printable(max(sys.moduli, default=0))
+    _printed(max(sys.moduli, default=0), "the system")
     classes = [{"r": r, "d": d} for r, d in zip(sys.residues, sys.moduli)]
     return json.dumps({"classes": classes}, indent=indent)

@@ -788,6 +788,26 @@ class TestUsageAndExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: cannot print the system: {_TOO_LONG}\n"
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the sum's denominator, about lcm(1..y), has about 0.434 y digits
+            ["smoothsum", "--y", str(DIGIT_LIMIT * 105 // 43), "--threshold", "1",
+             "--cap", str(DIGIT_LIMIT * 105 // 43)],
+            # a delta just under 1/2 gives m2 a denominator of twice its digits
+            ["certify", "--system", "0 mod 2",
+             "--deltas", "9" * (DIGIT_LIMIT - 100) + "/2" + "0" * (DIGIT_LIMIT - 100)],
+        ],
+        ids=["smoothsum", "certify"],
+    )
+    def test_fraction_past_digit_limit(self, capsys, argv, fmt):
+        with time_limit(30):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot print a fraction: {_TOO_LONG}\n"
+
     def test_parse_error_carries_line(self, capsys):
         code, _, err = run(capsys, "verify", "--system", "0 mod 2, zebra")
         assert code == 1
@@ -1013,6 +1033,20 @@ class TestUsageAndExitCodes:
 
 
 SUBCOMMANDS = list(subcommand_help(build_parser()))
+LIMIT_FLAGS = ("--limit-residue-space", "--limit-interval")
+# the limit flags each command takes, and a call that succeeds without them
+LIMITS_TAKEN = {
+    "verify": (set(LIMIT_FLAGS), ["--system", TWO_THREE]),
+    "witness": ({"--limit-residue-space"}, ["--system", TWO_THREE]),
+    "minimal": ({"--limit-residue-space"}, ["--system", FAMILY_5]),
+    "multiplicity": (set(), ["--system", TWO_THREE]),
+    "density": ({"--limit-residue-space"}, ["--system", TWO_THREE]),
+    "construct": (set(), ["--j", "5"]),
+    "reduce": ({"--limit-residue-space"}, ["--ell", "2", "--system", FAMILY_5]),
+    "certify": ({"--limit-residue-space"}, ["--deltas", "0,0", "--system", TWO_THREE]),
+    "bounds": (set(), ["--j", "2", "--c", "1"]),
+    "smoothsum": (set(), ["--y", "3", "--threshold", "1", "--cap", "10"]),
+}
 
 
 class TestParserBuild:
@@ -1061,6 +1095,31 @@ class TestParserBuild:
             main(argv)
             assert len(built) == parsers, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_each_command_takes_only_its_limits(self, name, capsys, monkeypatch):
+        taken, argv = LIMITS_TAKEN[name]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = sub.choices[name]._option_string_actions
+        assert {flag for flag in flags if flag.startswith("--limit-")} == taken
+        baseline = run(capsys, name, *argv)
+        assert baseline[0] == 0
+        for flag in LIMIT_FLAGS:
+            variable = "COVERCERT_" + flag[2:].replace("-", "_").upper()
+            if flag in taken:
+                # the value reaches the handler's limits, and a bad variable is a usage error
+                given = run(capsys, name, *argv, flag, "0")
+                assert given == (1, "", "error: limits must be positive\n")
+                monkeypatch.setenv(variable, "abc")
+                code, _, err = run(capsys, name, *argv)
+                assert code == 1 and f"error: argument {flag}: invalid int value: 'abc'" in err
+            else:
+                code, out, err = run(capsys, name, *argv, flag, "5")
+                assert (code, out) == (1, "")
+                assert err.endswith(f"error: unrecognized arguments: {flag} 5\n")
+                monkeypatch.setenv(variable, "abc")
+                assert run(capsys, name, *argv) == baseline
+            monkeypatch.delenv(variable)
 
     @pytest.mark.parametrize("argv", [["construct", "--j", "5"], ["-h"]])
     def test_console_script_reads_sys_argv(self, argv, capsys, monkeypatch):

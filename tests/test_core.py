@@ -681,14 +681,11 @@ class TestParseEmit:
         "text",
         [
             "1 mod 2, 3 mod 4".replace(",", "\n"),
-            "\t1\tmod 2 \n\n \t\n-3 mod\t\t4\t\n\n",
             "1 mod 2\n3 mod 4",
             "1 mod 2\n3 mod 4\n\n",
-            "",
             emit_system(shift_expand(construct_minimal_family(20), 10)),
         ],
-        ids=["cli-system", "tabs-and-blanks", "no-final-newline", "two-final-newlines", "empty",
-             "shift-expanded"],
+        ids=["cli-system", "no-final-newline", "two-final-newlines", "shift-expanded"],
     )
     def test_plain_text_skips_the_line_loop(self, monkeypatch, text):
         # the columns agree with the line loop's, which the plain text never reaches
@@ -708,8 +705,11 @@ class TestParseEmit:
             "1 mod 2\r\n3 mod 4\r\n",
             "1 mod 2\n5 mod 1" + "0" * 4300,
             "1 mod 2\n\ud800 mod 3\n",
+            "\t1\tmod 2 \n\n \t\n-3 mod\t\t4\t\n\n",
+            "",
         ],
-        ids=["leading-zeros", "comment", "crlf", "modulus-past-digit-limit", "lone-surrogate"],
+        ids=["leading-zeros", "comment", "crlf", "modulus-past-digit-limit", "lone-surrogate",
+             "tabs-and-blanks", "empty"],
     )
     def test_other_text_reads_as_the_line_loop_does(self, text):
         try:
@@ -929,6 +929,16 @@ class TestLimitsAndMisc:
     def test_rational_str(self):
         assert rational_str(Fraction(5, 6)) == "5/6"
         assert rational_str(Fraction(0)) == "0/1"
+
+    @needs_digit_limit
+    def test_rational_str_up_to_digit_limit(self):
+        # DIGIT_LIMIT digits print; one more is a one-line limit error, as for a system
+        widest = 10**DIGIT_LIMIT - 1
+        assert rational_str(Fraction(1, widest)) == f"1/{widest}"
+        for value in (Fraction(10**DIGIT_LIMIT), Fraction(1, 10**DIGIT_LIMIT)):
+            with pytest.raises(ResourceLimitError) as err:
+                rational_str(value)
+            assert str(err.value) == f"cannot print a fraction: {_TOO_LONG}"
 
     def test_lcm_modulus_of_empty(self):
         assert CongruenceSystem(()).lcm_modulus == 1
