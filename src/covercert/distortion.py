@@ -58,7 +58,11 @@ term on B_j, exactly the term when delta_j = 0.
 
 The certificate reads only the per-level moment terms, never the measure
 the last level leaves, so a level's outgoing measure is built only when it
-is read: by the next level, or by a caller of LevelRecord.measure.
+is read: by the next level, or by a caller of LevelRecord.measure.  The
+moments of a level depend only on the system and the deltas before it, so
+a system object keeps them for its later runs as it keeps its counts, and
+a level whose moments are kept builds neither its parent measure nor,
+unless a check or a later level reads it, its mask (run_levels).
 """
 
 from __future__ import annotations
@@ -464,11 +468,13 @@ def _check_level(prev: FiberMeasure, bset: LevelSet):
     system object keeps them for its later runs under any schedule, in one
     dict in its __dict__ (_KEPT): per level j, run_levels keeps the counts,
     the lifts and whether the zero-fiber check has passed, and certify keeps
-    the witness.  That is about Q_1 + ... + Q_(J-1) bytes, and no mask:
-    level_set rebuilds the one the gate passed on every run.  Only what
-    passed is kept, so a check that raises raises again on the next run.
-    The dict lives and dies with the system and enters neither its ==, its
-    hash nor its repr.
+    the witness.  run_levels also keeps each level's moments for the
+    schedules of its last runs (_kept_moments).  That is about Q_1 + ... +
+    Q_(J-1) bytes, and no mask: a later run builds a level's mask only for
+    its first delta-0 check, or for a step_measure that a level whose
+    moments are not kept needs.  Only what passed is kept, so a check that
+    raises raises again on the next run.  The dict lives and dies with the
+    system and enters neither its ==, its hash nor its repr.
     """
     lifts, rest = divmod(bset.modulus, prev.modulus)
     if rest or not lifts:
@@ -633,19 +639,39 @@ class Certificate(namedtuple("Certificate", "terms eta verdict witness")):
 
 
 class LevelRecord(
-    _ReadOnly,
-    namedtuple("LevelRecord", "level prime delta level_set counts m1 m2 term branch parent"),
+    _ReadOnly, namedtuple("LevelRecord", "level prime delta counts m1 m2 term branch")
 ):
     """Everything the pipeline computed at one level.
 
-    parent is the measure the level started from and counts are the hit
-    counts of its fibers (see hit_fractions), as the level's gate passed
-    them and the system keeps them (_check_level).  The measure the level
-    leaves is built by step_measure on first access to measure, then kept;
-    a copy made by _replace builds its own.  The mass it leaves on the
-    level set is checked against the term: at most term, and equal to it
-    when delta = 0, where nothing is moved.
+    counts are the hit counts of the level's fibers (see hit_fractions), as
+    the level's gate passed them and the system keeps them (_check_level).
+    Three values are built on first read, unless run_levels built them
+    already, and then kept: level_set, the level's mask; parent, the measure
+    the level started from, which is the measure of the record before it;
+    and measure, the measure the level leaves, by step_measure.  Once parent
+    is built the record drops its link to the record before it.  A copy made
+    by _replace shares the first two, or the means to build them, and builds
+    its own measure.  The mass the measure leaves on the level set is checked
+    against the term: at most term, and equal to it when delta = 0, where
+    nothing is moved.
     """
+
+    @cached_property
+    def level_set(self) -> LevelSet:
+        return level_set(*self.__dict__["_ladder"], self.level)
+
+    @cached_property
+    def parent(self) -> FiberMeasure:
+        previous = self.__dict__["_previous"]
+        parent = uniform_measure() if previous is None else previous.measure
+        del self.__dict__["_previous"]
+        return parent
+
+    def _replace(self, **changes):
+        copy = super()._replace(**changes)
+        copy.__dict__.update(self.__dict__)
+        copy.__dict__.pop("measure", None)
+        return copy
 
     @cached_property
     def measure(self) -> FiberMeasure:
@@ -669,16 +695,51 @@ def _level_term(m1: Fraction, m2: Fraction, delta: Fraction) -> tuple[Fraction, 
     return second, SECOND_MOMENT
 
 
+# the number of schedules whose moments a system object keeps (_kept_moments)
+_KEPT_SCHEDULES = 16
+
+
+def _kept_moments(kept: dict, schedule: DeltaSchedule) -> list:
+    """The list of (m1, m2) per level that a run under schedule reads and extends.
+
+    The moments of level j depend only on the system and on the deltas
+    before j, so a kept schedule that shares its first j - 1 deltas with
+    this one gives them.  The list holds those of the kept schedule that
+    gives the most levels, and is kept for this schedule, or is that
+    schedule's own list when it is this one.  The system keeps the lists of
+    at most _KEPT_SCHEDULES schedules, beside its levels' counts (kept), and
+    drops the one it first ran longest ago to make room.  Schedules are
+    compared delta by delta, so no Fraction is hashed.
+    """
+    runs = kept.setdefault("moments", [])
+    known = []
+    for deltas, moments in runs:
+        shared = 0
+        while shared < len(schedule) and deltas[shared] == schedule[shared]:
+            shared += 1
+        if shared == len(schedule):
+            return moments
+        if min(shared + 1, len(moments)) > len(known):
+            known = moments[: shared + 1]
+    if len(runs) == _KEPT_SCHEDULES:
+        del runs[0]
+    runs.append((schedule, known))
+    return known
+
+
 def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMITS):
     """Run the pipeline level by level, yielding a LevelRecord per prime.
 
     The schedule must supply one delta per distinct prime of Q.  An empty
-    system yields nothing.  Each level starts from the measure of the
-    record before it, so every level's measure but the last is built; the
-    last is built only if its record's measure is read.  Every level, the
-    last included, passes its gate before any kernel reads it, and the
-    system object keeps what passed for its later runs (_check_level); the
-    limit and the ladder are checked on every run (_pipeline_ladder).
+    system yields nothing.  Every level, the last included, passes its gate
+    before any kernel reads it, and the system object keeps what passed for
+    its later runs (_check_level), with each level's moments under the
+    deltas before it (_kept_moments); the limit and the ladder are checked
+    on every run (_pipeline_ladder).  So a level builds its parent measure
+    only when its moments are not kept, and its mask only for its gate, its
+    first delta-0 check or a step_measure that a later level's parent
+    needs.  The last level's measure is built only if its record's measure
+    is read.
     """
     ladder = _pipeline_ladder(sys, limits)
     schedule = DeltaSchedule(schedule)
@@ -691,21 +752,28 @@ def run_levels(sys: CongruenceSystem, schedule, *, limits: Limits = DEFAULT_LIMI
             f"schedule has {len(schedule)} deltas, the ladder has {ladder.depth} levels"
         )
     kept, record = sys.__dict__.setdefault(_KEPT, {}), None
+    known = _kept_moments(kept, schedule)
     for j in range(1, ladder.depth + 1):
-        # read here, not after the yield: the loop's last resumption would
-        # otherwise build the final measure that certify never reads
-        prev = uniform_measure() if record is None else record.measure
-        bset, delta = level_set(sys, ladder, j), schedule[j - 1]
-        counts, lifts, zero_checked = kept.get(j) or (*_check_level(prev, bset), False)
+        delta, built = schedule[j - 1], {"_ladder": (sys, ladder)}
+        counts, lifts, zero_checked = kept.get(j) or (None, None, False)
+        if counts is None or len(known) < j:
+            built["parent"] = uniform_measure() if record is None else record.measure
+        else:
+            built["_previous"] = record
+        if counts is None or not (delta or zero_checked):
+            built["level_set"] = level_set(sys, ladder, j)
+        if counts is None:
+            counts, lifts = _check_level(built["parent"], built["level_set"])
         if not (delta or zero_checked):
-            _check_zero_fibers(counts, bset)
+            _check_zero_fibers(counts, built["level_set"])
             zero_checked = True
         kept[j] = counts, lifts, zero_checked
-        m1, m2 = moments(prev, counts, lifts)
+        if len(known) < j:
+            known.append(moments(built["parent"], counts, lifts))
+        m1, m2 = known[j - 1]
         term, branch = _level_term(m1, m2, delta)
-        record = LevelRecord(
-            j, ladder.primes[j - 1], delta, bset, counts, m1, m2, term, branch, prev
-        )
+        record = LevelRecord(j, ladder.primes[j - 1], delta, counts, m1, m2, term, branch)
+        record.__dict__.update(built)
         yield record
 
 
@@ -726,10 +794,11 @@ def certify(
     multiplicity is used.
 
     Only the terms are kept, so the final measure is never built and each
-    level's record, with its measures, is dropped after the next level, the
-    last one before the witness mask is built.  The system object keeps the
-    witness beside its levels' counts (_check_level), so its later certify
-    calls, under any schedule, fill no witness mask again.
+    level's record, with its measures, is dropped once the next level no
+    longer links to it, the last one before the witness mask is built.  The
+    system object keeps the witness beside its levels' counts and moments
+    (_check_level), so its later certify calls, under any schedule, fill no
+    witness mask again.
     """
     if schedule is None:
         schedule = system_default_schedule(sys, limits=limits)

@@ -64,7 +64,6 @@ def records() -> dict:
     record = next(run_levels(system, [Fraction(1, 4), 0]))
     cert = certify(system, [0, 0])
     level_set = "LevelSet(mask=bytearray(b'\\x01\\x00'))"
-    uniform = "FiberMeasure(table=(Fraction(1, 1),), ids=array('B', [0]), level_mass=None)"
     term = (
         "CertificateTerm(prime={}, delta=Fraction(0, 1), m1=Fraction(1, {}),"
         " m2=Fraction(1, {}), term=Fraction(1, {}), branch='first-moment')"
@@ -92,9 +91,8 @@ def records() -> dict:
         ),
         "LevelRecord": (
             record,
-            f"LevelRecord(level=1, prime=2, delta=Fraction(1, 4), level_set={level_set},"
-            " counts=b'\\x01', m1=Fraction(1, 2), m2=Fraction(1, 4), term=Fraction(1, 3),"
-            f" branch='second-moment', parent={uniform})",
+            "LevelRecord(level=1, prime=2, delta=Fraction(1, 4), counts=b'\\x01',"
+            " m1=Fraction(1, 2), m2=Fraction(1, 4), term=Fraction(1, 3), branch='second-moment')",
         ),
         "RunConfig": (
             RunConfig("text", Limits(5, 6)),
@@ -833,7 +831,8 @@ class TestColumns:
         for name, (record, text) in records().items():
             assert (type(record).__name__, repr(record)) == (name, text)
             fields = getattr(record, "_fields", ("residues", "moduli"))
-            for attr in (*fields, "classes", "lcm_modulus", "measure", "extra"):
+            lazy = ("classes", "lcm_modulus", "level_set", "parent", "measure", "extra")
+            for attr in (*fields, *lazy):
                 with pytest.raises(AttributeError):
                     setattr(record, attr, None)
                 with pytest.raises(AttributeError):

@@ -1,5 +1,6 @@
 """The distorted-measure pipeline: ladders, level sets, measures, certificates."""
 
+import itertools
 import random
 import tracemalloc
 from array import array
@@ -1120,8 +1121,26 @@ def affine_cases(draw):
     return pairs, deltas, u, draw(st.integers(0, q - 1))
 
 
+@st.composite
+def schedule_runs(draw):
+    """(pairs, runs): a pipeline case and the runs of one object, (schedule, whole) each.
+
+    Each schedule after the first keeps a drawn number of leading deltas of
+    an earlier one, all of them for an exact repeat, and draws the rest as
+    new Fraction objects.  whole picks certify over run_levels.
+    """
+    pairs, deltas = draw(pipeline_cases())
+    schedules = [deltas]
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.sampled_from(schedules))
+        keep = draw(st.integers(0, len(base)))
+        drawn = [F(*draw(st.sampled_from([(0, 1), (1, 4), (1, 2)]))) for _ in base[keep:]]
+        schedules.append(base[:keep] + drawn)
+    return pairs, [(schedule, draw(st.booleans())) for schedule in schedules]
+
+
 class TestKeptLevels:
-    """A system object gates each level once and keeps its counts and witness.
+    """A system object gates each level once and keeps its counts, moments and witness.
 
     Its later runs, under any schedule, must give what a fresh system gives.
     """
@@ -1204,6 +1223,94 @@ class TestKeptLevels:
         assert cert.verdict == NOT_COVERING
         assert kept - before < 2 * qprev
         assert certify(system, [0] * 5) == cert == certify(sys_of(pairs), [0] * 5)
+
+    def test_second_certify_builds_no_mask(self):
+        # the system of test_kept_memory_is_about_the_counts, first at all
+        # deltas 0, then with delta 1/2 at the last level: every level's
+        # moments are kept under the deltas before it, so the second run
+        # builds no parent measure and no mask, the last one of Q bytes
+        # included, and its traced peak stays far below Q = 17 Q_(J-1)
+        pairs = [(0, 256), (1, 9), (2, 35), (3, 34), (4, 17 * 45)]
+        system, schedule = sys_of(pairs), [0, 0, 0, 0, F(1, 2)]
+        qprev = system.lcm_modulus // 17
+        certify(system, [0] * 5)
+        tracemalloc.start()
+        try:
+            cert = certify(system, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * qprev
+        assert cert == certify(sys_of(pairs), schedule)
+
+    def test_moments_store_is_bounded(self):
+        # more distinct schedules than the store keeps, then some of the
+        # first ones again: the store stays at its bound, and every
+        # certificate is a fresh system's
+        pairs = [(0, 2), (0, 3), (1, 3), (1, 6), (0, 5), (2, 5), (3, 10)]
+        schedules = list(itertools.product([0, F(1, 4), F(1, 3), F(1, 2)], repeat=3))
+        bound = distortion._KEPT_SCHEDULES
+        assert len(schedules) > bound
+        system = sys_of(pairs)
+        for i, schedule in enumerate(schedules + schedules[:3]):
+            assert certify(system, schedule) == certify(sys_of(pairs), schedule)
+            assert len(system.__dict__[distortion._KEPT]["moments"]) == min(i + 1, bound)
+
+    def test_a_record_drops_its_link_once_its_parent_is_built(self):
+        # a first run builds every parent, so no record links to the one
+        # before it; a second run with every moment kept builds none until
+        # one is read, and reading the last builds the chain back to level 2
+        def links(record):
+            return [v for v in vars(record).values() if isinstance(v, distortion.LevelRecord)]
+
+        system = sys_of([(0, 4), (1, 6), (2, 5), (3, 10)])
+        for record in run_levels(system, [0, F(1, 2), F(1, 4)]):
+            assert links(record) == []
+        first, second, third = run_levels(system, [0, F(1, 2), F(1, 2)])
+        assert (links(second), links(third)) == ([first], [second])
+        assert third.parent is second.measure
+        assert links(second) == links(third) == []
+        assert second.parent is first.measure
+
+    @pytest.mark.parametrize("q", [2, 6, 30])
+    def test_a_fault_stops_the_first_run_of_each_object(self, tamper_level, q):
+        # an equal system object keeps nothing of another's runs: its first
+        # run reads each level's mask and counts, while the object whose
+        # moments are kept reads no mask under a schedule it has run
+        pairs = [(0, 2), (0, 3), (1, 3), (1, 6), (0, 5), (2, 5), (3, 10)]
+        deltas = [F(1, 2), F(1, 4), F(1, 2)]
+        kept = sys_of(pairs)
+        cert = certify(kept, deltas)
+        tamper_level(q, mask=lambda mask: mask.replace(b"\x01", b"\x02", 1))
+        assert certify(kept, deltas) == cert
+        with pytest.raises(InternalConsistencyError, match="mask byte 2 is"):
+            certify(sys_of(pairs), deltas)
+        tamper_level(q, counts=lowered_first_hit)
+        with pytest.raises(InternalConsistencyError, match="hit counts sum to"):
+            list(run_levels(sys_of(pairs), deltas))
+
+    @given(case=schedule_runs(), reverse=st.booleans())
+    @settings(max_examples=60)
+    def test_runs_under_shared_prefixes_match_fresh_runs(self, case, reverse):
+        # one object under schedules that share prefixes and repeat: each
+        # certificate, and each record's fields, level set, parent and
+        # measure, and those of its _replace copy, are a fresh run's, read
+        # last level first for half of the examples
+        pairs, runs = case
+        system = sys_of(pairs)
+        for schedule, whole in runs:
+            if whole:
+                assert certify(system, schedule) == certify(sys_of(pairs), schedule)
+                continue
+            records = list(run_levels(system, schedule))
+            fresh = list(run_levels(sys_of(pairs), schedule))
+            copies = [record._replace() for record in records]
+            assert records == copies == fresh
+            for got in (copies, records) if reverse else (records, copies):
+                for record, want in zip(got[::-1], fresh[::-1]) if reverse else zip(got, fresh):
+                    assert record.level_set == want.level_set
+                    assert record.parent == want.parent
+                    assert record.measure == want.measure
 
 
 class TestAffineInvariance:

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -34,6 +35,49 @@ def test_script_runs_with_defaults(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_schedule_sweep_matches_fresh_certificates():
+    # one system object under the seven schedules, over four levels, with
+    # shared prefixes and exact repeats: each printed eta, verdict and
+    # branch line, and the best schedule's lines, are those of certify on a
+    # fresh system for that schedule
+    from covercert import certify, parse_system, rational_str
+
+    text = "1 mod 2, 0 mod 3, 2 mod 6, 1 mod 5, 3 mod 10, 4 mod 7, 0 mod 21, 5 mod 35"
+    script = ROOT / "scripts" / "schedule_sweep.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--system", text],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("schedule_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def fresh():
+        return parse_system(text.replace(",", "\n"))
+
+    rows = []
+    for name, schedule in sweep.candidate_schedules(fresh()):
+        cert = certify(fresh(), schedule)
+        branches = "".join("1" if t.branch == "first-moment" else "2" for t in cert.terms)
+        rows.append((name, schedule, cert, branches))
+    assert len(rows) == 7 and len(rows[0][1]) == 4
+    assert len({tuple(schedule) for _, schedule, _, _ in rows}) < len(rows)
+    assert {cert.verdict for _, _, cert, _ in rows} == {"NotCovering", "Inconclusive"}
+    printed = re.findall(
+        r"^ +eta = (\S+) = \S+  verdict = (\S+)  branches = (\d+)$", proc.stdout, re.MULTILINE
+    )
+    assert printed == [
+        (rational_str(cert.eta), cert.verdict, branches) for _, _, cert, branches in rows
+    ]
+    name, _, best, _ = min(rows, key=lambda row: row[2].eta)
+    assert f"best schedule: {name} with eta = {rational_str(best.eta)}" in proc.stdout
+    assert f"witness: {best.witness} mod 210 is uncovered" in proc.stdout
+    assert best.eta < 1
 
 
 def _git_checkout_root() -> str | None:
